@@ -11,10 +11,10 @@ import sys
 from pathlib import Path
 
 from . import io as bundle_io
-from .distance import DistanceWeights, distance_matrix
+from .distance import DistanceWeights, distance_matrix, within_set_blocks
 from .encoding import build_encoding
-from .indicators import indicators_for, spread_correlation
-from .model import ArchitectureSolution, SolutionSet, validate_solution_set
+from .indicators import indicators_for, indicators_from_matrices, spread_correlation
+from .model import CorrelationStats, IndicatorResult, SolutionSet, validate_solution_set
 from .projection import Projection2D, mds_project
 
 
@@ -44,10 +44,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mds", help="project the architectural space to 2D")
     _add_bundle_arg(p)
-    p.add_argument("--w-pred", type=float, default=0.5)
+    _add_w_pred_arg(p)
     p.add_argument("--svg", type=Path, help="write a scatter SVG to this path")
     p.add_argument("-o", "--output", type=Path, help="output path (default: stdout)")
-    p.set_defaults(func=_cmd_mds)
+    p.set_defaults(func=_cmd_mds, shared_maxd=True, mas_allpairs=False)
 
     p = sub.add_parser("compare", help="indicators + correlation + projection in one report")
     _add_bundle_arg(p)
@@ -78,8 +78,23 @@ def _add_bundle_arg(p: argparse.ArgumentParser) -> None:
     p.add_argument("bundle", type=Path, help="path to a bundle JSON file")
 
 
+def _weight(text: str) -> float:
+    """argparse type for a channel weight: a number in [0, 1]."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not 0.0 <= value <= 1.0:  # also rejects NaN
+        raise argparse.ArgumentTypeError(f"must lie in [0, 1], got {text!r}")
+    return value
+
+
+def _add_w_pred_arg(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--w-pred", type=_weight, default=0.5, help="name-channel weight (args get 1 - w)")
+
+
 def _add_indicator_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--w-pred", type=float, default=0.5, help="name-channel weight (args get 1 - w)")
+    _add_w_pred_arg(p)
     group = p.add_mutually_exclusive_group()
     group.add_argument(
         "--shared-maxd", dest="shared_maxd", action="store_true", default=True,
@@ -102,37 +117,56 @@ def _load(args) -> tuple[bundle_io.AnalysisBundle, DistanceWeights]:
     violations = [v for s in bundle.sets for v in validate_solution_set(s)]
     if violations:
         raise bundle_io.BundleError("; ".join(violations))
-    w_pred = getattr(args, "w_pred", 0.5)
-    return bundle, DistanceWeights(w_pred=w_pred, w_args=1.0 - w_pred)
+    return bundle, DistanceWeights(w_pred=args.w_pred, w_args=1.0 - args.w_pred)
 
 
-def _joint_projections(
-    bundle: bundle_io.AnalysisBundle, w: DistanceWeights
-) -> dict[str, Projection2D]:
-    """Project all sets into one shared MDS space, then slice per set."""
-    table = build_encoding(list(bundle.sets))
-    merged = SolutionSet(
+def _analyze(
+    args, project: bool
+) -> tuple[list[IndicatorResult], dict[str, Projection2D] | None]:
+    """Indicators per set and, with ``project``, the shared MDS map sliced per set.
+
+    Each layer is computed once. Without a map only the within-set distances
+    are needed. With one, the joint matrix over every solution is computed
+    once; MAS uses its within-set blocks and MDS the whole matrix.
+    """
+    bundle, w = _load(args)
+    sets = list(bundle.sets)
+    table = build_encoding(sets)
+    options = {"shared_max_d": args.shared_maxd, "all_pairs": args.mas_allpairs}
+    if not project:
+        return indicators_for(sets, table, w, **options), None
+    everything = SolutionSet(
         label="__all__",
-        objective_names=bundle.sets[0].objective_names,
-        solutions=tuple(
-            ArchitectureSolution(f"{s.label}/{sol.id}", sol.objectives, sol.sequence)
-            for s in bundle.sets
-            for sol in s.solutions
-        ),
+        objective_names=sets[0].objective_names,
+        solutions=tuple(sol for s in sets for sol in s.solutions),
     )
-    joint = mds_project(distance_matrix(merged, table, w))
-    coords = dict(zip(joint.ids, joint.coords))
+    joint = distance_matrix(everything, table, w)
+    results = indicators_from_matrices(sets, within_set_blocks(joint, sets), **options)
+    return results, _split_projection(mds_project(joint), sets)
+
+
+def _split_projection(joint: Projection2D, sets: list[SolutionSet]) -> dict[str, Projection2D]:
+    """Per-set views of a projection of every set's solutions, in bundle order.
+
+    Points are taken by position, so ids that repeat across sets cannot mix.
+    """
     out = {}
-    for s in bundle.sets:
-        ids = tuple(sol.id for sol in s.solutions)
+    start = 0
+    for s in sets:
+        stop = start + len(s)
         out[s.label] = Projection2D(
-            ids=ids,
-            coords=tuple(coords[f"{s.label}/{i}"] for i in ids),
+            ids=joint.ids[start:stop],
+            coords=joint.coords[start:stop],
             stress=joint.stress,
             eigenvalue_share=joint.eigenvalue_share,
             diagnostics=joint.diagnostics,
         )
+        start = stop
     return out
+
+
+def _correlation(results: list[IndicatorResult]) -> CorrelationStats | None:
+    return spread_correlation(results) if len(results) >= 3 else None
 
 
 def _emit(documents: dict[str, str], output: Path | None) -> None:
@@ -147,45 +181,32 @@ def _emit(documents: dict[str, str], output: Path | None) -> None:
             output.with_name(f"{output.stem}_{name}{output.suffix or '.csv'}").write_text(text)
 
 
+def _emit_projected(
+    args,
+    results: list[IndicatorResult],
+    correlation: CorrelationStats | None,
+    projections: dict[str, Projection2D],
+) -> int:
+    _emit(bundle_io.write_report(results, correlation, projections=projections), args.output)
+    if args.svg is not None:
+        args.svg.write_text(bundle_io.emit_scatter_svg(projections, results))
+    return 0
+
+
 def _cmd_indicators(args) -> int:
-    bundle, w = _load(args)
-    table = build_encoding(list(bundle.sets))
-    results = indicators_for(
-        list(bundle.sets), table, w,
-        shared_max_d=args.shared_maxd, all_pairs=args.mas_allpairs,
-    )
-    correlation = spread_correlation(results) if len(results) >= 3 else None
-    _emit(bundle_io.write_report(results, correlation, format=args.format), args.output)
+    results, _ = _analyze(args, project=False)
+    _emit(bundle_io.write_report(results, _correlation(results), format=args.format), args.output)
     return 0
 
 
 def _cmd_mds(args) -> int:
-    bundle, w = _load(args)
-    projections = _joint_projections(bundle, w)
-    table = build_encoding(list(bundle.sets))
-    results = indicators_for(list(bundle.sets), table, w)
-    _emit(bundle_io.write_report(results, None, projections=projections), args.output)
-    if args.svg is not None:
-        args.svg.write_text(bundle_io.emit_scatter_svg(projections, results))
-    return 0
+    results, projections = _analyze(args, project=True)
+    return _emit_projected(args, results, None, projections)
 
 
 def _cmd_compare(args) -> int:
-    bundle, w = _load(args)
-    table = build_encoding(list(bundle.sets))
-    results = indicators_for(
-        list(bundle.sets), table, w,
-        shared_max_d=args.shared_maxd, all_pairs=args.mas_allpairs,
-    )
-    correlation = spread_correlation(results) if len(results) >= 3 else None
-    projections = _joint_projections(bundle, w)
-    _emit(
-        bundle_io.write_report(results, correlation, projections=projections),
-        args.output,
-    )
-    if args.svg is not None:
-        args.svg.write_text(bundle_io.emit_scatter_svg(projections, results))
-    return 0
+    results, projections = _analyze(args, project=True)
+    return _emit_projected(args, results, _correlation(results), projections)
 
 
 def _cmd_synth(args) -> int:

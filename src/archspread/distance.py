@@ -4,15 +4,24 @@ Each aligned position contributes at most 1: a 0/1 name mismatch weighted by
 ``w_pred`` plus a length-normalized Levenshtein over the argument symbols
 weighted by ``w_args``. Sequences of different lengths are tail-padded with a
 sentinel step that is at distance 1 from every real step.
+
+Matrices are computed by a step-table kernel: every distinct step gets an
+integer id (``PAD`` is 0), each solution becomes a row of ids, and the matrix
+is the position-by-position sum of gathers from one table of step distances.
+The table applies the same floating-point operations as ``step_distance`` and
+the sum runs in position order from 0.0, so every entry equals
+``sequence_distance`` of its pair exactly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .encoding import PAD, EncodedStep, EncodingTable
-from .model import DistanceMatrix, SolutionSet
+from .model import ArchitectureSolution, DistanceMatrix, SolutionSet
 
 
 @dataclass(frozen=True)
@@ -29,7 +38,6 @@ class DistanceWeights:
             raise ValueError("weights must sum to 1")
 
 
-@lru_cache(maxsize=None)
 def _levenshtein(a: tuple[int, ...], b: tuple[int, ...]) -> int:
     if not a:
         return len(b)
@@ -79,6 +87,84 @@ def sequence_distance(
     return total
 
 
+def _step_ids(
+    solutions: Iterable[ArchitectureSolution], table: EncodingTable
+) -> tuple[np.ndarray, list[EncodedStep]]:
+    """Encode solutions as an ``(n, L_pad)`` array of step ids, tail-padded with 0.
+
+    Also returns the distinct steps; step ``i`` of that list has id ``i + 1``.
+    """
+    step_id: dict[EncodedStep, int] = {}
+    rows = []
+    for sol in solutions:
+        try:
+            encoded = table.encode_sequence(sol.sequence)
+        except KeyError as exc:
+            raise type(exc)(f"solution {sol.id!r}: unknown token {exc.args[0]!r}") from None
+        rows.append([step_id.setdefault(step, len(step_id) + 1) for step in encoded])
+    ids = np.zeros((len(rows), max(map(len, rows), default=0)), dtype=np.intp)
+    for i, row in enumerate(rows):
+        ids[i, : len(row)] = row
+    return ids, list(step_id)
+
+
+def _step_table(steps: Sequence[EncodedStep], w: DistanceWeights) -> np.ndarray:
+    """``(U + 1) x (U + 1)`` step distances indexed by step id, ``PAD`` at 0.
+
+    Built from a name-inequality matrix and a normalized-Levenshtein table over
+    the distinct argument tuples, combined with the operations of
+    ``step_distance`` so each entry is bit-identical to it.
+    """
+    arg_id: dict[tuple[int, ...], int] = {}
+    step_args = np.array([arg_id.setdefault(s.args, len(arg_id)) for s in steps], dtype=np.intp)
+    arg_tuples = list(arg_id)
+    simargs = np.zeros((len(arg_tuples), len(arg_tuples)))
+    for i, a in enumerate(arg_tuples):
+        for j in range(i + 1, len(arg_tuples)):
+            simargs[i, j] = simargs[j, i] = _simargs(a, arg_tuples[j])
+    names = np.array([s.name for s in steps], dtype=np.int64)
+    out = np.ones((len(steps) + 1, len(steps) + 1))
+    out[0, 0] = 0.0
+    # In place, to hold one U x U temporary: neq * w_pred + simargs * w_args.
+    real = out[1:, 1:]
+    np.multiply(names[:, None] != names[None, :], w.w_pred, out=real)
+    args = simargs[step_args[:, None], step_args[None, :]]
+    args *= w.w_args
+    real += args
+    return out
+
+
+def _kernel(step_table: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """Pairwise sums of aligned step distances, accumulated in position order.
+
+    Positions past the end of both sequences add PAD/PAD = +0.0, which leaves
+    a non-negative sum unchanged.
+    """
+    out = np.zeros((len(ids), len(ids)))
+    for k in range(ids.shape[1]):
+        out += step_table[ids[:, k, None], ids[None, :, k]]
+    out.flags.writeable = False
+    return out
+
+
+def _set_matrix(solution_set: SolutionSet, values: np.ndarray, l_pad: int) -> DistanceMatrix:
+    return DistanceMatrix(
+        ids=tuple(sol.id for sol in solution_set.solutions),
+        values=values,
+        l_pad=l_pad,
+        max_d=float(l_pad),
+    )
+
+
+def _set_spans(sets: Sequence[SolutionSet]) -> Iterator[tuple[SolutionSet, slice, int]]:
+    """Each set with its rows among all sets' solutions in order, and its ``l_pad``."""
+    start = 0
+    for s in sets:
+        l_pad = max((len(sol.sequence) for sol in s.solutions), default=0)
+        yield s, slice(start, start + len(s)), l_pad
+        start += len(s)
+
+
 def distance_matrix(
     solution_set: SolutionSet, table: EncodingTable, w: DistanceWeights
 ) -> DistanceMatrix:
@@ -87,23 +173,29 @@ def distance_matrix(
     ``l_pad`` is the longest sequence in the set and doubles as the default
     ``max_d`` used for MAS normalization.
     """
-    encoded: list[tuple[EncodedStep, ...]] = []
-    for sol in solution_set.solutions:
-        try:
-            encoded.append(table.encode_sequence(sol.sequence))
-        except KeyError as exc:
-            raise type(exc)(f"solution {sol.id!r}: unknown token {exc.args[0]!r}") from None
-    n = len(encoded)
-    l_pad = max((len(seq) for seq in encoded), default=0)
-    values = [[0.0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = sequence_distance(encoded[i], encoded[j], w)
-            values[i][j] = d
-            values[j][i] = d
-    return DistanceMatrix(
-        ids=tuple(s.id for s in solution_set.solutions),
-        values=tuple(tuple(row) for row in values),
-        l_pad=l_pad,
-        max_d=float(l_pad),
-    )
+    ids, steps = _step_ids(solution_set.solutions, table)
+    return _set_matrix(solution_set, _kernel(_step_table(steps, w), ids), ids.shape[1])
+
+
+def within_set_matrices(
+    sets: Sequence[SolutionSet], table: EncodingTable, w: DistanceWeights
+) -> list[DistanceMatrix]:
+    """``distance_matrix`` of every set, computed from one shared step table.
+
+    Only the within-set pairs are computed: the sum of squared set sizes.
+    """
+    ids, steps = _step_ids((sol for s in sets for sol in s.solutions), table)
+    step_table = _step_table(steps, w)
+    return [
+        _set_matrix(s, _kernel(step_table, ids[rows, :l_pad]), l_pad)
+        for s, rows, l_pad in _set_spans(sets)
+    ]
+
+
+def within_set_blocks(joint: DistanceMatrix, sets: Sequence[SolutionSet]) -> list[DistanceMatrix]:
+    """Each set's own matrix, sliced from a matrix over all sets' solutions in order.
+
+    A pair's distance does not depend on the set it is computed in, so each
+    block equals ``distance_matrix`` of its set.
+    """
+    return [_set_matrix(s, joint.values[rows, rows], l_pad) for s, rows, l_pad in _set_spans(sets)]

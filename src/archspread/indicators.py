@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import math
+from typing import Sequence
 
 import numpy as np
 from scipy import stats
 
-from .distance import DistanceWeights, distance_matrix
+from .distance import DistanceWeights, within_set_matrices
 from .encoding import EncodingTable
 from .model import CorrelationStats, DistanceMatrix, IndicatorResult, SolutionSet
 
@@ -48,7 +49,7 @@ def max_architectural_spread(
     if max_d == 0.0:
         # Degenerate scale: all sequences empty, no spread is expressible.
         return 0.0
-    values = np.array(dm.values, dtype=float)
+    values = np.asarray(dm.values)
     if all_pairs:
         ecc = np.full(n, values.max())
     else:
@@ -70,7 +71,18 @@ def indicators_for(
     over all sets) so values are comparable across sets; ``shared_max_d=False``
     normalizes each set by its own longest sequence.
     """
-    matrices = [distance_matrix(s, table, w) for s in sets]
+    return indicators_from_matrices(
+        sets, within_set_matrices(sets, table, w), shared_max_d=shared_max_d, all_pairs=all_pairs
+    )
+
+
+def indicators_from_matrices(
+    sets: Sequence[SolutionSet],
+    matrices: Sequence[DistanceMatrix],
+    shared_max_d: bool = True,
+    all_pairs: bool = False,
+) -> list[IndicatorResult]:
+    """``indicators_for`` over already computed per-set distance matrices."""
     shared = float(max((dm.l_pad for dm in matrices), default=0))
     results = []
     for s, dm in zip(sets, matrices):

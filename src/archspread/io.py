@@ -134,7 +134,7 @@ def _parse_solution(
     sol_id = _require(raw, "id", str, path)
     objectives = _require(raw, "objectives", list, path)
     for k, v in enumerate(objectives):
-        if not isinstance(v, (int, float)) or isinstance(v, bool) or not math.isfinite(v):
+        if not _is_finite_number(v):
             raise BundleError(f"{path}.objectives[{k}]: must be a finite number")
 
     has_sequence = "sequence" in raw
@@ -166,6 +166,15 @@ def _parse_solution(
         ),
         warnings,
     )
+
+
+def _is_finite_number(value: object) -> bool:
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond float range
+        return False
 
 
 def _parse_step(raw: dict, path: str) -> tuple[TransformationStep, list[str]]:

@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class TransformationStep:
@@ -81,29 +83,49 @@ class SearchTree:
 
 @dataclass(frozen=True)
 class DistanceMatrix:
-    """Symmetric matrix of architectural distances between a set's solutions."""
+    """Symmetric matrix of architectural distances between a set's solutions.
+
+    ``values`` is a read-only float64 array. Any other input is copied into
+    one; a read-only float64 array is kept as given.
+    """
 
     ids: tuple[str, ...]
-    values: tuple[tuple[float, ...], ...]
+    values: np.ndarray
     l_pad: int
     max_d: float
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "ids", tuple(self.ids))
-        object.__setattr__(
-            self, "values", tuple(tuple(float(v) for v in row) for row in self.values)
-        )
+        values = self.values
+        if not (
+            isinstance(values, np.ndarray)
+            and values.dtype == np.float64
+            and not values.flags.writeable
+        ):
+            try:
+                values = np.array(values, dtype=np.float64)
+            except ValueError:
+                raise ValueError("distance matrix shape does not match ids") from None
+            values.flags.writeable = False
         n = len(self.ids)
-        if len(self.values) != n or any(len(row) != n for row in self.values):
+        if n == 0 and values.size == 0:
+            values = values.reshape(0, 0)
+        object.__setattr__(self, "values", values)
+        if values.shape != (n, n):
             raise ValueError("distance matrix shape does not match ids")
-        for i in range(n):
-            if self.values[i][i] != 0.0:
-                raise ValueError(f"nonzero diagonal at {self.ids[i]!r}")
-            for j in range(i + 1, n):
-                if self.values[i][j] != self.values[j][i]:
-                    raise ValueError(f"asymmetry at ({self.ids[i]!r}, {self.ids[j]!r})")
-                if not (0.0 <= self.values[i][j] <= self.l_pad + 1e-9):
-                    raise ValueError(f"distance out of [0, L] at ({self.ids[i]!r}, {self.ids[j]!r})")
+        # Report the first violation in row-major order over the upper
+        # triangle, diagonal included; NaN fails every check.
+        in_range = (values >= 0.0) & (values <= self.l_pad + 1e-9)
+        bad = np.triu((values != values.T) | ~in_range, 1)
+        np.fill_diagonal(bad, np.diagonal(values) != 0.0)
+        if not bad.any():
+            return
+        i, j = (int(k) for k in np.argwhere(bad)[0])
+        if i == j:
+            raise ValueError(f"nonzero diagonal at {self.ids[i]!r}")
+        if values[i, j] != values[j, i]:
+            raise ValueError(f"asymmetry at ({self.ids[i]!r}, {self.ids[j]!r})")
+        raise ValueError(f"distance out of [0, L] at ({self.ids[i]!r}, {self.ids[j]!r})")
 
     def __len__(self) -> int:
         return len(self.ids)

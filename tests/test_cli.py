@@ -3,6 +3,11 @@ import json
 import pytest
 
 from archspread.cli import main
+from archspread.distance import DistanceWeights, distance_matrix
+from archspread.encoding import build_encoding
+from archspread.io import parse_bundle
+from archspread.model import SolutionSet
+from archspread.projection import mds_project
 
 
 @pytest.fixture
@@ -113,3 +118,55 @@ def test_compare_byte_identical_across_runs(bundle_path, tmp_path):
     assert main(["compare", str(bundle_path), "-o", str(out_a)]) == 0
     assert main(["compare", str(bundle_path), "-o", str(out_b)]) == 0
     assert out_a.read_bytes() == out_b.read_bytes()
+
+
+@pytest.mark.parametrize("command", ["indicators", "mds", "compare"])
+@pytest.mark.parametrize("w_pred", ["1.5", "-0.1", "nan"])
+def test_w_pred_outside_unit_interval_is_usage_error(bundle_path, command, w_pred, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, str(bundle_path), "--w-pred", w_pred])
+    assert excinfo.value.code == 2
+    assert "--w-pred" in capsys.readouterr().err
+
+
+def test_joint_projection_keeps_ids_that_join_to_the_same_string_apart(tmp_path):
+    # Set "a/b" with solution "c" and set "a" with solution "b/c" both read
+    # "a/b/c" when label and id are joined with "/".
+    def solution(sol_id, name, arg):
+        return {"id": sol_id, "objectives": [0.0], "sequence": [{"name": name, "args": [arg]}]}
+
+    sets = [
+        {"label": "a/b", "objective_names": ["f0"],
+         "solutions": [solution("c", "x", "p"), solution("d", "y", "q")]},
+        {"label": "a", "objective_names": ["f0"],
+         "solutions": [solution("b/c", "z", "r"), solution("e", "x", "q")]},
+    ]
+    path = tmp_path / "bundle.json"
+    path.write_text(json.dumps({"name": "collide", "sets": sets}))
+    out = tmp_path / "proj.json"
+    assert main(["mds", str(path), "-o", str(out)]) == 0
+    points = {
+        label: {p["id"]: (p["x"], p["y"]) for p in proj["points"]}
+        for label, proj in json.loads(out.read_text())["projections"].items()
+    }
+
+    bundle = parse_bundle(path.read_text())
+    everything = SolutionSet(
+        "all", ("f0",), tuple(sol for s in bundle.sets for sol in s.solutions)
+    )
+    joint = mds_project(
+        distance_matrix(everything, build_encoding(list(bundle.sets)), DistanceWeights())
+    )
+    assert points["a/b"]["c"] == joint.coords[0]
+    assert points["a"]["b/c"] == joint.coords[2]
+    assert points["a/b"]["c"] != points["a"]["b/c"]
+
+
+def test_validate_reports_huge_integer_objective_as_data_error(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text(
+        '{"name": "x", "sets": [{"label": "s", "objective_names": ["f0"], "solutions":'
+        ' [{"id": "a", "objectives": [1' + "0" * 400 + '], "sequence": []}]}]}'
+    )
+    assert main(["validate", str(path)]) == 1
+    assert "$.sets[0].solutions[0].objectives[0]: must be a finite number" in capsys.readouterr().err

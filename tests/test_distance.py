@@ -1,5 +1,7 @@
 import itertools
+import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +11,8 @@ from archspread.distance import (
     distance_matrix,
     sequence_distance,
     step_distance,
+    within_set_blocks,
+    within_set_matrices,
 )
 from archspread.encoding import PAD, EncodedStep, build_encoding
 from archspread.model import TransformationStep
@@ -199,7 +203,7 @@ def test_distance_matrix_singleton():
     s = make_set(solutions=(make_solution("a", steps=(make_step(), make_step())),))
     table = build_encoding([s])
     dm = distance_matrix(s, table, W)
-    assert dm.values == ((0.0,),)
+    assert dm.values.tolist() == [[0.0]]
     assert dm.max_d == 2.0
     assert dm.l_pad == 2
 
@@ -211,7 +215,7 @@ def test_distance_matrix_duplicate_sequences():
     )
     table = build_encoding([s])
     dm = distance_matrix(s, table, W)
-    assert dm.values == ((0.0, 0.0), (0.0, 0.0))
+    assert dm.values.tolist() == [[0.0, 0.0], [0.0, 0.0]]
 
 
 def test_distance_matrix_against_positionwise_oracle(rng):
@@ -249,3 +253,42 @@ def test_distance_matrix_reports_offending_solution():
     )
     with pytest.raises(KeyError, match="weird"):
         distance_matrix(bad, table, W)
+
+
+@pytest.mark.parametrize("w_pred", [0.0, 0.3, 0.5, 1.0])
+def test_distance_matrix_entries_equal_sequence_distance_exactly(w_pred):
+    rng = random.Random(2024)
+    w = DistanceWeights(w_pred, 1.0 - w_pred)
+    for _ in range(10):
+        s = random_set(rng, n=12, max_len=6, name_vocab=4, arg_vocab=5)
+        table = build_encoding([s])
+        dm = distance_matrix(s, table, w)
+        encoded = [table.encode_sequence(sol.sequence) for sol in s.solutions]
+        for i, a in enumerate(encoded):
+            for j, b in enumerate(encoded):
+                assert dm.values[i, j] == sequence_distance(a, b, w)
+
+
+def test_within_set_blocks_equal_each_sets_own_matrix():
+    rng = random.Random(77)
+    sets = [random_set(rng, n=rng.randint(1, 9), max_len=rng.randint(0, 6)) for _ in range(4)]
+    table = build_encoding(sets)
+    everything = make_set(solutions=tuple(sol for s in sets for sol in s.solutions))
+    joint = distance_matrix(everything, table, W)
+    for s, block, shared in zip(
+        sets, within_set_blocks(joint, sets), within_set_matrices(sets, table, W)
+    ):
+        own = distance_matrix(s, table, W)
+        for dm in (block, shared):
+            assert np.array_equal(dm.values, own.values)
+            assert (dm.ids, dm.l_pad, dm.max_d) == (own.ids, own.l_pad, own.max_d)
+
+
+def test_distance_matrix_values_are_read_only():
+    s = make_set(
+        solutions=(make_solution("a", steps=(make_step("x"),)), make_solution("b"))
+    )
+    dm = distance_matrix(s, build_encoding([s]), W)
+    assert dm.values.dtype == np.float64
+    with pytest.raises(ValueError):
+        dm.values[0, 1] = 0.0

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from archspread.model import (
@@ -98,6 +99,34 @@ def test_distance_matrix_invariants_enforced():
         DistanceMatrix(
             ids=("a", "b"), values=((0.0, 7.0), (7.0, 0.0)), l_pad=1, max_d=1.0
         )
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "ids, values, message",
+    [
+        ("abc", ((0, 1, 1), (1, 2, 1), (1, 1, 0)), "nonzero diagonal at 'b'"),
+        ("abc", ((0, 1, 0.5), (1, 0, 9), (0, 9, 0)), r"asymmetry at \('a', 'c'\)"),
+        ("abc", ((0, 1, 1), (1, 0, 9), (1, 9, 0)), r"out of \[0, L\] at \('b', 'c'\)"),
+        ("abc", ((0, 1, 1), (1, 0, -1), (1, -1, 0)), r"out of \[0, L\] at \('b', 'c'\)"),
+        ("ab", ((0, NAN), (NAN, 0)), r"asymmetry at \('a', 'b'\)"),
+        ("abc", ((0, 1), (1, 0)), "shape does not match ids"),
+        ("ab", ((0, 1, 1), (1, 0)), "shape does not match ids"),
+    ],
+)
+def test_distance_matrix_violation_names_first_offending_ids(ids, values, message):
+    with pytest.raises(ValueError, match=message):
+        DistanceMatrix(ids=tuple(ids), values=values, l_pad=2, max_d=2.0)
+
+
+def test_distance_matrix_copies_writeable_input():
+    source = np.array([[0.0, 1.0], [1.0, 0.0]])
+    dm = DistanceMatrix(ids=("a", "b"), values=source, l_pad=1, max_d=1.0)
+    source[0, 1] = source[1, 0] = 0.5
+    assert dm.values.tolist() == [[0.0, 1.0], [1.0, 0.0]]
+    assert not dm.values.flags.writeable
 
 
 def test_solution_types_are_immutable():
