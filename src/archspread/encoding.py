@@ -93,56 +93,54 @@ def encode_step(step: TransformationStep, table: EncodingTable) -> EncodedStep:
     return table.encode_step(step)
 
 
+class PathResolver:
+    """Root paths of every node of one search tree, from a single BFS.
+
+    The BFS visits children in id order and records, for each node, the
+    parent and step through which it first reaches it. The queue then holds
+    each level in the order of the nodes' smallest paths, so following those
+    links back to the root gives the lexicographically smallest shortest
+    node-id path; among parallel edges the first-listed one wins. Memory is
+    O(V) and nothing recurses; build one resolver per tree and query it per
+    node.
+    """
+
+    def __init__(self, tree: SearchTree) -> None:
+        self._tree = tree
+        adj = tree.children()
+        via: dict[str, tuple[str, TransformationStep] | None] = {tree.root_id: None}
+        queue = deque([tree.root_id])
+        while queue:
+            node = queue.popleft()
+            for child, step in adj[node]:
+                if child not in via:
+                    via[child] = (node, step)
+                    queue.append(child)
+        self._via = via
+
+    def sequence(self, node_id: str) -> tuple[TransformationStep, ...]:
+        """Steps along the chosen root-to-node path, root-first."""
+        if node_id not in self._tree.nodes:
+            raise UnknownNodeError(node_id)
+        if node_id not in self._via:
+            raise UnreachableNodeError(
+                f"node {node_id!r} is unreachable from root {self._tree.root_id!r}"
+            )
+        steps = []
+        link = self._via[node_id]
+        while link is not None:
+            parent, step = link
+            steps.append(step)
+            link = self._via[parent]
+        steps.reverse()
+        return tuple(steps)
+
+
 def extract_sequence(tree: SearchTree, node_id: str) -> tuple[TransformationStep, ...]:
     """Steps along a shortest root-to-node path, root-first.
 
     Ties between equal-length paths in a DAG are broken by choosing the
-    lexicographically smallest path by child-id order.
+    lexicographically smallest path by child-id order. This runs a BFS over
+    the whole tree; to resolve many nodes, build one ``PathResolver``.
     """
-    if node_id not in tree.nodes:
-        raise UnknownNodeError(node_id)
-    adj = tree.children()
-
-    depth = _bfs_depths(tree, adj)
-    if node_id not in depth:
-        raise UnreachableNodeError(f"node {node_id!r} is unreachable from root {tree.root_id!r}")
-
-    # Depth-limited DFS with children in id order: the first complete path
-    # found is the lexicographically smallest shortest one.
-    target_depth = depth[node_id]
-    path = _dfs_first_path(tree.root_id, node_id, target_depth, adj, depth)
-    assert path is not None
-    return tuple(path)
-
-
-def _bfs_depths(tree: SearchTree, adj: dict[str, list[tuple[str, TransformationStep]]]) -> dict[str, int]:
-    depth = {tree.root_id: 0}
-    queue = deque([tree.root_id])
-    while queue:
-        node = queue.popleft()
-        for child, _ in adj[node]:
-            if child not in depth:
-                depth[child] = depth[node] + 1
-                queue.append(child)
-    return depth
-
-
-def _dfs_first_path(
-    node: str,
-    target: str,
-    remaining: int,
-    adj: dict[str, list[tuple[str, TransformationStep]]],
-    depth: dict[str, int],
-) -> list[TransformationStep] | None:
-    if node == target:
-        return [] if remaining == 0 else None
-    if remaining == 0:
-        return None
-    for child, step in adj[node]:
-        # Prune children that cannot sit on a shortest path.
-        if depth.get(child, remaining + 1) > depth[target]:
-            continue
-        tail = _dfs_first_path(child, target, remaining - 1, adj, depth)
-        if tail is not None:
-            return [step] + tail
-    return None
+    return PathResolver(tree).sequence(node_id)

@@ -7,8 +7,9 @@ import io as _stdio
 import json
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
-from .encoding import extract_sequence
+from .encoding import PathResolver, UnknownNodeError, UnreachableNodeError
 from .model import (
     ArchitectureSolution,
     CorrelationStats,
@@ -35,6 +36,8 @@ class AnalysisBundle:
     warnings: tuple[str, ...] = field(default=(), compare=False)
 
 
+Resolve = Callable[[str], tuple[TransformationStep, ...]]
+
 _BUNDLE_KEYS = {"name", "tree", "sets", "provenance"}
 _TREE_KEYS = {"root", "nodes", "edges"}
 _SET_KEYS = {"label", "objective_names", "solutions"}
@@ -46,8 +49,9 @@ def parse_bundle(text: str | dict) -> AnalysisBundle:
     """Parse the JSON bundle format into an AnalysisBundle.
 
     Each solution either carries an explicit "sequence" or references a tree
-    "node" (its sequence is then the shortest root path). Unknown fields are
-    collected as warnings on the returned bundle, not errors.
+    "node" (its sequence is then the shortest root path, see ``PathResolver``;
+    the tree is walked once per bundle, on the first node reference). Unknown
+    fields are collected as warnings on the returned bundle, not errors.
     """
     doc = json.loads(text) if isinstance(text, str) else text
     if not isinstance(doc, dict):
@@ -63,6 +67,7 @@ def parse_bundle(text: str | dict) -> AnalysisBundle:
     if "tree" in doc:
         tree, tree_warnings = _parse_tree(doc["tree"])
         warnings += tree_warnings
+    resolve = _node_resolver(tree)
 
     raw_sets = _require(doc, "sets", list, "$")
     sets = []
@@ -81,7 +86,7 @@ def parse_bundle(text: str | dict) -> AnalysisBundle:
         )
         solutions = []
         for j, raw_sol in enumerate(_require(raw_set, "solutions", list, path)):
-            sol, sol_warnings = _parse_solution(raw_sol, f"{path}.solutions[{j}]", tree)
+            sol, sol_warnings = _parse_solution(raw_sol, f"{path}.solutions[{j}]", resolve)
             solutions.append(sol)
             warnings += sol_warnings
         sets.append(
@@ -125,8 +130,23 @@ def _parse_tree(raw: object) -> tuple[SearchTree, list[str]]:
     return SearchTree(nodes=nodes, root_id=root, edges=tuple(edges)), warnings
 
 
+def _node_resolver(tree: SearchTree | None) -> Resolve | None:
+    """Node id -> root path for ``tree``; the BFS runs on the first call."""
+    if tree is None:
+        return None
+    resolver: PathResolver | None = None
+
+    def resolve(node: str) -> tuple[TransformationStep, ...]:
+        nonlocal resolver
+        if resolver is None:
+            resolver = PathResolver(tree)
+        return resolver.sequence(node)
+
+    return resolve
+
+
 def _parse_solution(
-    raw: object, path: str, tree: SearchTree | None
+    raw: object, path: str, resolve: Resolve | None
 ) -> tuple[ArchitectureSolution, list[str]]:
     if not isinstance(raw, dict):
         raise BundleError(f"{path}: must be an object")
@@ -143,11 +163,14 @@ def _parse_solution(
         raise BundleError(f"{path}: solution {sol_id!r} has both 'sequence' and 'node'")
     if has_node:
         node = _require(raw, "node", str, path)
-        if tree is None:
+        if resolve is None:
             raise BundleError(f"{path}.node: solution {sol_id!r} references a node but the bundle has no tree")
-        if node not in tree.nodes:
-            raise BundleError(f"{path}.node: unknown node {node!r}")
-        sequence = extract_sequence(tree, node)
+        try:
+            sequence = resolve(node)
+        except UnknownNodeError:
+            raise BundleError(f"{path}.node: unknown node {node!r}") from None
+        except UnreachableNodeError as exc:
+            raise BundleError(f"{path}.node: {exc}") from None
     elif has_sequence:
         sequence = []
         for k, raw_step in enumerate(_require(raw, "sequence", list, path)):

@@ -72,7 +72,10 @@ class SearchTree:
                 raise ValueError(f"edge ({parent!r}, {child!r}) references unknown node")
 
     def children(self) -> dict[str, list[tuple[str, TransformationStep]]]:
-        """Adjacency map parent -> [(child, step)], children sorted by id."""
+        """Adjacency map parent -> [(child, step)], children sorted by id.
+
+        The sort is stable: parallel edges keep the order they are listed in.
+        """
         adj: dict[str, list[tuple[str, TransformationStep]]] = {n: [] for n in self.nodes}
         for parent, child, step in self.edges:
             adj[parent].append((child, step))

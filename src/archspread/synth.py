@@ -12,7 +12,7 @@ import random
 import zlib
 
 from .distance import DistanceWeights
-from .encoding import EncodingTable, extract_sequence
+from .encoding import EncodingTable, PathResolver
 from .model import ArchitectureSolution, SearchTree, SolutionSet, TransformationStep
 
 
@@ -74,6 +74,7 @@ def generate_sets(
         )
     rng = random.Random(seed)
     adj = tree.children()
+    paths = PathResolver(tree)
     subtrees = [_subtree_nodes(root, adj) for root, _ in adj[tree.root_id]] or [all_nodes]
 
     sets = []
@@ -93,7 +94,7 @@ def generate_sets(
                 remaining = [x for x in all_nodes if x not in chosen]
                 node = rng.choice(remaining)
             chosen.add(node)
-            seq = extract_sequence(tree, node)
+            seq = paths.sequence(node)
             solutions.append(
                 ArchitectureSolution(
                     id=f"s{k}_{len(solutions)}",

@@ -42,6 +42,36 @@ def test_validate_rejects_broken_bundle(tmp_path, capsys):
     assert main(["validate", str(path)]) == 1
 
 
+def test_validate_resolves_long_chain(tmp_path, capsys):
+    length = 3000
+    nodes = [f"n{i}" for i in range(length + 1)]
+    doc = {
+        "name": "chain",
+        "tree": {
+            "root": "n0",
+            "nodes": nodes,
+            "edges": [
+                {"from": a, "to": b, "step": {"name": f"r{i}", "args": []}}
+                for i, (a, b) in enumerate(zip(nodes, nodes[1:]))
+            ],
+        },
+        "sets": [
+            {
+                "label": "s",
+                "objective_names": ["f0"],
+                "solutions": [{"id": "leaf", "objectives": [0.0], "node": nodes[-1]}],
+            }
+        ],
+    }
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", str(path)]) == 0
+    assert "ok: chain" in capsys.readouterr().out
+    sequence = parse_bundle(path.read_text()).sets[0].solutions[0].sequence
+    assert len(sequence) == length
+    assert (sequence[0].name, sequence[-1].name) == ("r0", f"r{length - 1}")
+
+
 def test_missing_file_is_data_error(tmp_path):
     assert main(["indicators", str(tmp_path / "nope.json")]) == 1
 

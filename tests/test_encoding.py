@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from archspread.encoding import (
     UnknownNodeError,
@@ -170,3 +172,79 @@ def test_sequence_length_equals_bfs_depth():
     tree, _, _ = _chain_tree()
     for node, depth in (("n0", 0), ("n1", 1), ("n2", 2)):
         assert len(extract_sequence(tree, node)) == depth
+
+
+def test_trap_dag_resolves_without_enumerating_layer_paths():
+    # Fully connected layers whose ids sort first hold width**depth
+    # shortest-length paths that miss the target; a disjoint chain of the
+    # same depth reaches it. A depth-first search in id order enumerates
+    # every layer path before trying the chain.
+    width, depth = 6, 12
+    nodes = {"r": ""}
+    edges = []
+    layers = [[f"a{layer:02d}_{k}" for k in range(width)] for layer in range(depth)]
+    for layer in layers:
+        nodes.update((n, "") for n in layer)
+    edges += [("r", n, make_step("enter", ())) for n in layers[0]]
+    for upper, lower in zip(layers, layers[1:]):
+        edges += [(a, b, make_step("mesh", ())) for a in upper for b in lower]
+    chain = ["r"] + [f"z{i:02d}" for i in range(1, depth)] + ["zt"]
+    nodes.update((n, "") for n in chain)
+    steps = [make_step(f"chain{i}", (f"e{i}",)) for i in range(depth)]
+    edges += [(a, b, step) for a, b, step in zip(chain, chain[1:], steps)]
+    tree = SearchTree(nodes=nodes, root_id="r", edges=tuple(edges))
+    assert extract_sequence(tree, "zt") == tuple(steps)
+
+
+def _oracle_sequence(nodes, root, edges, target):
+    """Enumerate simple paths, keep the shortest, take the lexicographically
+    smallest node-id path, then the first-listed edge on each hop."""
+    if target not in nodes:
+        return UnknownNodeError
+    successors = {}
+    for parent, child, _ in edges:
+        successors.setdefault(parent, set()).add(child)
+    found = []
+
+    def walk(path):
+        if path[-1] == target:
+            found.append(path)
+            return
+        for child in successors.get(path[-1], ()):
+            if child not in path:
+                walk(path + [child])
+
+    walk([root])
+    if not found:
+        return UnreachableNodeError
+    shortest = min(len(p) for p in found)
+    best = min(p for p in found if len(p) == shortest)
+    return tuple(
+        next(step for parent, child, step in edges if (parent, child) == hop)
+        for hop in zip(best, best[1:])
+    )
+
+
+@st.composite
+def small_digraphs(draw):
+    # Ids whose string order differs from their numeric order.
+    ids = draw(st.lists(st.sampled_from(["n0", "n1", "n10", "n2", "b", "a"]), min_size=1, max_size=6, unique=True))
+    pairs = draw(st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids)), max_size=14))
+    # One distinct step per edge, so the chosen parallel edge is visible.
+    edges = tuple((a, b, TransformationStep(f"e{k}")) for k, (a, b) in enumerate(pairs))
+    root = draw(st.sampled_from(ids))
+    target = draw(st.sampled_from(ids + ["unknown"]))
+    return {n: n for n in ids}, root, edges, target
+
+
+@settings(max_examples=300)
+@given(small_digraphs())
+def test_property_extract_sequence_matches_path_enumeration(graph):
+    nodes, root, edges, target = graph
+    tree = SearchTree(nodes=nodes, root_id=root, edges=edges)
+    expected = _oracle_sequence(nodes, root, edges, target)
+    if isinstance(expected, type):
+        with pytest.raises(expected):
+            extract_sequence(tree, target)
+    else:
+        assert extract_sequence(tree, target) == expected

@@ -3,6 +3,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
+import archspread.io as bundle_io
 from archspread.io import (
     AnalysisBundle,
     BundleError,
@@ -81,6 +82,34 @@ def test_missing_node_reference_names_node_and_path():
         parse_bundle(json.dumps(doc))
     assert "x9" in str(excinfo.value)
     assert "$.sets[0].solutions[0]" in str(excinfo.value)
+
+
+def test_unreachable_node_reference_names_json_path():
+    doc = json.loads(json.dumps(TREE_DOC))
+    doc["tree"]["nodes"].append("island")
+    doc["sets"][0]["solutions"][1]["node"] = "island"
+    with pytest.raises(
+        BundleError,
+        match=r"^\$\.sets\[0\]\.solutions\[1\]\.node: node 'island' is unreachable from root 'n0'$",
+    ):
+        parse_bundle(json.dumps(doc))
+
+
+def test_tree_is_walked_once_and_only_for_node_references(monkeypatch):
+    built = []
+
+    class CountingResolver(bundle_io.PathResolver):
+        def __init__(self, tree):
+            built.append(tree)
+            super().__init__(tree)
+
+    monkeypatch.setattr(bundle_io, "PathResolver", CountingResolver)
+    parse_bundle(json.dumps(TREE_DOC))
+    assert len(built) == 1
+    explicit = json.loads(json.dumps(MINIMAL))
+    explicit["tree"] = TREE_DOC["tree"]
+    parse_bundle(json.dumps(explicit))
+    assert len(built) == 1
 
 
 def test_both_sequence_and_node_is_error():
