@@ -195,7 +195,9 @@ def _emit_projected(
 
 def _cmd_indicators(args) -> int:
     results, _ = _analyze(args, project=False)
-    _emit(bundle_io.write_report(results, _correlation(results), format=args.format), args.output)
+    # The CSV summary has no correlation column, so only JSON computes it.
+    correlation = _correlation(results) if args.format == "json" else None
+    _emit(bundle_io.write_report(results, correlation, format=args.format), args.output)
     return 0
 
 

@@ -6,7 +6,6 @@ import math
 from typing import Sequence
 
 import numpy as np
-from scipy import stats
 
 from .distance import DistanceWeights, within_set_matrices
 from .encoding import EncodingTable
@@ -115,11 +114,11 @@ def spread_correlation(results: list[IndicatorResult]) -> CorrelationStats:
         raise ValueError("correlation needs at least 3 sets")
     ms = np.array([r.ms for r in results])
     mas = np.array([r.mas for r in results])
-    degenerate = float(np.std(ms)) == 0.0 or float(np.std(mas)) == 0.0
-    if degenerate:
+    # Rounding in the mean can give a constant column a tiny nonzero std.
+    if any(float(np.std(c)) == 0.0 or (c == c[0]).all() for c in (ms, mas)):
         return CorrelationStats(len(results), None, None, False, False)
-    pearson = float(stats.pearsonr(ms, mas).statistic)
-    spearman = float(stats.spearmanr(ms, mas).statistic)
+    pearson = _pearson(ms, mas)
+    spearman = _spearman(ms, mas)
     return CorrelationStats(
         n=len(results),
         pearson=pearson if math.isfinite(pearson) else None,
@@ -127,3 +126,43 @@ def spread_correlation(results: list[IndicatorResult]) -> CorrelationStats:
         pearson_computable=math.isfinite(pearson),
         spearman_computable=math.isfinite(spearman),
     )
+
+
+def _pearson(x: np.ndarray, y: np.ndarray) -> float:
+    """Pearson's r of two non-constant columns.
+
+    Centres each column, scales it by its largest deviation before taking the
+    norm (no premature overflow), then clips the dot product of the unit
+    columns to [-1, 1]. These are the reference library's floating-point steps
+    in this order; the tests check the result against it bit for bit.
+    """
+    with np.errstate(invalid="ignore", divide="ignore"):
+        xm = x - x.mean()
+        ym = y - y.mean()
+        xmax = np.abs(xm).max()
+        ymax = np.abs(ym).max()
+        norm_x = xmax * np.sqrt(np.sum((xm / xmax) ** 2))
+        norm_y = ymax * np.sqrt(np.sum((ym / ymax) ** 2))
+        r = np.dot(xm / norm_x, ym / norm_y)
+    return float(np.clip(r, -1.0, 1.0))
+
+
+def _spearman(x: np.ndarray, y: np.ndarray) -> float:
+    """Spearman's rho of two non-constant columns: Pearson's r of their average ranks.
+
+    Ranks are exact half-integers and the coefficient is ``np.corrcoef`` of
+    the two rank columns, as in the reference library.
+    """
+    ranks = np.column_stack((_average_ranks(x), _average_ranks(y)))
+    return float(np.corrcoef(ranks, rowvar=False)[1, 0])
+
+
+def _average_ranks(a: np.ndarray) -> np.ndarray:
+    """1-based ranks; tied values share the mean of their ordinal ranks."""
+    order = np.argsort(a, kind="stable")
+    ordered = a[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], len(a)]
+    ranks = np.empty(len(a))
+    ranks[order] = np.repeat((starts + 1 + ends) / 2, ends - starts)
+    return ranks

@@ -135,14 +135,6 @@ class DistanceMatrix:
 
 
 @dataclass(frozen=True)
-class IndicatorReport:
-    """Per-set indicator values plus cross-set correlation statistics."""
-
-    results: tuple["IndicatorResult", ...]
-    correlation: "CorrelationStats | None" = None
-
-
-@dataclass(frozen=True)
 class IndicatorResult:
     """Spread values for one solution set."""
 

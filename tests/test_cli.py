@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import archspread.cli as cli
 from archspread.cli import main
 from archspread.distance import DistanceWeights, distance_matrix
 from archspread.encoding import build_encoding
@@ -200,3 +205,25 @@ def test_validate_reports_huge_integer_objective_as_data_error(tmp_path, capsys)
     )
     assert main(["validate", str(path)]) == 1
     assert "$.sets[0].solutions[0].objectives[0]: must be a finite number" in capsys.readouterr().err
+
+
+def test_cli_import_loads_no_scipy():
+    code = (
+        "import sys, archspread.cli; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "[]"
+
+
+def test_indicators_csv_skips_correlation(bundle_path, monkeypatch):
+    def fail(results):
+        raise AssertionError("correlation computed for CSV output")
+
+    monkeypatch.setattr(cli, "spread_correlation", fail)
+    assert main(["indicators", str(bundle_path), "--format", "csv"]) == 0

@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 
 import pytest
 
@@ -264,14 +265,78 @@ def _rank_correlation_oracle(xs, ys):
     return num / den
 
 
+def _pearson_oracle(xs, ys):
+    """Independent Pearson: the textbook formula in pure Python."""
+    n = len(xs)
+    mx, my = sum(xs) / n, sum(ys) / n
+    num = sum((a - mx) * (b - my) for a, b in zip(xs, ys))
+    den = math.sqrt(sum((a - mx) ** 2 for a in xs) * sum((b - my) ** 2 for b in ys))
+    return num / den
+
+
+def _uniform_results(rng, n):
+    return [result(f"s{i}", rng.uniform(0, 10), rng.uniform(0, 1)) for i in range(n)]
+
+
+def _tied_results(rng, n):
+    """Integer-valued MS and MAS columns, so most values are tied."""
+    while True:
+        results = [
+            result(f"s{i}", float(rng.randint(0, 4)), float(rng.randint(0, 3))) for i in range(n)
+        ]
+        if len({r.ms for r in results}) > 1 and len({r.mas for r in results}) > 1:
+            return results
+
+
+def _collinear_results(rng, n):
+    """MAS a scaled MS plus last-bit noise: the unclipped r often exceeds 1."""
+    ms = [rng.uniform(0, 1e6) for _ in range(n)]
+    return [result(f"s{i}", m, m * 1e-7 + rng.uniform(0, 1e-15)) for i, m in enumerate(ms)]
+
+
 def test_correlation_matches_rank_oracle():
     rng = random.Random(777)
-    for _ in range(10):
-        results = [
-            result(f"s{i}", rng.uniform(0, 10), rng.uniform(0, 1)) for i in range(8)
-        ]
+    for draw in (_uniform_results, _tied_results):
+        for _ in range(10):
+            results = draw(rng, 8)
+            stats = spread_correlation(results)
+            oracle = _rank_correlation_oracle(
+                [r.ms for r in results], [r.mas for r in results]
+            )
+            assert stats.spearman == pytest.approx(oracle, abs=1e-12)
+
+
+def test_correlation_matches_pearson_oracle():
+    rng = random.Random(778)
+    for draw in (_uniform_results, _tied_results):
+        for n in (3, 8, 48):
+            results = draw(rng, n)
+            stats = spread_correlation(results)
+            oracle = _pearson_oracle([r.ms for r in results], [r.mas for r in results])
+            assert stats.pearson == pytest.approx(oracle, abs=1e-12)
+            assert stats.pearson_computable
+
+
+def test_correlation_equals_scipy_exactly():
+    """The numpy helpers reproduce scipy.stats bit for bit, ties included."""
+    stats = pytest.importorskip("scipy.stats")
+    rng = random.Random(779)
+    for draw in (_uniform_results, _tied_results, _collinear_results):
+        for n in (3, 4, 7, 20, 48, 120):
+            for _ in range(5):
+                results = draw(rng, n)
+                ms = [r.ms for r in results]
+                mas = [r.mas for r in results]
+                got = spread_correlation(results)
+                assert got.pearson == float(stats.pearsonr(ms, mas).statistic)
+                assert got.spearman == float(stats.spearmanr(ms, mas).statistic)
+
+
+def test_correlation_constant_column_with_nonzero_std_not_computable():
+    # np.std([0.1] * 3) is 1.4e-17, not 0: the mean rounds away from 0.1.
+    results = [result(f"s{i}", float(i), 0.1) for i in range(3)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         stats = spread_correlation(results)
-        oracle = _rank_correlation_oracle(
-            [r.ms for r in results], [r.mas for r in results]
-        )
-        assert stats.spearman == pytest.approx(oracle, abs=1e-12)
+    assert stats.pearson is None and stats.spearman is None
+    assert not stats.pearson_computable and not stats.spearman_computable
