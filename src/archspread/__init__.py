@@ -15,7 +15,6 @@ from .encoding import (
     UnknownTokenError,
     UnreachableNodeError,
     build_encoding,
-    encode_step,
     extract_sequence,
 )
 from .indicators import (
@@ -67,7 +66,6 @@ __all__ = [
     "build_encoding",
     "distance_matrix",
     "emit_scatter_svg",
-    "encode_step",
     "extract_sequence",
     "indicators_for",
     "max_architectural_spread",

@@ -110,11 +110,16 @@ def _add_indicator_flags(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _load(args) -> tuple[bundle_io.AnalysisBundle, DistanceWeights]:
-    bundle = bundle_io.parse_bundle(args.bundle.read_text())
+def _parse_checked(path: Path) -> tuple[bundle_io.AnalysisBundle, list[str]]:
+    """Parse the bundle at ``path``, print its warnings and return its invariant violations."""
+    bundle = bundle_io.parse_bundle(path.read_text())
     for warning in bundle.warnings:
         print(f"warning: {warning}", file=sys.stderr)
-    violations = [v for s in bundle.sets for v in validate_solution_set(s)]
+    return bundle, [v for s in bundle.sets for v in validate_solution_set(s)]
+
+
+def _load(args) -> tuple[bundle_io.AnalysisBundle, DistanceWeights]:
+    bundle, violations = _parse_checked(args.bundle)
     if violations:
         raise bundle_io.BundleError("; ".join(violations))
     return bundle, DistanceWeights(w_pred=args.w_pred, w_args=1.0 - args.w_pred)
@@ -229,10 +234,7 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    bundle = bundle_io.parse_bundle(args.bundle.read_text())
-    for warning in bundle.warnings:
-        print(f"warning: {warning}", file=sys.stderr)
-    violations = [v for s in bundle.sets for v in validate_solution_set(s)]
+    bundle, violations = _parse_checked(args.bundle)
     for v in violations:
         print(f"violation: {v}", file=sys.stderr)
     if violations:

@@ -61,11 +61,6 @@ class EncodingTable:
     def encode_sequence(self, steps: Iterable[TransformationStep]) -> tuple[EncodedStep, ...]:
         return tuple(self.encode_step(s) for s in steps)
 
-    def decode_step(self, encoded: EncodedStep) -> TransformationStep:
-        names = {v: k for k, v in self.name_symbols.items()}
-        args = {v: k for k, v in self.arg_symbols.items()}
-        return TransformationStep(names[encoded.name], tuple(args[a] for a in encoded.args))
-
 
 def build_encoding(sets: list[SolutionSet]) -> EncodingTable:
     """Assign dense symbols in first-occurrence order over the given sets.
@@ -86,11 +81,6 @@ def build_encoding(sets: list[SolutionSet]) -> EncodingTable:
                     if a not in arg_symbols:
                         arg_symbols[a] = len(arg_symbols)
     return EncodingTable(name_symbols, arg_symbols)
-
-
-def encode_step(step: TransformationStep, table: EncodingTable) -> EncodedStep:
-    """Encode one step against ``table``; unknown tokens raise UnknownTokenError."""
-    return table.encode_step(step)
 
 
 class PathResolver:
@@ -120,9 +110,10 @@ class PathResolver:
 
     def sequence(self, node_id: str) -> tuple[TransformationStep, ...]:
         """Steps along the chosen root-to-node path, root-first."""
-        if node_id not in self._tree.nodes:
-            raise UnknownNodeError(node_id)
         if node_id not in self._via:
+            # ``nodes`` is a tuple: scan it only on this error path.
+            if node_id not in self._tree.nodes:
+                raise UnknownNodeError(node_id)
             raise UnreachableNodeError(
                 f"node {node_id!r} is unreachable from root {self._tree.root_id!r}"
             )

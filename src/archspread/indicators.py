@@ -48,7 +48,7 @@ def max_architectural_spread(
     if max_d == 0.0:
         # Degenerate scale: all sequences empty, no spread is expressible.
         return 0.0
-    values = np.asarray(dm.values)
+    values = dm.values
     if all_pairs:
         ecc = np.full(n, values.max())
     else:
@@ -116,15 +116,13 @@ def spread_correlation(results: list[IndicatorResult]) -> CorrelationStats:
     mas = np.array([r.mas for r in results])
     # Rounding in the mean can give a constant column a tiny nonzero std.
     if any(float(np.std(c)) == 0.0 or (c == c[0]).all() for c in (ms, mas)):
-        return CorrelationStats(len(results), None, None, False, False)
+        return CorrelationStats(len(results), None, None)
     pearson = _pearson(ms, mas)
     spearman = _spearman(ms, mas)
     return CorrelationStats(
         n=len(results),
         pearson=pearson if math.isfinite(pearson) else None,
         spearman=spearman if math.isfinite(spearman) else None,
-        pearson_computable=math.isfinite(pearson),
-        spearman_computable=math.isfinite(spearman),
     )
 
 

@@ -40,6 +40,7 @@ Resolve = Callable[[str], tuple[TransformationStep, ...]]
 
 _BUNDLE_KEYS = {"name", "tree", "sets", "provenance"}
 _TREE_KEYS = {"root", "nodes", "edges"}
+_EDGE_KEYS = {"from", "to", "step"}
 _SET_KEYS = {"label", "objective_names", "solutions"}
 _SOLUTION_KEYS = {"id", "objectives", "sequence", "node"}
 _STEP_KEYS = {"name", "args"}
@@ -56,17 +57,15 @@ def parse_bundle(text: str | dict) -> AnalysisBundle:
     doc = json.loads(text) if isinstance(text, str) else text
     if not isinstance(doc, dict):
         raise BundleError("$: bundle must be a JSON object")
-    warnings = _unknown_keys(doc, _BUNDLE_KEYS, "$")
+    warnings: list[str] = []
+    _unknown_keys(doc, _BUNDLE_KEYS, "$", warnings)
 
     name = _require(doc, "name", str, "$")
     provenance = doc.get("provenance", "")
     if not isinstance(provenance, str):
         raise BundleError("$.provenance: must be a string")
 
-    tree = None
-    if "tree" in doc:
-        tree, tree_warnings = _parse_tree(doc["tree"])
-        warnings += tree_warnings
+    tree = _parse_tree(doc["tree"], warnings) if "tree" in doc else None
     resolve = _node_resolver(tree)
 
     raw_sets = _require(doc, "sets", list, "$")
@@ -76,7 +75,7 @@ def parse_bundle(text: str | dict) -> AnalysisBundle:
         path = f"$.sets[{i}]"
         if not isinstance(raw_set, dict):
             raise BundleError(f"{path}: must be an object")
-        warnings += _unknown_keys(raw_set, _SET_KEYS, path)
+        _unknown_keys(raw_set, _SET_KEYS, path, warnings)
         label = _require(raw_set, "label", str, path)
         if label in labels:
             raise BundleError(f"{path}.label: duplicate set label {label!r}")
@@ -84,18 +83,11 @@ def parse_bundle(text: str | dict) -> AnalysisBundle:
         objective_names = _string_list(
             _require(raw_set, "objective_names", list, path), f"{path}.objective_names"
         )
-        solutions = []
-        for j, raw_sol in enumerate(_require(raw_set, "solutions", list, path)):
-            sol, sol_warnings = _parse_solution(raw_sol, f"{path}.solutions[{j}]", resolve)
-            solutions.append(sol)
-            warnings += sol_warnings
-        sets.append(
-            SolutionSet(
-                label=label,
-                objective_names=tuple(objective_names),
-                solutions=tuple(solutions),
-            )
-        )
+        solutions = [
+            _parse_solution(raw_sol, f"{path}.solutions[{j}]", resolve, warnings)
+            for j, raw_sol in enumerate(_require(raw_set, "solutions", list, path))
+        ]
+        sets.append(SolutionSet(label, objective_names, solutions))
     return AnalysisBundle(
         name=name,
         sets=tuple(sets),
@@ -105,29 +97,29 @@ def parse_bundle(text: str | dict) -> AnalysisBundle:
     )
 
 
-def _parse_tree(raw: object) -> tuple[SearchTree, list[str]]:
+def _parse_tree(raw: object, warnings: list[str]) -> SearchTree:
     if not isinstance(raw, dict):
         raise BundleError("$.tree: must be an object")
-    warnings = _unknown_keys(raw, _TREE_KEYS, "$.tree")
+    _unknown_keys(raw, _TREE_KEYS, "$.tree", warnings)
     root = _require(raw, "root", str, "$.tree")
-    node_ids = _string_list(_require(raw, "nodes", list, "$.tree"), "$.tree.nodes")
-    nodes = {n: n for n in node_ids}
-    if root not in nodes:
+    nodes = _string_list(_require(raw, "nodes", list, "$.tree"), "$.tree.nodes")
+    known = set(nodes)
+    if root not in known:
         raise BundleError(f"$.tree.root: unknown node {root!r}")
     edges = []
     for i, raw_edge in enumerate(_require(raw, "edges", list, "$.tree")):
         path = f"$.tree.edges[{i}]"
         if not isinstance(raw_edge, dict):
             raise BundleError(f"{path}: must be an object")
+        _unknown_keys(raw_edge, _EDGE_KEYS, path, warnings)
         src = _require(raw_edge, "from", str, path)
         dst = _require(raw_edge, "to", str, path)
         for end, key in ((src, "from"), (dst, "to")):
-            if end not in nodes:
+            if end not in known:
                 raise BundleError(f"{path}.{key}: unknown node {end!r}")
-        step, step_warnings = _parse_step(_require(raw_edge, "step", dict, path), f"{path}.step")
-        warnings += step_warnings
+        step = _parse_step(_require(raw_edge, "step", dict, path), f"{path}.step", warnings)
         edges.append((src, dst, step))
-    return SearchTree(nodes=nodes, root_id=root, edges=tuple(edges)), warnings
+    return SearchTree(nodes=nodes, root_id=root, edges=edges)
 
 
 def _node_resolver(tree: SearchTree | None) -> Resolve | None:
@@ -146,11 +138,11 @@ def _node_resolver(tree: SearchTree | None) -> Resolve | None:
 
 
 def _parse_solution(
-    raw: object, path: str, resolve: Resolve | None
-) -> tuple[ArchitectureSolution, list[str]]:
+    raw: object, path: str, resolve: Resolve | None, warnings: list[str]
+) -> ArchitectureSolution:
     if not isinstance(raw, dict):
         raise BundleError(f"{path}: must be an object")
-    warnings = _unknown_keys(raw, _SOLUTION_KEYS, path)
+    _unknown_keys(raw, _SOLUTION_KEYS, path, warnings)
     sol_id = _require(raw, "id", str, path)
     objectives = _require(raw, "objectives", list, path)
     for k, v in enumerate(objectives):
@@ -176,19 +168,10 @@ def _parse_solution(
         for k, raw_step in enumerate(_require(raw, "sequence", list, path)):
             if not isinstance(raw_step, dict):
                 raise BundleError(f"{path}.sequence[{k}]: must be an object")
-            step, step_warnings = _parse_step(raw_step, f"{path}.sequence[{k}]")
-            warnings += step_warnings
-            sequence.append(step)
+            sequence.append(_parse_step(raw_step, f"{path}.sequence[{k}]", warnings))
     else:
         raise BundleError(f"{path}: solution {sol_id!r} needs either 'sequence' or 'node'")
-    return (
-        ArchitectureSolution(
-            id=sol_id,
-            objectives=tuple(float(v) for v in objectives),
-            sequence=tuple(sequence),
-        ),
-        warnings,
-    )
+    return ArchitectureSolution(sol_id, objectives, sequence)
 
 
 def _is_finite_number(value: object) -> bool:
@@ -200,12 +183,12 @@ def _is_finite_number(value: object) -> bool:
         return False
 
 
-def _parse_step(raw: dict, path: str) -> tuple[TransformationStep, list[str]]:
-    warnings = _unknown_keys(raw, _STEP_KEYS, path)
+def _parse_step(raw: dict, path: str, warnings: list[str]) -> TransformationStep:
+    _unknown_keys(raw, _STEP_KEYS, path, warnings)
     name = _require(raw, "name", str, path)
     args = _string_list(raw.get("args", []), f"{path}.args")
     try:
-        return TransformationStep(name, tuple(args)), warnings
+        return TransformationStep(name, args)
     except ValueError as exc:
         raise BundleError(f"{path}: {exc}") from None
 
@@ -225,8 +208,11 @@ def _string_list(raw: object, path: str) -> list[str]:
     return list(raw)
 
 
-def _unknown_keys(obj: dict, known: set[str], path: str) -> list[str]:
-    return [f"ignored unknown field {path}.{k}" for k in obj if k not in known]
+def _unknown_keys(obj: dict, known: set[str], path: str, warnings: list[str]) -> None:
+    # Runs once per edge, solution and step: the subset test keeps the usual
+    # no-unknown-key case out of a Python-level loop.
+    if not obj.keys() <= known:
+        warnings.extend(f"ignored unknown field {path}.{k}" for k in obj if k not in known)
 
 
 def write_bundle(bundle: AnalysisBundle) -> str:
@@ -308,7 +294,7 @@ def _json_report(
         doc["correlation"] = {"computable": False}
     else:
         doc["correlation"] = {
-            "computable": correlation.pearson_computable or correlation.spearman_computable,
+            "computable": correlation.pearson is not None or correlation.spearman is not None,
             "n": correlation.n,
             "pearson": correlation.pearson,
             "spearman": correlation.spearman,
@@ -372,14 +358,15 @@ def emit_scatter_svg(
 
     xs = [p[0] for p in points]
     ys = [p[1] for p in points]
-    span = max(max(xs) - min(xs), max(ys) - min(ys)) or 1.0
+    x_min, y_max = min(xs), max(ys)
+    span = max(max(xs) - x_min, y_max - min(ys)) or 1.0
     margin = 50.0
     plot = min(width, height) - 2 * margin
     scale = plot / span
 
     def to_px(x: float, y: float) -> tuple[float, float]:
-        px = margin + (x - min(xs)) * scale
-        py = margin + (max(ys) - y) * scale  # flip: SVG y grows downward
+        px = margin + (x - x_min) * scale
+        py = margin + (y_max - y) * scale  # flip: SVG y grows downward
         return px, py
 
     by_label: dict[str, str] = {}

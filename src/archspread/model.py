@@ -56,19 +56,22 @@ class SolutionSet:
 class SearchTree:
     """Search tree (or DAG) rooted at the initial architecture.
 
-    ``edges`` holds ``(parent_id, child_id, step)`` triples.
+    ``nodes`` holds the node ids in the order given, each once. ``edges``
+    holds ``(parent_id, child_id, step)`` triples.
     """
 
-    nodes: dict[str, str]
+    nodes: tuple[str, ...]
     root_id: str
     edges: tuple[tuple[str, str, TransformationStep], ...]
 
     def __post_init__(self) -> None:
+        known = dict.fromkeys(self.nodes)
+        object.__setattr__(self, "nodes", tuple(known))
         object.__setattr__(self, "edges", tuple(self.edges))
-        if self.root_id not in self.nodes:
+        if self.root_id not in known:
             raise ValueError(f"root id {self.root_id!r} is not a node")
         for parent, child, _ in self.edges:
-            if parent not in self.nodes or child not in self.nodes:
+            if parent not in known or child not in known:
                 raise ValueError(f"edge ({parent!r}, {child!r}) references unknown node")
 
     def children(self) -> dict[str, list[tuple[str, TransformationStep]]]:
@@ -150,13 +153,14 @@ class IndicatorResult:
 
 @dataclass(frozen=True)
 class CorrelationStats:
-    """Descriptive correlation between the objective-space and architectural spreads."""
+    """Descriptive correlation between the objective-space and architectural spreads.
+
+    A coefficient is ``None`` when it is not computable.
+    """
 
     n: int
     pearson: float | None
     spearman: float | None
-    pearson_computable: bool
-    spearman_computable: bool
 
 
 def validate_solution_set(solution_set: SolutionSet) -> list[str]:

@@ -34,7 +34,7 @@ def mds_project(dm: DistanceMatrix) -> Projection2D:
     positive, so output is fully deterministic.
     """
     n = len(dm)
-    d = np.asarray(dm.values)
+    d = dm.values
     if n == 1:
         return Projection2D(dm.ids, ((0.0, 0.0),), 0.0, 1.0)
 

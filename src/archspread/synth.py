@@ -30,7 +30,7 @@ def generate_tree(
     names = [f"op{i}" for i in range(name_vocab)]
     args = [f"elem{i}" for i in range(arg_vocab)]
 
-    nodes = {"n0": "A0"}
+    nodes = ["n0"]
     edges: list[tuple[str, str, TransformationStep]] = []
     frontier = ["n0"]
     counter = 1
@@ -40,7 +40,7 @@ def generate_tree(
             for _ in range(branching):
                 child = f"n{counter}"
                 counter += 1
-                nodes[child] = f"A{counter - 1}"
+                nodes.append(child)
                 step = TransformationStep(
                     rng.choice(names),
                     tuple(rng.choice(args) for _ in range(rng.randint(1, 2))),

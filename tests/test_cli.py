@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -36,6 +37,14 @@ def test_synth_is_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_synth_output_matches_golden_digest(tmp_path):
+    # synth is pure Python, so its bytes do not depend on the host's BLAS.
+    path = tmp_path / "golden.json"
+    assert main(["synth", "--sets", "3", "--n", "10", "--seed", "99", "-o", str(path)]) == 0
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == "d9ba958cb6e06de5a4706b53c78a05b0478ef5a03a263dd1e77131809b403c3b"
+
+
 def test_validate_accepts_synth_output(bundle_path, capsys):
     assert main(["validate", str(bundle_path)]) == 0
     assert "ok:" in capsys.readouterr().out
@@ -45,6 +54,48 @@ def test_validate_rejects_broken_bundle(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text('{"name": "x", "sets": [{"label": "s"}]}')
     assert main(["validate", str(path)]) == 1
+
+
+INVARIANT_VIOLATIONS = (
+    "solution 'a': duplicate id",
+    "solution 'b': 2 objectives, expected 1",
+    "set 'empty': must contain at least one solution",
+)
+
+
+@pytest.fixture
+def violating_path(tmp_path):
+    def sol(sol_id, objectives):
+        return {"id": sol_id, "objectives": objectives, "sequence": []}
+
+    path = tmp_path / "violating.json"
+    doc = {
+        "name": "violating",
+        "sets": [
+            {
+                "label": "s",
+                "objective_names": ["f0"],
+                "solutions": [sol("a", [1.0]), sol("a", [2.0]), sol("b", [1.0, 2.0])],
+            },
+            {"label": "empty", "objective_names": ["f0"], "solutions": []},
+        ],
+    }
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def test_validate_prints_each_invariant_violation(violating_path, capsys):
+    assert main(["validate", str(violating_path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "".join(f"violation: {v}\n" for v in INVARIANT_VIOLATIONS)
+
+
+def test_compare_rejects_invariant_violations_in_one_error(violating_path, capsys):
+    assert main(["compare", str(violating_path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {'; '.join(INVARIANT_VIOLATIONS)}\n"
 
 
 def test_validate_resolves_long_chain(tmp_path, capsys):

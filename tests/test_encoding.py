@@ -7,7 +7,6 @@ from archspread.encoding import (
     UnknownTokenError,
     UnreachableNodeError,
     build_encoding,
-    encode_step,
     extract_sequence,
 )
 from archspread.model import SearchTree, TransformationStep
@@ -74,9 +73,9 @@ def test_build_encoding_deterministic():
 def test_encode_step_direct_lookup():
     s = make_set(solutions=(make_solution("a", steps=(make_step("cloneNode", ("Rebook",)),)),))
     table = build_encoding([s])
-    encoded = encode_step(make_step("cloneNode", ("Rebook",)), table)
+    encoded = table.encode_step(make_step("cloneNode", ("Rebook",)))
     assert (encoded.name, list(encoded.args)) == (0, [0])
-    empty = encode_step(TransformationStep("cloneNode"), table)
+    empty = table.encode_step(TransformationStep("cloneNode"))
     assert (empty.name, list(empty.args)) == (0, [])
 
 
@@ -84,25 +83,14 @@ def test_encode_step_unknown_token():
     s = make_set(solutions=(make_solution("a", steps=(make_step("cloneNode", ("Rebook",)),)),))
     table = build_encoding([s])
     with pytest.raises(UnknownTokenError, match="unknownOp"):
-        encode_step(TransformationStep("unknownOp"), table)
-
-
-def test_decode_inverts_encode():
-    s = make_set(
-        solutions=(
-            make_solution("a", steps=(make_step("x", ("p", "q")), make_step("y", ()))),
-        )
-    )
-    table = build_encoding([s])
-    for step in s.solutions[0].sequence:
-        assert table.decode_step(encode_step(step, table)) == step
+        table.encode_step(TransformationStep("unknownOp"))
 
 
 def _chain_tree():
     r1 = make_step("r1", ("a",))
     r2 = make_step("r2", ("b",))
     return SearchTree(
-        nodes={"n0": "A0", "n1": "A1", "n2": "A2"},
+        nodes=("n0", "n1", "n2"),
         root_id="n0",
         edges=(("n0", "n1", r1), ("n1", "n2", r2)),
     ), r1, r2
@@ -126,7 +114,7 @@ def test_extract_sequence_unknown_node():
 
 def test_extract_sequence_unreachable_node():
     tree = SearchTree(
-        nodes={"n0": "A0", "island": "A9"},
+        nodes=("n0", "island"),
         root_id="n0",
         edges=(),
     )
@@ -139,7 +127,7 @@ def test_dag_tie_break_matches_exhaustive_enumeration():
     sb, sc = make_step("viaB"), make_step("viaC")
     tb, tc = make_step("toTgtB"), make_step("toTgtC")
     tree = SearchTree(
-        nodes={"n0": "A0", "b": "Ab", "c": "Ac", "n3": "A3"},
+        nodes=("n0", "b", "c", "n3"),
         root_id="n0",
         edges=(
             ("n0", "c", sc),
@@ -180,16 +168,16 @@ def test_trap_dag_resolves_without_enumerating_layer_paths():
     # same depth reaches it. A depth-first search in id order enumerates
     # every layer path before trying the chain.
     width, depth = 6, 12
-    nodes = {"r": ""}
+    nodes = ["r"]
     edges = []
     layers = [[f"a{layer:02d}_{k}" for k in range(width)] for layer in range(depth)]
     for layer in layers:
-        nodes.update((n, "") for n in layer)
+        nodes += layer
     edges += [("r", n, make_step("enter", ())) for n in layers[0]]
     for upper, lower in zip(layers, layers[1:]):
         edges += [(a, b, make_step("mesh", ())) for a in upper for b in lower]
     chain = ["r"] + [f"z{i:02d}" for i in range(1, depth)] + ["zt"]
-    nodes.update((n, "") for n in chain)
+    nodes += chain
     steps = [make_step(f"chain{i}", (f"e{i}",)) for i in range(depth)]
     edges += [(a, b, step) for a, b, step in zip(chain, chain[1:], steps)]
     tree = SearchTree(nodes=nodes, root_id="r", edges=tuple(edges))
@@ -234,7 +222,7 @@ def small_digraphs(draw):
     edges = tuple((a, b, TransformationStep(f"e{k}")) for k, (a, b) in enumerate(pairs))
     root = draw(st.sampled_from(ids))
     target = draw(st.sampled_from(ids + ["unknown"]))
-    return {n: n for n in ids}, root, edges, target
+    return tuple(ids), root, edges, target
 
 
 @settings(max_examples=300)

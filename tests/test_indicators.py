@@ -225,13 +225,12 @@ def test_correlation_monotone_case():
     results = [result(f"s{i}", float(i), i / 10.0) for i in range(5)]
     stats = spread_correlation(results)
     assert stats.spearman == pytest.approx(1.0)
-    assert stats.spearman_computable
+    assert stats.spearman is not None
 
 
 def test_correlation_constant_mas_not_computable():
     results = [result(f"s{i}", float(i), 0.5) for i in range(5)]
     stats = spread_correlation(results)
-    assert not stats.spearman_computable
     assert stats.spearman is None and stats.pearson is None
 
 
@@ -314,7 +313,7 @@ def test_correlation_matches_pearson_oracle():
             stats = spread_correlation(results)
             oracle = _pearson_oracle([r.ms for r in results], [r.mas for r in results])
             assert stats.pearson == pytest.approx(oracle, abs=1e-12)
-            assert stats.pearson_computable
+            assert stats.pearson is not None
 
 
 def test_correlation_equals_scipy_exactly():
@@ -339,4 +338,3 @@ def test_correlation_constant_column_with_nonzero_std_not_computable():
         warnings.simplefilter("error")
         stats = spread_correlation(results)
     assert stats.pearson is None and stats.spearman is None
-    assert not stats.pearson_computable and not stats.spearman_computable

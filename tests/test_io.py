@@ -142,6 +142,31 @@ def test_unknown_fields_are_warned_not_fatal():
     assert any("extra_set" in w for w in bundle.warnings)
 
 
+def test_unknown_fields_are_warned_at_every_level_in_document_order():
+    doc = json.loads(json.dumps(TREE_DOC))
+    doc["x"] = 0
+    doc["tree"]["x"] = 0
+    doc["tree"]["edges"][0]["w"] = 3
+    doc["tree"]["edges"][0]["step"]["x"] = 0
+    doc["sets"][0]["x"] = 0
+    doc["sets"][0]["solutions"][0]["x"] = 0
+    doc["sets"][0]["solutions"].append(
+        {"id": "seq", "objectives": [3.0], "sequence": [{"name": "r1", "x": 0}]}
+    )
+    assert parse_bundle(json.dumps(doc)).warnings == tuple(
+        f"ignored unknown field {path}"
+        for path in (
+            "$.x",
+            "$.tree.x",
+            "$.tree.edges[0].w",
+            "$.tree.edges[0].step.x",
+            "$.sets[0].x",
+            "$.sets[0].solutions[0].x",
+            "$.sets[0].solutions[3].sequence[0].x",
+        )
+    )
+
+
 def test_duplicate_set_labels_rejected():
     doc = json.loads(json.dumps(MINIMAL))
     doc["sets"].append(json.loads(json.dumps(doc["sets"][0])))

@@ -76,16 +76,21 @@ def test_duplicate_solutions_with_distinct_ids_allowed():
 
 def test_search_tree_requires_known_root():
     with pytest.raises(ValueError):
-        SearchTree(nodes={"n1": "A1"}, root_id="n0", edges=())
+        SearchTree(nodes=("n1",), root_id="n0", edges=())
 
 
 def test_search_tree_rejects_edges_to_unknown_nodes():
     with pytest.raises(ValueError):
         SearchTree(
-            nodes={"n0": "A0"},
+            nodes=("n0",),
             root_id="n0",
             edges=(("n0", "nX", make_step()),),
         )
+
+
+def test_search_tree_nodes_keep_given_order():
+    tree = SearchTree(nodes=["n2", "n0", "n10", "n0", "n1"], root_id="n0", edges=())
+    assert tree.nodes == ("n2", "n0", "n10", "n1")
 
 
 def test_distance_matrix_invariants_enforced():

@@ -15,7 +15,7 @@ W = DistanceWeights()
 
 def test_depth_zero_tree_is_root_only():
     tree = generate_tree(seed=1, depth=0, branching=3, name_vocab=2, arg_vocab=2)
-    assert set(tree.nodes) == {"n0"}
+    assert tree.nodes == ("n0",)
     assert tree.edges == ()
 
 
