@@ -221,7 +221,7 @@ def write_bundle(bundle: AnalysisBundle) -> str:
     if bundle.tree is not None:
         doc["tree"] = {
             "root": bundle.tree.root_id,
-            "nodes": sorted(bundle.tree.nodes),
+            "nodes": list(bundle.tree.nodes),
             "edges": [
                 {"from": p, "to": c, "step": {"name": s.name, "args": list(s.args)}}
                 for p, c, s in bundle.tree.edges
@@ -337,11 +337,12 @@ _PALETTE = (
 )
 
 
+_SVG_WIDTH = 640
+_SVG_HEIGHT = 520
+
+
 def emit_scatter_svg(
-    projections: dict[str, Projection2D],
-    results: list[IndicatorResult] | None = None,
-    width: int = 640,
-    height: int = 520,
+    projections: dict[str, Projection2D], results: list[IndicatorResult] | None = None
 ) -> str:
     """Standalone SVG scatter: one marker per solution, colored by set label.
 
@@ -361,7 +362,7 @@ def emit_scatter_svg(
     x_min, y_max = min(xs), max(ys)
     span = max(max(xs) - x_min, y_max - min(ys)) or 1.0
     margin = 50.0
-    plot = min(width, height) - 2 * margin
+    plot = min(_SVG_WIDTH, _SVG_HEIGHT) - 2 * margin
     scale = plot / span
 
     def to_px(x: float, y: float) -> tuple[float, float]:
@@ -375,9 +376,9 @@ def emit_scatter_svg(
     indicator_by_label = {r.set_label: r for r in (results or [])}
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_WIDTH}" height="{_SVG_HEIGHT}" '
+        f'viewBox="0 0 {_SVG_WIDTH} {_SVG_HEIGHT}">',
+        f'<rect width="{_SVG_WIDTH}" height="{_SVG_HEIGHT}" fill="white"/>',
     ]
     for label, proj in projections.items():
         color = by_label[label]
@@ -398,9 +399,11 @@ def emit_scatter_svg(
         caption = label
         if ind is not None:
             caption += f"  MAS={ind.mas:.3f}  MS={ind.ms:.3f}"
-        parts.append(f'<circle cx="{width - 230}" cy="{legend_y - 4:.1f}" r="5" fill="{color}"/>')
         parts.append(
-            f'<text x="{width - 218}" y="{legend_y:.1f}" font-family="sans-serif" '
+            f'<circle cx="{_SVG_WIDTH - 230}" cy="{legend_y - 4:.1f}" r="5" fill="{color}"/>'
+        )
+        parts.append(
+            f'<text x="{_SVG_WIDTH - 218}" y="{legend_y:.1f}" font-family="sans-serif" '
             f'font-size="12">{_xml_escape(caption)}</text>'
         )
         legend_y += 18.0

@@ -38,17 +38,14 @@ def mds_project(dm: DistanceMatrix) -> Projection2D:
     if n == 1:
         return Projection2D(dm.ids, ((0.0, 0.0),), 0.0, 1.0)
 
-    j = np.eye(n) - np.ones((n, n)) / n
-    b = -0.5 * j @ (d**2) @ j
-    b = (b + b.T) / 2.0  # symmetrize against round-off
-    evals, evecs = np.linalg.eigh(b)
-    order = np.argsort(evals)[::-1]
-    evals = evals[order]
-    evecs = evecs[:, order]
+    d2 = d**2
+    mean = d2.mean(axis=1)  # d is symmetric, so these are also the column means
+    b = -0.5 * (d2 - mean[:, None] - mean[None, :] + mean.mean())
+    evals, evecs = np.linalg.eigh(b)  # ascending, so the top two are the last two
 
     diagnostics: list[str] = []
-    top = np.clip(evals[:2], 0.0, None)
-    coords = evecs[:, :2] * np.sqrt(top)
+    top = np.clip(evals[:-3:-1], 0.0, None)
+    coords = evecs[:, :-3:-1] * np.sqrt(top)
     if np.all(top == 0.0):
         diagnostics.append("degenerate matrix: no positive eigenvalue mass, all-zero coordinates")
 
@@ -63,15 +60,9 @@ def mds_project(dm: DistanceMatrix) -> Projection2D:
     share = float(np.sum(top) / positive_mass) if positive_mass > 0 else 1.0
     share = min(share, 1.0)
 
-    embedded = np.sqrt(
-        np.maximum(
-            np.sum(coords**2, axis=1)[:, None]
-            + np.sum(coords**2, axis=1)[None, :]
-            - 2 * coords @ coords.T,
-            0.0,
-        )
-    )
-    denom = float(np.sum(d**2))
+    x, y = coords[:, 0], coords[:, 1]
+    embedded = np.hypot(x[:, None] - x, y[:, None] - y)
+    denom = float(np.sum(d2))
     stress = float(np.sqrt(np.sum((embedded - d) ** 2) / denom)) if denom > 0 else 0.0
 
     return Projection2D(

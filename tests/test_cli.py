@@ -42,7 +42,7 @@ def test_synth_output_matches_golden_digest(tmp_path):
     path = tmp_path / "golden.json"
     assert main(["synth", "--sets", "3", "--n", "10", "--seed", "99", "-o", str(path)]) == 0
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
-    assert digest == "d9ba958cb6e06de5a4706b53c78a05b0478ef5a03a263dd1e77131809b403c3b"
+    assert digest == "ea3f51dc8a4852a956d4bb62e3fa3ee3ac12ffafac774e168e684eefc17a0bd9"
 
 
 def test_validate_accepts_synth_output(bundle_path, capsys):
@@ -206,6 +206,31 @@ def test_compare_byte_identical_across_runs(bundle_path, tmp_path):
     assert out_a.read_bytes() == out_b.read_bytes()
 
 
+def child_env(**extra):
+    """Environment for a fresh interpreter that imports this checkout's archspread."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path, **extra)
+
+
+def test_compare_byte_identical_across_processes(tmp_path):
+    bundle = tmp_path / "bundle.json"
+    assert main(["synth", "--sets", "3", "--n", "10", "--seed", "99", "-o", str(bundle)]) == 0
+    # The last bits of the eigenvectors depend on the BLAS thread count.
+    blas = {f"{k}_NUM_THREADS": "1" for k in ("OPENBLAS", "OMP", "MKL")}
+    outputs = set()
+    for hash_seed in ("1", "2", "3"):
+        report, svg = tmp_path / f"r{hash_seed}.json", tmp_path / f"s{hash_seed}.svg"
+        command = ["compare", str(bundle), "-o", str(report), "--svg", str(svg)]
+        subprocess.run(
+            [sys.executable, "-m", "archspread.cli", *command],
+            env=child_env(PYTHONHASHSEED=hash_seed, **blas),
+            check=True,
+        )
+        outputs.add((report.read_bytes(), svg.read_bytes()))
+    assert len(outputs) == 1
+
+
 @pytest.mark.parametrize("command", ["indicators", "mds", "compare"])
 @pytest.mark.parametrize("w_pred", ["1.5", "-0.1", "nan"])
 def test_w_pred_outside_unit_interval_is_usage_error(bundle_path, command, w_pred, capsys):
@@ -263,11 +288,8 @@ def test_cli_import_loads_no_scipy():
         "import sys, archspread.cli; "
         "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
     )
-    src = str(Path(cli.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
     out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", code], env=child_env(), capture_output=True, text=True, check=True
     ).stdout
     assert out.strip() == "[]"
 

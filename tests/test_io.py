@@ -184,10 +184,14 @@ def test_nonfinite_objective_rejected_with_path():
 
 
 def test_bundle_round_trip():
-    bundle = parse_bundle(json.dumps(TREE_DOC))
+    doc = json.loads(json.dumps(TREE_DOC))
+    doc["tree"]["nodes"] = ["n0", "n2", "n10", "n1", "n4", "n3"]
+    bundle = parse_bundle(json.dumps(doc))
     text = write_bundle(bundle)
+    assert json.loads(text)["tree"]["nodes"] == doc["tree"]["nodes"]
     again = parse_bundle(text)
     assert again.name == bundle.name
+    assert again.tree == bundle.tree
     assert again.sets == bundle.sets
 
 

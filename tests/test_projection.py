@@ -4,8 +4,12 @@ import random
 import numpy as np
 import pytest
 
+from archspread.distance import DistanceWeights, distance_matrix
+from archspread.encoding import build_encoding
 from archspread.model import DistanceMatrix
 from archspread.projection import mds_project
+
+from conftest import random_set
 
 
 def dm_from_points(points):
@@ -131,3 +135,80 @@ def test_degenerate_all_zero_matrix():
     proj = mds_project(dm)
     assert all(c == (0.0, 0.0) for c in proj.coords)
     assert proj.diagnostics
+
+
+def centring_matrix_mds(d):
+    """Reference MDS: double centring with the matrix J, eigenpairs argsorted
+    to descending order. Returns (coords, stress, share, descending evals).
+
+    Stress comes from the direct 2-D distances: the Gram identity
+    sqrt(|a|² + |b|² - 2a·b) loses about sqrt(eps) to cancellation (stress
+    3.9e-9 instead of 2.5e-16 on an exactly embeddable 3-point set)."""
+    n = len(d)
+    j = np.eye(n) - np.ones((n, n)) / n
+    b = -0.5 * j @ (d**2) @ j
+    b = (b + b.T) / 2.0
+    evals, evecs = np.linalg.eigh(b)
+    order = np.argsort(evals)[::-1]
+    evals = evals[order]
+    evecs = evecs[:, order]
+    top = np.clip(evals[:2], 0.0, None)
+    coords = evecs[:, :2] * np.sqrt(top)
+    for axis in range(2):
+        col = coords[:, axis]
+        nonzero = np.nonzero(col)[0]
+        if nonzero.size and col[nonzero[0]] < 0:
+            coords[:, axis] = -col
+    positive_mass = float(np.sum(evals[evals > 0]))
+    share = min(float(np.sum(top) / positive_mass) if positive_mass > 0 else 1.0, 1.0)
+    embedded = np.hypot(*(c[:, None] - c for c in coords.T))
+    denom = float(np.sum(d**2))
+    stress = float(np.sqrt(np.sum((embedded - d) ** 2) / denom)) if denom > 0 else 0.0
+    return coords, embedded, stress, share, evals
+
+
+def random_symmetric_matrices(rng):
+    for _ in range(150):
+        n = rng.randint(2, 60)
+        values = np.zeros((n, n))
+        for i in range(n):
+            for j in range(i + 1, n):
+                values[i, j] = values[j, i] = rng.uniform(0.0, 3.0)
+        yield DistanceMatrix(tuple(f"x{i}" for i in range(n)), values, 3, 3.0)
+
+
+def sequence_distance_matrices(rng):
+    for _ in range(150):
+        s = random_set(rng, n=rng.randint(2, 40), max_len=6)
+        yield distance_matrix(s, build_encoding([s]), DistanceWeights(0.5, 0.5))
+
+
+def assert_same_axis_up_to_sign(got, want):
+    assert np.allclose(got, want, rtol=1e-12, atol=1e-12) or np.allclose(
+        got, -want, rtol=1e-12, atol=1e-12
+    )
+
+
+@pytest.mark.parametrize("matrices", [random_symmetric_matrices, sequence_distance_matrices])
+def test_mds_matches_centring_matrix_oracle(matrices):
+    compared = 0
+    for dm in matrices(random.Random(2024)):
+        proj = mds_project(dm)
+        want_coords, want_embedded, want_stress, want_share, evals = centring_matrix_mds(
+            dm.values
+        )
+        assert proj.eigenvalue_share == pytest.approx(want_share, rel=1e-12, abs=1e-12)
+        if len(evals) > 2 and evals[1] - evals[2] <= 1e-9 * abs(evals[0]):
+            continue  # the second axis is not unique
+        compared += 1
+        assert np.allclose(proj.stress, want_stress, rtol=1e-12, atol=1e-12)
+        assert np.allclose(embedded_distances(proj), want_embedded, rtol=1e-12, atol=1e-12)
+        # Where the top eigenvalues are well apart and positive, the axes are
+        # fixed up to sign, and x must belong to the largest.
+        got = np.array(proj.coords)
+        apart = 1e-3 * evals[0]
+        if evals[0] - evals[1] > apart:
+            assert_same_axis_up_to_sign(got[:, 0], want_coords[:, 0])
+            if evals[1] > apart and (len(evals) == 2 or evals[1] - evals[2] > apart):
+                assert_same_axis_up_to_sign(got[:, 1], want_coords[:, 1])
+    assert compared >= 100
