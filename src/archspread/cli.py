@@ -7,6 +7,7 @@ Subcommands: indicators, mds, compare, synth, validate. Exit codes:
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from pathlib import Path
 
@@ -112,10 +113,32 @@ def _add_indicator_flags(p: argparse.ArgumentParser) -> None:
 
 def _parse_checked(path: Path) -> tuple[bundle_io.AnalysisBundle, list[str]]:
     """Parse the bundle at ``path``, print its warnings and return its invariant violations."""
-    bundle = bundle_io.parse_bundle(path.read_text())
-    for warning in bundle.warnings:
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise bundle_io.BundleError(f"$: invalid JSON: {exc}") from None
+    bundle = bundle_io.parse_bundle(text)
+    for warning in _grouped(bundle.warnings):
         print(f"warning: {warning}", file=sys.stderr)
     return bundle, [v for s in bundle.sets for v in validate_solution_set(s)]
+
+
+_INDEX = re.compile(r"\[[0-9]+\]")
+
+
+def _grouped(warnings: tuple[str, ...]) -> list[str]:
+    """One line per warning pattern (list indices read ``[*]``), in first-seen order.
+
+    A pattern seen once keeps its warning as given; otherwise the line is the
+    pattern with its number of occurrences.
+    """
+    groups: dict[str, list] = {}
+    for warning in warnings:
+        groups.setdefault(_INDEX.sub("[*]", warning), [warning, 0])[1] += 1
+    return [
+        first if count == 1 else f"{pattern} ({count} occurrences)"
+        for pattern, (first, count) in groups.items()
+    ]
 
 
 def _load(args) -> tuple[bundle_io.AnalysisBundle, DistanceWeights]:

@@ -18,8 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-import numpy as np
-
+from ._lazy import np
 from .encoding import PAD, EncodedStep, EncodingTable
 from .model import ArchitectureSolution, DistanceMatrix, SolutionSet
 

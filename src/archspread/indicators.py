@@ -5,8 +5,7 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-import numpy as np
-
+from ._lazy import np
 from .distance import DistanceWeights, within_set_matrices
 from .encoding import EncodingTable
 from .model import CorrelationStats, DistanceMatrix, IndicatorResult, SolutionSet

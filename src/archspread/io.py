@@ -54,7 +54,7 @@ def parse_bundle(text: str | dict) -> AnalysisBundle:
     the tree is walked once per bundle, on the first node reference). Unknown
     fields are collected as warnings on the returned bundle, not errors.
     """
-    doc = json.loads(text) if isinstance(text, str) else text
+    doc = _load_json(text) if isinstance(text, str) else text
     if not isinstance(doc, dict):
         raise BundleError("$: bundle must be a JSON object")
     warnings: list[str] = []
@@ -95,6 +95,15 @@ def parse_bundle(text: str | dict) -> AnalysisBundle:
         provenance=provenance,
         warnings=tuple(warnings),
     )
+
+
+def _load_json(text: str) -> object:
+    # Malformed text, an integer literal beyond the int-to-str digit limit and
+    # nesting deeper than the recursion limit all end here.
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise BundleError(f"$: invalid JSON: {exc}") from None
 
 
 def _parse_tree(raw: object, warnings: list[str]) -> SearchTree:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
+from ._lazy import np
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,14 @@ def make_set(label="s", objective_names=("f0",), solutions=()):
     return SolutionSet(label, tuple(objective_names), tuple(solutions))
 
 
+def one_solution_bundle(objective: str) -> bytes:
+    """Bundle text with one solution whose only objective is the literal ``objective``."""
+    return (
+        '{"name": "x", "sets": [{"label": "s", "objective_names": ["f0"], "solutions":'
+        ' [{"id": "a", "objectives": [' + objective + '], "sequence": []}]}]}'
+    ).encode()
+
+
 def random_set(rng: random.Random, n=None, max_len=4, name_vocab=3, arg_vocab=3, n_obj=2):
     """Random solution set with short sequences; helper for sweep tests."""
     n = n if n is not None else rng.randint(1, 10)

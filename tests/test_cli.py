@@ -15,6 +15,8 @@ from archspread.io import parse_bundle
 from archspread.model import SolutionSet
 from archspread.projection import mds_project
 
+from conftest import one_solution_bundle
+
 
 @pytest.fixture
 def bundle_path(tmp_path):
@@ -300,3 +302,69 @@ def test_indicators_csv_skips_correlation(bundle_path, monkeypatch):
 
     monkeypatch.setattr(cli, "spread_correlation", fail)
     assert main(["indicators", str(bundle_path), "--format", "csv"]) == 0
+
+
+@pytest.mark.parametrize(
+    "content, detail",
+    [
+        pytest.param(b"[" * 100_000 + b"]" * 100_000, "maximum recursion depth", id="deep"),
+        pytest.param(one_solution_bundle("1" * 5000), "digits", id="big-int"),
+        pytest.param(b'{"name": ', "Expecting value", id="malformed"),
+        pytest.param(b'{"name": "caf\xe9", "sets": []}', "can't decode byte 0xe9", id="latin-1"),
+    ],
+)
+def test_unreadable_json_is_data_error_at_root(tmp_path, capsys, content, detail):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    assert main(["validate", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: $: invalid JSON: ")
+    assert detail in err
+    assert err.count("\n") == 1
+
+
+def test_repeated_warnings_print_once_per_path_pattern(tmp_path, capsys):
+    solutions = [
+        {"id": f"s{i}", "objectives": [0.0], "sequence": [], "stray": i} for i in range(3000)
+    ]
+    solutions[7]["other"] = True
+    doc = {
+        "name": "noisy",
+        "extra": 1,
+        "sets": [{"label": "s", "objective_names": ["f0"], "solutions": solutions}],
+    }
+    path = tmp_path / "noisy.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", str(path)]) == 0
+    assert capsys.readouterr().err == (
+        "warning: ignored unknown field $.extra\n"
+        "warning: ignored unknown field $.sets[*].solutions[*].stray (3000 occurrences)\n"
+        "warning: ignored unknown field $.sets[0].solutions[7].other\n"
+    )
+    assert len(parse_bundle(path.read_text()).warnings) == 3002
+
+
+def test_validate_and_synth_load_no_numpy(bundle_path, tmp_path):
+    # numpy itself may sit in sys.modules as a lazy module; its code has not
+    # run as long as none of its submodules (numpy.core, numpy._core, ...) is there.
+    synth = ["synth", "--sets", "2", "--n", "5", "--seed", "1", "-o", str(tmp_path / "b.json")]
+    code = (
+        "import sys; from archspread.cli import main; "
+        f"assert main({['validate', str(bundle_path)]!r}) == 0; "
+        f"assert main({synth!r}) == 0; "
+        "print(sorted(m for m in sys.modules if m.startswith('numpy.')))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=child_env(), capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip().splitlines()[-1] == "[]"
+
+
+def test_import_without_numpy_fails_at_import():
+    code = "import sys; sys.modules['numpy'] = None; import archspread"
+    child = subprocess.run(
+        [sys.executable, "-c", code], env=child_env(), capture_output=True, text=True
+    )
+    assert child.returncode != 0
+    assert "ModuleNotFoundError: No module named 'numpy'" in child.stderr

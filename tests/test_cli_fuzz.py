@@ -1,0 +1,88 @@
+"""Property test of the input boundary: any file given to ``validate`` ends in exit 0, 1 or 2."""
+
+import json
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from archspread.cli import main
+
+from conftest import one_solution_bundle
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: (
+        st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4)
+    ),
+    max_leaves=12,
+)
+
+
+def _either(valid):
+    """A value of the expected shape or, in about one draw in five, any JSON value instead."""
+    return st.sampled_from([valid] * 4 + [json_values]).flatmap(lambda s: s)
+
+
+def _record(required, optional):
+    return st.fixed_dictionaries(
+        {k: _either(v) for k, v in required.items()},
+        optional={k: _either(v) for k, v in optional.items()},
+    )
+
+
+node_ids = st.sampled_from(["n0", "n1", "n2", "n3"])
+steps = _record(
+    {"name": st.sampled_from(["clone", "move", " "])},
+    {"args": st.lists(st.sampled_from(["X", "Y", ""]), max_size=3), "stray": json_values},
+)
+solutions = _record(
+    {
+        "id": st.sampled_from(["a", "b", "c"]),
+        "objectives": st.lists(st.floats() | st.integers(), max_size=3),
+    },
+    {"sequence": st.lists(steps, max_size=3), "node": node_ids, "stray": json_values},
+)
+solution_sets = _record(
+    {
+        "label": st.sampled_from(["s", "t"]),
+        "objective_names": st.lists(st.sampled_from(["f0", "f1"]), max_size=2),
+        "solutions": st.lists(solutions, max_size=4),
+    },
+    {"stray": json_values},
+)
+edges = _record({"from": node_ids, "to": node_ids, "step": steps}, {"stray": json_values})
+trees = _record(
+    {
+        "root": node_ids,
+        "nodes": st.lists(node_ids, max_size=4),
+        "edges": st.lists(edges, max_size=5),
+    },
+    {"stray": json_values},
+)
+bundles = _record(
+    {"name": st.text(max_size=6), "sets": st.lists(solution_sets, max_size=3)},
+    {"tree": trees, "provenance": st.text(max_size=6), "stray": json_values},
+)
+documents = st.one_of(
+    bundles.map(lambda doc: json.dumps(doc).encode()),
+    json_values.map(lambda doc: json.dumps(doc).encode()),
+    st.binary(max_size=64),
+)
+
+@pytest.fixture(scope="module")
+def bundle_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "bundle.json"
+
+
+@settings(max_examples=300, deadline=None)
+@example(b"[" * 100_000 + b"]" * 100_000)
+@example(one_solution_bundle("1" * 5000))
+@given(documents)
+def test_validate_ends_in_an_exit_code_on_any_file(bundle_file, content):
+    bundle_file.write_bytes(content)
+    try:
+        code = main(["validate", str(bundle_file)])
+    except SystemExit as exc:
+        code = exc.code
+    assert code in (0, 1, 2)
