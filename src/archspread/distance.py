@@ -20,7 +20,7 @@ from typing import Iterable, Iterator, Sequence
 
 from ._lazy import np
 from .encoding import PAD, EncodedStep, EncodingTable
-from .model import ArchitectureSolution, DistanceMatrix, SolutionSet
+from .model import ArchitectureSolution, DistanceMatrix, SolutionSet, TransformationStep
 
 
 @dataclass(frozen=True)
@@ -92,19 +92,28 @@ def _step_ids(
     """Encode solutions as an ``(n, L_pad)`` array of step ids, tail-padded with 0.
 
     Also returns the distinct steps; step ``i`` of that list has id ``i + 1``.
+    Each distinct step is encoded once, at its first occurrence; ``table`` is
+    injective, so equal steps and equal encodings get the same ids.
     """
-    step_id: dict[EncodedStep, int] = {}
+    step_id: dict[TransformationStep, int] = {}
+    steps: list[EncodedStep] = []
     rows = []
     for sol in solutions:
-        try:
-            encoded = table.encode_sequence(sol.sequence)
-        except KeyError as exc:
-            raise type(exc)(f"solution {sol.id!r}: unknown token {exc.args[0]!r}") from None
-        rows.append([step_id.setdefault(step, len(step_id) + 1) for step in encoded])
+        row = []
+        for step in sol.sequence:
+            i = step_id.get(step)
+            if i is None:
+                try:
+                    steps.append(table.encode_step(step))
+                except KeyError as exc:
+                    raise type(exc)(f"solution {sol.id!r}: unknown token {exc.args[0]!r}") from None
+                i = step_id[step] = len(steps)
+            row.append(i)
+        rows.append(row)
     ids = np.zeros((len(rows), max(map(len, rows), default=0)), dtype=np.intp)
     for i, row in enumerate(rows):
         ids[i, : len(row)] = row
-    return ids, list(step_id)
+    return ids, steps
 
 
 def _step_table(steps: Sequence[EncodedStep], w: DistanceWeights) -> np.ndarray:

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable
 
 from .model import SearchTree, SolutionSet, TransformationStep
 
@@ -57,9 +56,6 @@ class EncodingTable:
             except KeyError:
                 raise UnknownTokenError(a) from None
         return EncodedStep(name, tuple(args))
-
-    def encode_sequence(self, steps: Iterable[TransformationStep]) -> tuple[EncodedStep, ...]:
-        return tuple(self.encode_step(s) for s in steps)
 
 
 def build_encoding(sets: list[SolutionSet]) -> EncodingTable:

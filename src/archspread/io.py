@@ -37,6 +37,12 @@ class AnalysisBundle:
 
 
 Resolve = Callable[[str], tuple[TransformationStep, ...]]
+# The JSON path of a value, built only when an error or a warning names it,
+# so a valid edge, solution or step formats none.
+Where = Callable[[], str]
+# One TransformationStep per distinct (name, args) of a bundle, holding only
+# steps that passed every check.
+Steps = dict[tuple[str, tuple[str, ...]], TransformationStep]
 
 _BUNDLE_KEYS = {"name", "tree", "sets", "provenance"}
 _TREE_KEYS = {"root", "nodes", "edges"}
@@ -51,41 +57,48 @@ def parse_bundle(text: str | dict) -> AnalysisBundle:
 
     Each solution either carries an explicit "sequence" or references a tree
     "node" (its sequence is then the shortest root path, see ``PathResolver``;
-    the tree is walked once per bundle, on the first node reference). Unknown
-    fields are collected as warnings on the returned bundle, not errors.
+    the tree is walked once per bundle, on the first node reference). Equal
+    steps, in tree edges and sequences alike, come back as one shared
+    ``TransformationStep``. Unknown fields are collected as warnings on the
+    returned bundle, not errors.
     """
     doc = _load_json(text) if isinstance(text, str) else text
     if not isinstance(doc, dict):
         raise BundleError("$: bundle must be a JSON object")
     warnings: list[str] = []
-    _unknown_keys(doc, _BUNDLE_KEYS, "$", warnings)
+    steps: Steps = {}
+    root = _at("$")
+    _unknown_keys(doc, _BUNDLE_KEYS, root, warnings)
 
-    name = _require(doc, "name", str, "$")
+    name = _text(doc, "name", root)
     provenance = doc.get("provenance", "")
     if not isinstance(provenance, str):
         raise BundleError("$.provenance: must be a string")
 
-    tree = _parse_tree(doc["tree"], warnings) if "tree" in doc else None
+    tree = _parse_tree(doc["tree"], steps, warnings) if "tree" in doc else None
     resolve = _node_resolver(tree)
 
-    raw_sets = _require(doc, "sets", list, "$")
+    raw_sets = _require(doc, "sets", list, root)
     sets = []
     labels: set[str] = set()
     for i, raw_set in enumerate(raw_sets):
-        path = f"$.sets[{i}]"
+        where = _at(f"$.sets[{i}]")
         if not isinstance(raw_set, dict):
-            raise BundleError(f"{path}: must be an object")
-        _unknown_keys(raw_set, _SET_KEYS, path, warnings)
-        label = _require(raw_set, "label", str, path)
+            raise BundleError(f"{where()}: must be an object")
+        _unknown_keys(raw_set, _SET_KEYS, where, warnings)
+        label = _text(raw_set, "label", where)
         if label in labels:
-            raise BundleError(f"{path}.label: duplicate set label {label!r}")
+            raise BundleError(f"{where()}.label: duplicate set label {label!r}")
         labels.add(label)
         objective_names = _string_list(
-            _require(raw_set, "objective_names", list, path), f"{path}.objective_names"
+            _require(raw_set, "objective_names", list, where),
+            lambda: f"{where()}.objective_names",
         )
         solutions = [
-            _parse_solution(raw_sol, f"{path}.solutions[{j}]", resolve, warnings)
-            for j, raw_sol in enumerate(_require(raw_set, "solutions", list, path))
+            _parse_solution(
+                raw_sol, lambda: f"{where()}.solutions[{j}]", resolve, steps, warnings
+            )
+            for j, raw_sol in enumerate(_require(raw_set, "solutions", list, where))
         ]
         sets.append(SolutionSet(label, objective_names, solutions))
     return AnalysisBundle(
@@ -97,6 +110,10 @@ def parse_bundle(text: str | dict) -> AnalysisBundle:
     )
 
 
+def _at(path: str) -> Where:
+    return lambda: path
+
+
 def _load_json(text: str) -> object:
     # Malformed text, an integer literal beyond the int-to-str digit limit and
     # nesting deeper than the recursion limit all end here.
@@ -106,27 +123,30 @@ def _load_json(text: str) -> object:
         raise BundleError(f"$: invalid JSON: {exc}") from None
 
 
-def _parse_tree(raw: object, warnings: list[str]) -> SearchTree:
+def _parse_tree(raw: object, steps: Steps, warnings: list[str]) -> SearchTree:
     if not isinstance(raw, dict):
         raise BundleError("$.tree: must be an object")
-    _unknown_keys(raw, _TREE_KEYS, "$.tree", warnings)
-    root = _require(raw, "root", str, "$.tree")
-    nodes = _string_list(_require(raw, "nodes", list, "$.tree"), "$.tree.nodes")
+    at_tree = _at("$.tree")
+    _unknown_keys(raw, _TREE_KEYS, at_tree, warnings)
+    root = _require(raw, "root", str, at_tree)
+    nodes = _string_list(_require(raw, "nodes", list, at_tree), _at("$.tree.nodes"))
     known = set(nodes)
     if root not in known:
         raise BundleError(f"$.tree.root: unknown node {root!r}")
     edges = []
-    for i, raw_edge in enumerate(_require(raw, "edges", list, "$.tree")):
-        path = f"$.tree.edges[{i}]"
+    for i, raw_edge in enumerate(_require(raw, "edges", list, at_tree)):
+        where = lambda: f"$.tree.edges[{i}]"
         if not isinstance(raw_edge, dict):
-            raise BundleError(f"{path}: must be an object")
-        _unknown_keys(raw_edge, _EDGE_KEYS, path, warnings)
-        src = _require(raw_edge, "from", str, path)
-        dst = _require(raw_edge, "to", str, path)
+            raise BundleError(f"{where()}: must be an object")
+        _unknown_keys(raw_edge, _EDGE_KEYS, where, warnings)
+        src = _require(raw_edge, "from", str, where)
+        dst = _require(raw_edge, "to", str, where)
         for end, key in ((src, "from"), (dst, "to")):
             if end not in known:
-                raise BundleError(f"{path}.{key}: unknown node {end!r}")
-        step = _parse_step(_require(raw_edge, "step", dict, path), f"{path}.step", warnings)
+                raise BundleError(f"{where()}.{key}: unknown node {end!r}")
+        step = _parse_step(
+            _require(raw_edge, "step", dict, where), lambda: f"{where()}.step", steps, warnings
+        )
         edges.append((src, dst, step))
     return SearchTree(nodes=nodes, root_id=root, edges=edges)
 
@@ -147,39 +167,42 @@ def _node_resolver(tree: SearchTree | None) -> Resolve | None:
 
 
 def _parse_solution(
-    raw: object, path: str, resolve: Resolve | None, warnings: list[str]
+    raw: object, where: Where, resolve: Resolve | None, steps: Steps, warnings: list[str]
 ) -> ArchitectureSolution:
     if not isinstance(raw, dict):
-        raise BundleError(f"{path}: must be an object")
-    _unknown_keys(raw, _SOLUTION_KEYS, path, warnings)
-    sol_id = _require(raw, "id", str, path)
-    objectives = _require(raw, "objectives", list, path)
+        raise BundleError(f"{where()}: must be an object")
+    _unknown_keys(raw, _SOLUTION_KEYS, where, warnings)
+    sol_id = _text(raw, "id", where)
+    objectives = _require(raw, "objectives", list, where)
     for k, v in enumerate(objectives):
         if not _is_finite_number(v):
-            raise BundleError(f"{path}.objectives[{k}]: must be a finite number")
+            raise BundleError(f"{where()}.objectives[{k}]: must be a finite number")
 
     has_sequence = "sequence" in raw
     has_node = "node" in raw
     if has_sequence and has_node:
-        raise BundleError(f"{path}: solution {sol_id!r} has both 'sequence' and 'node'")
+        raise BundleError(f"{where()}: solution {sol_id!r} has both 'sequence' and 'node'")
     if has_node:
-        node = _require(raw, "node", str, path)
+        node = _require(raw, "node", str, where)
         if resolve is None:
-            raise BundleError(f"{path}.node: solution {sol_id!r} references a node but the bundle has no tree")
+            raise BundleError(
+                f"{where()}.node: solution {sol_id!r} references a node but the bundle has no tree"
+            )
         try:
             sequence = resolve(node)
         except UnknownNodeError:
-            raise BundleError(f"{path}.node: unknown node {node!r}") from None
+            raise BundleError(f"{where()}.node: unknown node {node!r}") from None
         except UnreachableNodeError as exc:
-            raise BundleError(f"{path}.node: {exc}") from None
+            raise BundleError(f"{where()}.node: {exc}") from None
     elif has_sequence:
         sequence = []
-        for k, raw_step in enumerate(_require(raw, "sequence", list, path)):
+        for k, raw_step in enumerate(_require(raw, "sequence", list, where)):
+            at_step = lambda: f"{where()}.sequence[{k}]"
             if not isinstance(raw_step, dict):
-                raise BundleError(f"{path}.sequence[{k}]: must be an object")
-            sequence.append(_parse_step(raw_step, f"{path}.sequence[{k}]", warnings))
+                raise BundleError(f"{at_step()}: must be an object")
+            sequence.append(_parse_step(raw_step, at_step, steps, warnings))
     else:
-        raise BundleError(f"{path}: solution {sol_id!r} needs either 'sequence' or 'node'")
+        raise BundleError(f"{where()}: solution {sol_id!r} needs either 'sequence' or 'node'")
     return ArchitectureSolution(sol_id, objectives, sequence)
 
 
@@ -192,35 +215,66 @@ def _is_finite_number(value: object) -> bool:
         return False
 
 
-def _parse_step(raw: dict, path: str, warnings: list[str]) -> TransformationStep:
-    _unknown_keys(raw, _STEP_KEYS, path, warnings)
-    name = _require(raw, "name", str, path)
-    args = _string_list(raw.get("args", []), f"{path}.args")
+def _parse_step(raw: dict, where: Where, steps: Steps, warnings: list[str]) -> TransformationStep:
+    """The step of ``raw``, checked on its first occurrence and looked up in ``steps`` after.
+
+    The lookup is taken only where it cannot skip a check: ``raw`` has no
+    unknown field (that would warn) and its ``args`` is a list (a string
+    ``"ab"`` must not match ``("a", "b")``). A name or argument that cannot
+    be hashed takes the checks, which reject it.
+    """
+    args = raw.get("args", [])
+    if raw.keys() <= _STEP_KEYS and isinstance(args, list):
+        try:
+            step = steps.get((raw.get("name"), tuple(args)))
+        except TypeError:
+            step = None
+        if step is not None:
+            return step
+    _unknown_keys(raw, _STEP_KEYS, where, warnings)
+    name = _require(raw, "name", str, where)
+    args = _string_list(args, lambda: f"{where()}.args")
     try:
-        return TransformationStep(name, args)
+        step = TransformationStep(name, args)
     except ValueError as exc:
-        raise BundleError(f"{path}: {exc}") from None
+        raise BundleError(f"{where()}: {exc}") from None
+    return steps.setdefault((step.name, step.args), step)
 
 
-def _require(obj: dict, key: str, typ: type, path: str):
+def _require(obj: dict, key: str, typ: type, where: Where):
     if key not in obj:
-        raise BundleError(f"{path}.{key}: missing required field")
+        raise BundleError(f"{where()}.{key}: missing required field")
     value = obj[key]
     if not isinstance(value, typ):
-        raise BundleError(f"{path}.{key}: expected {typ.__name__}")
+        raise BundleError(f"{where()}.{key}: expected {typ.__name__}")
     return value
 
 
-def _string_list(raw: object, path: str) -> list[str]:
+def _text(obj: dict, key: str, where: Where) -> str:
+    """A required string that reports print or write: it must encode as UTF-8.
+
+    JSON admits a lone surrogate escape such as ``"\\ud800"``, which no
+    UTF-8 output can carry.
+    """
+    value = _require(obj, key, str, where)
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError:
+        raise BundleError(f"{where()}.{key}: contains a lone surrogate") from None
+    return value
+
+
+def _string_list(raw: object, where: Where) -> list[str]:
     if not isinstance(raw, list) or any(not isinstance(x, str) for x in raw):
-        raise BundleError(f"{path}: must be a list of strings")
+        raise BundleError(f"{where()}: must be a list of strings")
     return list(raw)
 
 
-def _unknown_keys(obj: dict, known: set[str], path: str, warnings: list[str]) -> None:
-    # Runs once per edge, solution and step: the subset test keeps the usual
-    # no-unknown-key case out of a Python-level loop.
+def _unknown_keys(obj: dict, known: set[str], where: Where, warnings: list[str]) -> None:
+    # Runs once per edge, solution and step not answered by the lookup: the
+    # subset test keeps the usual no-unknown-key case out of a Python-level loop.
     if not obj.keys() <= known:
+        path = where()
         warnings.extend(f"ignored unknown field {path}.{k}" for k in obj if k not in known)
 
 

@@ -285,6 +285,46 @@ def test_validate_reports_huge_integer_objective_as_data_error(tmp_path, capsys)
     assert "$.sets[0].solutions[0].objectives[0]: must be a finite number" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("path", ["$.name", "$.sets[1].label", "$.sets[1].solutions[0].id"])
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["validate"],
+        ["indicators", "--format", "csv", "-o", "r.csv"],
+        ["compare", "--svg", "m.svg", "-o", "r.json"],
+    ],
+)
+def test_lone_surrogate_in_printed_string_is_data_error_with_path(
+    tmp_path, monkeypatch, capsys, path, command
+):
+    # json.loads accepts the escape; no UTF-8 output can carry the character.
+    def sol(sol_id, objective):
+        return {"id": sol_id, "objectives": [objective], "sequence": [{"name": "m"}]}
+
+    doc = {
+        "name": "n",
+        "sets": [
+            {
+                "label": label,
+                "objective_names": ["f0"],
+                "solutions": [sol("a", 0.0), sol("b", 1.0)],
+            }
+            for label in ("s", "t", "u")
+        ],
+    }
+    if path == "$.name":
+        doc["name"] = "a\ud800"
+    elif path.endswith("label"):
+        doc["sets"][1]["label"] = "a\ud800"
+    else:
+        doc["sets"][1]["solutions"][0]["id"] = "a\ud800"
+    bundle = tmp_path / "surrogate.json"
+    bundle.write_text(json.dumps(doc))
+    monkeypatch.chdir(tmp_path)
+    assert main([command[0], str(bundle), *command[1:]]) == 1
+    assert capsys.readouterr().err == f"error: {path}: contains a lone surrogate\n"
+
+
 def test_cli_import_loads_no_scipy():
     code = (
         "import sys, archspread.cli; "

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import archspread.distance as distance
 from archspread.distance import (
     DistanceWeights,
     distance_matrix,
@@ -14,7 +15,7 @@ from archspread.distance import (
     within_set_blocks,
     within_set_matrices,
 )
-from archspread.encoding import PAD, EncodedStep, build_encoding
+from archspread.encoding import PAD, EncodedStep, EncodingTable, build_encoding
 from archspread.model import TransformationStep
 
 from conftest import make_set, make_solution, make_step, random_set
@@ -225,7 +226,7 @@ def test_distance_matrix_against_positionwise_oracle(rng):
         dm = distance_matrix(s, table, W)
         assert dm.l_pad == max(len(sol.sequence) for sol in s.solutions)
 
-        encoded = [table.encode_sequence(sol.sequence) for sol in s.solutions]
+        encoded = [tuple(map(table.encode_step, sol.sequence)) for sol in s.solutions]
         for i in range(len(encoded)):
             for j in range(len(encoded)):
                 length = max(len(encoded[i]), len(encoded[j]))
@@ -255,6 +256,68 @@ def test_distance_matrix_reports_offending_solution():
         distance_matrix(bad, table, W)
 
 
+def per_occurrence_step_ids(solutions, table):
+    """Oracle: encode every occurrence, number distinct encodings in first-seen order."""
+    step_id = {}
+    rows = [
+        [step_id.setdefault(table.encode_step(s), len(step_id) + 1) for s in sol.sequence]
+        for sol in solutions
+    ]
+    ids = np.zeros((len(rows), max(map(len, rows), default=0)), dtype=np.intp)
+    for i, row in enumerate(rows):
+        ids[i, : len(row)] = row
+    return ids, list(step_id)
+
+
+def test_each_distinct_step_is_encoded_once(monkeypatch):
+    rng = random.Random(8)
+    # random_set builds a new TransformationStep for every occurrence, so
+    # equal steps are distinct objects here.
+    sets = [random_set(rng, n=10, max_len=6, name_vocab=3, arg_vocab=3) for _ in range(3)]
+    table = build_encoding(sets)
+    solutions = [sol for s in sets for sol in s.solutions]
+    distinct = len({step for sol in solutions for step in sol.sequence})
+    assert distinct < sum(len(sol.sequence) for sol in solutions)
+    expected_ids, expected_steps = per_occurrence_step_ids(solutions, table)
+
+    encoded = []
+    encode_step = EncodingTable.encode_step
+
+    def counting(self, step):
+        encoded.append(step)
+        return encode_step(self, step)
+
+    monkeypatch.setattr(EncodingTable, "encode_step", counting)
+    ids, steps = distance._step_ids(solutions, table)
+    assert np.array_equal(ids, expected_ids)
+    assert steps == expected_steps
+    assert len(encoded) == distinct
+
+    encoded.clear()
+    distance_matrix(make_set(solutions=tuple(solutions)), table, W)
+    assert len(encoded) == distinct
+    encoded.clear()
+    within_set_matrices(sets, table, W)
+    assert len(encoded) == distinct
+
+
+def test_unknown_token_names_first_solution_carrying_it():
+    known = make_set(solutions=(make_solution("a", steps=(make_step("x", ("p",)),)),))
+    table = build_encoding([known])
+    odd = make_step("x", ("zz",))
+    later = make_set(
+        solutions=(
+            make_solution("a", steps=(make_step("x", ("p",)),)),
+            make_solution("first", steps=(make_step("x", ("p",)), odd)),
+            make_solution("second", steps=(odd,)),
+        )
+    )
+    with pytest.raises(KeyError, match="solution 'first': unknown token 'zz'"):
+        distance_matrix(later, table, W)
+    with pytest.raises(KeyError, match="solution 'first': unknown token 'zz'"):
+        within_set_matrices([known, later], table, W)
+
+
 @pytest.mark.parametrize("w_pred", [0.0, 0.3, 0.5, 1.0])
 def test_distance_matrix_entries_equal_sequence_distance_exactly(w_pred):
     rng = random.Random(2024)
@@ -263,7 +326,7 @@ def test_distance_matrix_entries_equal_sequence_distance_exactly(w_pred):
         s = random_set(rng, n=12, max_len=6, name_vocab=4, arg_vocab=5)
         table = build_encoding([s])
         dm = distance_matrix(s, table, w)
-        encoded = [table.encode_sequence(sol.sequence) for sol in s.solutions]
+        encoded = [tuple(map(table.encode_step, sol.sequence)) for sol in s.solutions]
         for i, a in enumerate(encoded):
             for j, b in enumerate(encoded):
                 assert dm.values[i, j] == sequence_distance(a, b, w)

@@ -12,7 +12,7 @@ from archspread.io import (
     write_bundle,
     write_report,
 )
-from archspread.model import IndicatorResult
+from archspread.model import IndicatorResult, TransformationStep
 from archspread.projection import Projection2D
 
 MINIMAL = {
@@ -165,6 +165,79 @@ def test_unknown_fields_are_warned_at_every_level_in_document_order():
             "$.sets[0].solutions[3].sequence[0].x",
         )
     )
+
+
+STEP = {"name": "m", "args": ["a", "b"]}
+
+
+def repeated_step_doc(later: dict) -> dict:
+    """``STEP`` on tree edge 0 and in solution 0, then ``later`` on edge 1 and in solution 1."""
+    return {
+        "name": "repeats",
+        "tree": {
+            "root": "n0",
+            "nodes": ["n0", "n1", "n2"],
+            "edges": [
+                {"from": "n0", "to": "n1", "step": dict(STEP)},
+                {"from": "n1", "to": "n2", "step": later},
+            ],
+        },
+        "sets": [
+            {
+                "label": "s",
+                "objective_names": ["f0"],
+                "solutions": [
+                    {"id": "a", "objectives": [0.0], "sequence": [dict(STEP)]},
+                    {"id": "b", "objectives": [1.0], "sequence": [later]},
+                    {"id": "c", "objectives": [2.0], "node": "n2"},
+                ],
+            }
+        ],
+    }
+
+
+def test_equal_steps_in_edges_and_sequences_are_one_object():
+    bundle = parse_bundle(json.dumps(repeated_step_doc({"args": ["a", "b"], "name": "m"})))
+    a, b, c = bundle.sets[0].solutions
+    edge_steps = [step for _, _, step in bundle.tree.edges]
+    shared = edge_steps[0]
+    assert shared == TransformationStep("m", ("a", "b"))
+    assert all(step is shared for step in (*edge_steps, *a.sequence, *b.sequence, *c.sequence))
+
+
+# Each later occurrence of STEP, altered, must fail or warn as it would have
+# as a first occurrence: a step seen before does not skip a check.
+@pytest.mark.parametrize("where", ["edge", "sequence"])
+@pytest.mark.parametrize(
+    "later, message",
+    [
+        ({"name": "m", "args": "ab"}, ".args: must be a list of strings"),
+        ({"name": "m", "args": [["a"]]}, ".args: must be a list of strings"),
+        ({"name": "m", "args": ["a", ""]}, ": transformation 'm' has an empty argument token"),
+        ({"args": ["a", "b"]}, ".name: missing required field"),
+        ({"name": 1, "args": ["a", "b"]}, ".name: expected str"),
+    ],
+)
+def test_repeated_step_keeps_every_check(where, later, message):
+    doc = repeated_step_doc(dict(STEP))
+    if where == "edge":
+        doc["tree"]["edges"][1]["step"] = later
+        path = "$.tree.edges[1].step"
+    else:
+        doc["sets"][0]["solutions"][1]["sequence"][0] = later
+        path = "$.sets[0].solutions[1].sequence[0]"
+    with pytest.raises(BundleError) as excinfo:
+        parse_bundle(json.dumps(doc))
+    assert str(excinfo.value) == path + message
+
+
+def test_repeated_step_with_stray_key_warns_at_its_own_path():
+    bundle = parse_bundle(json.dumps(repeated_step_doc({**STEP, "stray": 0})))
+    assert bundle.warnings == (
+        "ignored unknown field $.tree.edges[1].step.stray",
+        "ignored unknown field $.sets[0].solutions[1].sequence[0].stray",
+    )
+    assert bundle.sets[0].solutions[1].sequence[0] is bundle.tree.edges[0][2]
 
 
 def test_duplicate_set_labels_rejected():
