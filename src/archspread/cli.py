@@ -13,7 +13,6 @@ from pathlib import Path
 
 from . import io as bundle_io
 from .distance import DistanceWeights, distance_matrix, within_set_blocks
-from .encoding import build_encoding
 from .indicators import indicators_for, indicators_from_matrices, spread_correlation
 from .model import CorrelationStats, IndicatorResult, SolutionSet, validate_solution_set
 from .projection import Projection2D, mds_project
@@ -58,14 +57,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_compare)
 
     p = sub.add_parser("synth", help="generate a seeded synthetic bundle")
-    p.add_argument("--sets", type=int, required=True, metavar="K")
-    p.add_argument("--n", type=int, required=True, metavar="N", help="solutions per set")
+    positive = _bounded(int, 1)
+    p.add_argument("--sets", type=positive, required=True, metavar="K")
+    p.add_argument("--n", type=positive, required=True, metavar="N", help="solutions per set")
     p.add_argument("--seed", type=int, required=True, metavar="S")
-    p.add_argument("--depth", type=int, default=6)
-    p.add_argument("--branching", type=int, default=2)
-    p.add_argument("--name-vocab", type=int, default=5)
-    p.add_argument("--arg-vocab", type=int, default=8)
-    p.add_argument("--dispersion", type=float, default=1.0)
+    p.add_argument("--depth", type=_bounded(int, 0), default=6)
+    p.add_argument("--branching", type=positive, default=2)
+    p.add_argument("--name-vocab", type=positive, default=5)
+    p.add_argument("--arg-vocab", type=positive, default=8)
+    p.add_argument("--dispersion", type=_weight, default=1.0)
     p.add_argument("-o", "--output", type=Path, required=True)
     p.set_defaults(func=_cmd_synth)
 
@@ -79,15 +79,23 @@ def _add_bundle_arg(p: argparse.ArgumentParser) -> None:
     p.add_argument("bundle", type=Path, help="path to a bundle JSON file")
 
 
-def _weight(text: str) -> float:
-    """argparse type for a channel weight: a number in [0, 1]."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if not 0.0 <= value <= 1.0:  # also rejects NaN
-        raise argparse.ArgumentTypeError(f"must lie in [0, 1], got {text!r}")
-    return value
+def _bounded(kind: type, low: float, high: float = float("inf")):
+    """argparse type for an int or float in [low, high]."""
+    noun = "an integer" if kind is int else "a number"
+
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not {noun}: {text!r}") from None
+        if not low <= value <= high:  # also rejects NaN
+            raise argparse.ArgumentTypeError(f"must lie in [{low}, {high}], got {text!r}")
+        return value
+
+    return parse
+
+
+_weight = _bounded(float, 0, 1)
 
 
 def _add_w_pred_arg(p: argparse.ArgumentParser) -> None:
@@ -159,16 +167,17 @@ def _analyze(
     """
     bundle, w = _load(args)
     sets = list(bundle.sets)
-    table = build_encoding(sets)
+    if not sets:
+        raise ValueError("at least one solution set is required")
     options = {"shared_max_d": args.shared_maxd, "all_pairs": args.mas_allpairs}
     if not project:
-        return indicators_for(sets, table, w, **options), None
+        return indicators_for(sets, w, **options), None
     everything = SolutionSet(
         label="__all__",
         objective_names=sets[0].objective_names,
         solutions=tuple(sol for s in sets for sol in s.solutions),
     )
-    joint = distance_matrix(everything, table, w)
+    joint = distance_matrix(everything, w)
     results = indicators_from_matrices(sets, within_set_blocks(joint, sets), **options)
     return results, _split_projection(mds_project(joint), sets)
 

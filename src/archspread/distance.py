@@ -10,7 +10,8 @@ integer id (``PAD`` is 0), each solution becomes a row of ids, and the matrix
 is the position-by-position sum of gathers from one table of step distances.
 The table applies the same floating-point operations as ``step_distance`` and
 the sum runs in position order from 0.0, so every entry equals
-``sequence_distance`` of its pair exactly.
+``sequence_distance`` of its pair exactly. Each call encodes the solutions it
+measures; the encoding is injective, so the distances do not depend on it.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from ._lazy import np
-from .encoding import PAD, EncodedStep, EncodingTable
+from .encoding import PAD, EncodedStep, EncodingTable, build_encoding
 from .model import ArchitectureSolution, DistanceMatrix, SolutionSet, TransformationStep
 
 
@@ -103,10 +104,7 @@ def _step_ids(
         for step in sol.sequence:
             i = step_id.get(step)
             if i is None:
-                try:
-                    steps.append(table.encode_step(step))
-                except KeyError as exc:
-                    raise type(exc)(f"solution {sol.id!r}: unknown token {exc.args[0]!r}") from None
+                steps.append(table.encode_step(step))
                 i = step_id[step] = len(steps)
             row.append(i)
         rows.append(row)
@@ -160,7 +158,6 @@ def _set_matrix(solution_set: SolutionSet, values: np.ndarray, l_pad: int) -> Di
         ids=tuple(sol.id for sol in solution_set.solutions),
         values=values,
         l_pad=l_pad,
-        max_d=float(l_pad),
     )
 
 
@@ -173,26 +170,20 @@ def _set_spans(sets: Sequence[SolutionSet]) -> Iterator[tuple[SolutionSet, slice
         start += len(s)
 
 
-def distance_matrix(
-    solution_set: SolutionSet, table: EncodingTable, w: DistanceWeights
-) -> DistanceMatrix:
+def distance_matrix(solution_set: SolutionSet, w: DistanceWeights) -> DistanceMatrix:
     """Full pairwise distance matrix for one set.
 
-    ``l_pad`` is the longest sequence in the set and doubles as the default
-    ``max_d`` used for MAS normalization.
+    ``l_pad`` is the longest sequence in the set and the default MAS scale.
     """
-    ids, steps = _step_ids(solution_set.solutions, table)
-    return _set_matrix(solution_set, _kernel(_step_table(steps, w), ids), ids.shape[1])
+    return within_set_matrices([solution_set], w)[0]
 
 
-def within_set_matrices(
-    sets: Sequence[SolutionSet], table: EncodingTable, w: DistanceWeights
-) -> list[DistanceMatrix]:
-    """``distance_matrix`` of every set, computed from one shared step table.
+def within_set_matrices(sets: Sequence[SolutionSet], w: DistanceWeights) -> list[DistanceMatrix]:
+    """``distance_matrix`` of every set, computed from one encoding and step table.
 
     Only the within-set pairs are computed: the sum of squared set sizes.
     """
-    ids, steps = _step_ids((sol for s in sets for sol in s.solutions), table)
+    ids, steps = _step_ids((sol for s in sets for sol in s.solutions), build_encoding(list(sets)))
     step_table = _step_table(steps, w)
     return [
         _set_matrix(s, _kernel(step_table, ids[rows, :l_pad]), l_pad)

@@ -7,7 +7,6 @@ from typing import Sequence
 
 from ._lazy import np
 from .distance import DistanceWeights, within_set_matrices
-from .encoding import EncodingTable
 from .model import CorrelationStats, DistanceMatrix, IndicatorResult, SolutionSet
 
 
@@ -36,9 +35,10 @@ def max_architectural_spread(
     The eccentricity of a solution is its maximum distance to any other
     solution in the set. With ``all_pairs=True`` every solution's summand is
     replaced by the global maximum pairwise distance (compatibility reading;
-    it saturates at 1 as soon as any single pair attains ``max_d``).
+    it saturates at 1 as soon as any single pair attains ``max_d``). The scale
+    ``max_d`` is ``dm.l_pad`` unless ``max_d_override`` is given.
     """
-    max_d = float(dm.max_d if max_d_override is None else max_d_override)
+    max_d = float(dm.l_pad if max_d_override is None else max_d_override)
     if max_d < 0:
         raise ValueError("max_d must be non-negative")
     n = len(dm)
@@ -58,7 +58,6 @@ def max_architectural_spread(
 
 def indicators_for(
     sets: list[SolutionSet],
-    table: EncodingTable,
     w: DistanceWeights,
     shared_max_d: bool = True,
     all_pairs: bool = False,
@@ -70,7 +69,7 @@ def indicators_for(
     normalizes each set by its own longest sequence.
     """
     return indicators_from_matrices(
-        sets, within_set_matrices(sets, table, w), shared_max_d=shared_max_d, all_pairs=all_pairs
+        sets, within_set_matrices(sets, w), shared_max_d=shared_max_d, all_pairs=all_pairs
     )
 
 
@@ -84,7 +83,7 @@ def indicators_from_matrices(
     shared = float(max((dm.l_pad for dm in matrices), default=0))
     results = []
     for s, dm in zip(sets, matrices):
-        max_d = shared if shared_max_d else dm.max_d
+        max_d = shared if shared_max_d else float(dm.l_pad)
         diagnostics: tuple[str, ...] = ()
         if max_d == 0.0 and len(dm) > 1:
             diagnostics = ("degenerate scale: max_d is 0 (all sequences empty)",)

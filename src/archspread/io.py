@@ -52,7 +52,7 @@ _SOLUTION_KEYS = {"id", "objectives", "sequence", "node"}
 _STEP_KEYS = {"name", "args"}
 
 
-def parse_bundle(text: str | dict) -> AnalysisBundle:
+def parse_bundle(text: str) -> AnalysisBundle:
     """Parse the JSON bundle format into an AnalysisBundle.
 
     Each solution either carries an explicit "sequence" or references a tree
@@ -62,7 +62,7 @@ def parse_bundle(text: str | dict) -> AnalysisBundle:
     ``TransformationStep``. Unknown fields are collected as warnings on the
     returned bundle, not errors.
     """
-    doc = _load_json(text) if isinstance(text, str) else text
+    doc = _load_json(text)
     if not isinstance(doc, dict):
         raise BundleError("$: bundle must be a JSON object")
     warnings: list[str] = []
@@ -404,14 +404,12 @@ _SVG_WIDTH = 640
 _SVG_HEIGHT = 520
 
 
-def emit_scatter_svg(
-    projections: dict[str, Projection2D], results: list[IndicatorResult] | None = None
-) -> str:
+def emit_scatter_svg(projections: dict[str, Projection2D], results: list[IndicatorResult]) -> str:
     """Standalone SVG scatter: one marker per solution, colored by set label.
 
     Each set gets its minimum enclosing circle and a legend entry; the caption
-    carries the set's MAS/MS when results are supplied. The MDS axes carry no
-    semantic meaning and are left unlabeled.
+    carries the set's MAS/MS from its row in ``results``, if any. The MDS axes
+    carry no semantic meaning and are left unlabeled.
     """
     points: list[tuple[float, float, str]] = []
     for label, proj in projections.items():
@@ -436,7 +434,7 @@ def emit_scatter_svg(
     by_label: dict[str, str] = {}
     for label in projections:
         by_label[label] = _PALETTE[len(by_label) % len(_PALETTE)]
-    indicator_by_label = {r.set_label: r for r in (results or [])}
+    indicator_by_label = {r.set_label: r for r in results}
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_WIDTH}" height="{_SVG_HEIGHT}" '

@@ -92,13 +92,13 @@ class DistanceMatrix:
     """Symmetric matrix of architectural distances between a set's solutions.
 
     ``values`` is a read-only float64 array. Any other input is copied into
-    one; a read-only float64 array is kept as given.
+    one; a read-only float64 array is kept as given. ``l_pad`` bounds every
+    entry and is the default MAS scale.
     """
 
     ids: tuple[str, ...]
     values: np.ndarray
     l_pad: int
-    max_d: float
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "ids", tuple(self.ids))

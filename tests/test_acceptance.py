@@ -42,15 +42,14 @@ def random_dm(rng, n, scale=3.0):
         ids=tuple(f"s{i}" for i in range(n)),
         values=tuple(tuple(r) for r in values),
         l_pad=math.ceil(scale),
-        max_d=scale,
     )
 
 
 def test_criterion_1_mas_limit_cases():
-    singleton = DistanceMatrix(ids=("a",), values=((0.0,),), l_pad=1, max_d=1.0)
+    singleton = DistanceMatrix(ids=("a",), values=((0.0,),), l_pad=1)
     ok = max_architectural_spread(singleton) == 0.0
     pair = DistanceMatrix(
-        ids=("a", "b"), values=((0.0, 3.0), (3.0, 0.0)), l_pad=3, max_d=3.0
+        ids=("a", "b"), values=((0.0, 3.0), (3.0, 0.0)), l_pad=3
     )
     ok = ok and abs(max_architectural_spread(pair) - 1.0) <= 1e-12
     report("criterion 1: MAS limit cases (singleton=0, max-distance pair=1)", ok)
@@ -69,7 +68,7 @@ def test_criterion_2_mas_bounds_and_permutation_invariance():
         pvals = tuple(
             tuple(dm.values[perm[i]][perm[j]] for j in range(n)) for i in range(n)
         )
-        pdm = DistanceMatrix(ids=dm.ids, values=pvals, l_pad=dm.l_pad, max_d=dm.max_d)
+        pdm = DistanceMatrix(ids=dm.ids, values=pvals, l_pad=dm.l_pad)
         ok = ok and max_architectural_spread(pdm) == mas
         if not ok:
             break
@@ -82,7 +81,7 @@ def test_criterion_3_oracle_equivalence():
     for _ in range(200):
         s = random_set(rng, n=rng.randint(1, 10))
         table = build_encoding([s])
-        dm = distance_matrix(s, table, W)
+        dm = distance_matrix(s, W)
         ok = ok and abs(max_architectural_spread(dm) - oracle_mas(s, table, W)) <= 1e-12
 
     for _ in range(200):
@@ -156,7 +155,7 @@ def test_criterion_6_mds_fidelity():
         tuple(math.dist(points[i], points[j]) for j in range(n)) for i in range(n)
     )
     dm = DistanceMatrix(
-        ids=tuple(f"p{i}" for i in range(n)), values=values, l_pad=20, max_d=20.0
+        ids=tuple(f"p{i}" for i in range(n)), values=values, l_pad=20
     )
     proj = mds_project(dm)
     worst_rel = 0.0
@@ -180,12 +179,11 @@ def test_criterion_7_paper_scale_under_60s(tmp_path):
     tree = generate_tree(seed=77, depth=9, branching=2, name_vocab=6, arg_vocab=9)
     sets = generate_sets(tree, seed=77, k_sets=2, n_per_set=277)  # 554 total
     assert sum(len(s) for s in sets) == 554
-    table = build_encoding(sets)
     from archspread.indicators import indicators_for
     from archspread.io import emit_scatter_svg
     from archspread.model import ArchitectureSolution, SolutionSet
 
-    results = indicators_for(sets, table, W)
+    results = indicators_for(sets, W)
     merged = SolutionSet(
         "__all__",
         sets[0].objective_names,
@@ -195,7 +193,7 @@ def test_criterion_7_paper_scale_under_60s(tmp_path):
             for sol in s.solutions
         ),
     )
-    dm = distance_matrix(merged, table, W)
+    dm = distance_matrix(merged, W)
     proj = mds_project(dm)
     svg = emit_scatter_svg({"all": proj}, results)
     elapsed = time.monotonic() - start
@@ -217,8 +215,7 @@ def test_criterion_8_dispersion_ordering():
         total = 0.0
         for seed in range(30):
             (s,) = generate_sets(tree, seed=seed, k_sets=1, n_per_set=10, dispersion=dispersion)
-            table = build_encoding([s])
-            total += max_architectural_spread(distance_matrix(s, table, W))
+            total += max_architectural_spread(distance_matrix(s, W))
         return total / 30
 
     clustered, uniform = mean_mas(0.0), mean_mas(1.0)

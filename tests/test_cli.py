@@ -10,7 +10,6 @@ import pytest
 import archspread.cli as cli
 from archspread.cli import main
 from archspread.distance import DistanceWeights, distance_matrix
-from archspread.encoding import build_encoding
 from archspread.io import parse_bundle
 from archspread.model import SolutionSet
 from archspread.projection import mds_project
@@ -242,6 +241,53 @@ def test_w_pred_outside_unit_interval_is_usage_error(bundle_path, command, w_pre
     assert "--w-pred" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--sets", "0"),
+        ("--sets", "-2"),
+        ("--n", "0"),
+        ("--depth", "-1"),
+        ("--branching", "0"),
+        ("--name-vocab", "0"),
+        ("--arg-vocab", "0"),
+        ("--dispersion", "2"),
+        ("--dispersion", "nan"),
+    ],
+)
+def test_synth_flag_out_of_range_is_usage_error(tmp_path, capsys, flag, value):
+    out = tmp_path / "b.json"
+    args = {"--sets": "2", "--n": "3", "--seed": "1", flag: value}
+    with pytest.raises(SystemExit) as excinfo:
+        main(["synth", *(t for item in args.items() for t in item), "-o", str(out)])
+    assert excinfo.value.code == 2
+    assert f"argument {flag}:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["indicators"],
+        ["indicators", "--format", "csv"],
+        ["mds"],
+        ["compare"],
+    ],
+)
+def test_numeric_command_on_bundle_without_sets_is_data_error(tmp_path, capsys, command):
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"name": "x", "sets": []}))
+    assert main([*command, str(path)]) == 1
+    assert capsys.readouterr().err == "error: at least one solution set is required\n"
+
+
+def test_validate_accepts_bundle_without_sets(tmp_path, capsys):
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"name": "x", "sets": []}))
+    assert main(["validate", str(path)]) == 0
+    assert capsys.readouterr().out == "ok: x: 0 set(s)\n"
+
+
 def test_joint_projection_keeps_ids_that_join_to_the_same_string_apart(tmp_path):
     # Set "a/b" with solution "c" and set "a" with solution "b/c" both read
     # "a/b/c" when label and id are joined with "/".
@@ -267,9 +313,7 @@ def test_joint_projection_keeps_ids_that_join_to_the_same_string_apart(tmp_path)
     everything = SolutionSet(
         "all", ("f0",), tuple(sol for s in bundle.sets for sol in s.solutions)
     )
-    joint = mds_project(
-        distance_matrix(everything, build_encoding(list(bundle.sets)), DistanceWeights())
-    )
+    joint = mds_project(distance_matrix(everything, DistanceWeights()))
     assert points["a/b"]["c"] == joint.coords[0]
     assert points["a"]["b/c"] == joint.coords[2]
     assert points["a/b"]["c"] != points["a"]["b/c"]

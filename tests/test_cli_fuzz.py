@@ -1,4 +1,4 @@
-"""Property test of the input boundary: any file given to ``validate`` ends in exit 0, 1 or 2."""
+"""Property test of the input boundary: any file given to a command ends in exit 0, 1 or 2."""
 
 import json
 
@@ -64,8 +64,37 @@ bundles = _record(
     {"name": st.text(max_size=6), "sets": st.lists(solution_sets, max_size=3)},
     {"tree": trees, "provenance": st.text(max_size=6), "stray": json_values},
 )
+valid_steps = st.fixed_dictionaries(
+    {
+        "name": st.sampled_from(["clone", "move"]),
+        "args": st.lists(st.sampled_from("XY"), max_size=3),
+    }
+)
+
+
+@st.composite
+def valid_bundles(draw):
+    """Bundles that pass validation, so the report commands reach distance, MS/MAS and MDS."""
+    sets = []
+    for label in draw(st.lists(st.sampled_from("stu"), min_size=1, max_size=3, unique=True)):
+        names = draw(st.lists(st.sampled_from(["f0", "f1"]), max_size=2, unique=True))
+        objectives = st.lists(
+            st.floats(allow_nan=False, allow_infinity=False),
+            min_size=len(names),
+            max_size=len(names),
+        )
+        sequences = st.lists(valid_steps, max_size=3)
+        solutions = [
+            {"id": i, "objectives": draw(objectives), "sequence": draw(sequences)}
+            for i in draw(st.lists(st.sampled_from("abcd"), min_size=1, max_size=4, unique=True))
+        ]
+        sets.append({"label": label, "objective_names": names, "solutions": solutions})
+    return {"name": draw(st.text(max_size=6)), "sets": sets}
+
+
 documents = st.one_of(
     bundles.map(lambda doc: json.dumps(doc).encode()),
+    valid_bundles().map(lambda doc: json.dumps(doc).encode()),
     json_values.map(lambda doc: json.dumps(doc).encode()),
     st.binary(max_size=64),
 )
@@ -75,14 +104,19 @@ def bundle_file(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz") / "bundle.json"
 
 
+@pytest.mark.parametrize(
+    "command",
+    [["validate"], ["indicators", "--format", "csv"], ["compare"]],
+    ids=["validate", "indicators-csv", "compare"],
+)
 @settings(max_examples=300, deadline=None)
 @example(b"[" * 100_000 + b"]" * 100_000)
 @example(one_solution_bundle("1" * 5000))
 @given(documents)
-def test_validate_ends_in_an_exit_code_on_any_file(bundle_file, content):
+def test_command_ends_in_an_exit_code_on_any_file(bundle_file, command, content):
     bundle_file.write_bytes(content)
     try:
-        code = main(["validate", str(bundle_file)])
+        code = main([*command, str(bundle_file)])
     except SystemExit as exc:
         code = exc.code
     assert code in (0, 1, 2)

@@ -16,7 +16,6 @@ from archspread.distance import (
     within_set_matrices,
 )
 from archspread.encoding import PAD, EncodedStep, EncodingTable, build_encoding
-from archspread.model import TransformationStep
 
 from conftest import make_set, make_solution, make_step, random_set
 
@@ -202,10 +201,8 @@ def test_property_triangle_inequality_random(a, b, c):
 
 def test_distance_matrix_singleton():
     s = make_set(solutions=(make_solution("a", steps=(make_step(), make_step())),))
-    table = build_encoding([s])
-    dm = distance_matrix(s, table, W)
+    dm = distance_matrix(s, W)
     assert dm.values.tolist() == [[0.0]]
-    assert dm.max_d == 2.0
     assert dm.l_pad == 2
 
 
@@ -214,8 +211,7 @@ def test_distance_matrix_duplicate_sequences():
     s = make_set(
         solutions=(make_solution("a", steps=steps), make_solution("b", steps=steps))
     )
-    table = build_encoding([s])
-    dm = distance_matrix(s, table, W)
+    dm = distance_matrix(s, W)
     assert dm.values.tolist() == [[0.0, 0.0], [0.0, 0.0]]
 
 
@@ -223,7 +219,7 @@ def test_distance_matrix_against_positionwise_oracle(rng):
     for trial in range(20):
         s = random_set(rng, n=6)
         table = build_encoding([s])
-        dm = distance_matrix(s, table, W)
+        dm = distance_matrix(s, W)
         assert dm.l_pad == max(len(sol.sequence) for sol in s.solutions)
 
         encoded = [tuple(map(table.encode_step, sol.sequence)) for sol in s.solutions]
@@ -244,16 +240,6 @@ def test_distance_matrix_against_positionwise_oracle(rng):
                     arg_part = brute_levenshtein(x.args, y.args) / longer if longer else 0.0
                     expected += 0.5 * name_part + 0.5 * arg_part
                 assert dm.values[i][j] == pytest.approx(expected, abs=1e-12)
-
-
-def test_distance_matrix_reports_offending_solution():
-    s = make_set(solutions=(make_solution("a", steps=(make_step("x", ("p",)),)),))
-    table = build_encoding([s])
-    bad = make_set(
-        solutions=(make_solution("weird", steps=(make_step("unknown", ()),)),)
-    )
-    with pytest.raises(KeyError, match="weird"):
-        distance_matrix(bad, table, W)
 
 
 def per_occurrence_step_ids(solutions, table):
@@ -294,28 +280,11 @@ def test_each_distinct_step_is_encoded_once(monkeypatch):
     assert len(encoded) == distinct
 
     encoded.clear()
-    distance_matrix(make_set(solutions=tuple(solutions)), table, W)
+    distance_matrix(make_set(solutions=tuple(solutions)), W)
     assert len(encoded) == distinct
     encoded.clear()
-    within_set_matrices(sets, table, W)
+    within_set_matrices(sets, W)
     assert len(encoded) == distinct
-
-
-def test_unknown_token_names_first_solution_carrying_it():
-    known = make_set(solutions=(make_solution("a", steps=(make_step("x", ("p",)),)),))
-    table = build_encoding([known])
-    odd = make_step("x", ("zz",))
-    later = make_set(
-        solutions=(
-            make_solution("a", steps=(make_step("x", ("p",)),)),
-            make_solution("first", steps=(make_step("x", ("p",)), odd)),
-            make_solution("second", steps=(odd,)),
-        )
-    )
-    with pytest.raises(KeyError, match="solution 'first': unknown token 'zz'"):
-        distance_matrix(later, table, W)
-    with pytest.raises(KeyError, match="solution 'first': unknown token 'zz'"):
-        within_set_matrices([known, later], table, W)
 
 
 @pytest.mark.parametrize("w_pred", [0.0, 0.3, 0.5, 1.0])
@@ -325,7 +294,7 @@ def test_distance_matrix_entries_equal_sequence_distance_exactly(w_pred):
     for _ in range(10):
         s = random_set(rng, n=12, max_len=6, name_vocab=4, arg_vocab=5)
         table = build_encoding([s])
-        dm = distance_matrix(s, table, w)
+        dm = distance_matrix(s, w)
         encoded = [tuple(map(table.encode_step, sol.sequence)) for sol in s.solutions]
         for i, a in enumerate(encoded):
             for j, b in enumerate(encoded):
@@ -335,23 +304,20 @@ def test_distance_matrix_entries_equal_sequence_distance_exactly(w_pred):
 def test_within_set_blocks_equal_each_sets_own_matrix():
     rng = random.Random(77)
     sets = [random_set(rng, n=rng.randint(1, 9), max_len=rng.randint(0, 6)) for _ in range(4)]
-    table = build_encoding(sets)
     everything = make_set(solutions=tuple(sol for s in sets for sol in s.solutions))
-    joint = distance_matrix(everything, table, W)
-    for s, block, shared in zip(
-        sets, within_set_blocks(joint, sets), within_set_matrices(sets, table, W)
-    ):
-        own = distance_matrix(s, table, W)
+    joint = distance_matrix(everything, W)
+    for s, block, shared in zip(sets, within_set_blocks(joint, sets), within_set_matrices(sets, W)):
+        own = distance_matrix(s, W)
         for dm in (block, shared):
             assert np.array_equal(dm.values, own.values)
-            assert (dm.ids, dm.l_pad, dm.max_d) == (own.ids, own.l_pad, own.max_d)
+            assert (dm.ids, dm.l_pad) == (own.ids, own.l_pad)
 
 
 def test_distance_matrix_values_are_read_only():
     s = make_set(
         solutions=(make_solution("a", steps=(make_step("x"),)), make_solution("b"))
     )
-    dm = distance_matrix(s, build_encoding([s]), W)
+    dm = distance_matrix(s, W)
     assert dm.values.dtype == np.float64
     with pytest.raises(ValueError):
         dm.values[0, 1] = 0.0

@@ -4,8 +4,7 @@ import warnings
 
 import pytest
 
-from archspread.distance import DistanceWeights, distance_matrix
-from archspread.encoding import build_encoding
+from archspread.distance import DistanceWeights
 from archspread.indicators import (
     indicators_for,
     max_architectural_spread,
@@ -19,14 +18,13 @@ from conftest import make_set, make_solution, make_step, random_set
 W = DistanceWeights()
 
 
-def dm_from(values, l_pad=None, max_d=None):
+def dm_from(values, l_pad=None):
     n = len(values)
     l_pad = l_pad if l_pad is not None else math.ceil(max(max(r) for r in values) or 1)
     return DistanceMatrix(
         ids=tuple(f"s{i}" for i in range(n)),
         values=tuple(tuple(float(v) for v in row) for row in values),
         l_pad=l_pad,
-        max_d=float(max_d if max_d is not None else l_pad),
     )
 
 
@@ -66,16 +64,16 @@ def test_mas_singleton_is_zero():
 
 
 def test_mas_two_solutions_at_max_distance_is_one():
-    dm = dm_from([[0.0, 2.0], [2.0, 0.0]], l_pad=2, max_d=2.0)
+    dm = dm_from([[0.0, 2.0], [2.0, 0.0]], l_pad=2)
     assert max_architectural_spread(dm) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_mas_hand_matrices():
-    dm = dm_from([[0, 2, 1], [2, 0, 2], [1, 2, 0]], l_pad=2, max_d=2.0)
+    dm = dm_from([[0, 2, 1], [2, 0, 2], [1, 2, 0]], l_pad=2)
     # Eccentricities 2, 2, 2 -> sqrt(12 / 12) = 1.
     assert max_architectural_spread(dm) == pytest.approx(1.0, abs=1e-12)
 
-    dm = dm_from([[0, 2, 1], [2, 0, 1], [1, 1, 0]], l_pad=2, max_d=2.0)
+    dm = dm_from([[0, 2, 1], [2, 0, 1], [1, 1, 0]], l_pad=2)
     # Eccentricities 2, 2, 1 -> sqrt(9 / 12).
     assert max_architectural_spread(dm) == pytest.approx(math.sqrt(9 / 12), abs=1e-12)
     assert max_architectural_spread(dm) == pytest.approx(0.8660, abs=1e-4)
@@ -87,7 +85,7 @@ def test_mas_negative_max_d_rejected():
 
 
 def test_mas_degenerate_scale_returns_zero():
-    dm = dm_from([[0.0, 0.0], [0.0, 0.0]], l_pad=0, max_d=0.0)
+    dm = dm_from([[0.0, 0.0], [0.0, 0.0]], l_pad=0)
     assert max_architectural_spread(dm) == 0.0
 
 
@@ -98,16 +96,16 @@ def test_mas_zero_iff_all_distances_zero(rng):
         for i in range(n):
             for j in range(i + 1, n):
                 values[i][j] = values[j][i] = rng.choice([0.0, rng.uniform(0.1, 3.0)])
-        dm = dm_from(values, l_pad=3, max_d=3.0)
+        dm = dm_from(values, l_pad=3)
         mas = max_architectural_spread(dm)
         all_zero = all(v == 0.0 for row in values for v in row)
         assert (mas == 0.0) == all_zero
 
 
 def test_mas_one_iff_every_row_max_attains_max_d():
-    dm = dm_from([[0, 3, 1], [3, 0, 3], [1, 3, 0]], l_pad=3, max_d=3.0)
+    dm = dm_from([[0, 3, 1], [3, 0, 3], [1, 3, 0]], l_pad=3)
     assert max_architectural_spread(dm) == pytest.approx(1.0, abs=1e-12)
-    dm = dm_from([[0, 3, 1], [3, 0, 1], [1, 1, 0]], l_pad=3, max_d=3.0)
+    dm = dm_from([[0, 3, 1], [3, 0, 1], [1, 1, 0]], l_pad=3)
     assert max_architectural_spread(dm) < 1.0
 
 
@@ -118,18 +116,18 @@ def test_mas_permutation_invariance(rng):
         for i in range(n):
             for j in range(i + 1, n):
                 values[i][j] = values[j][i] = rng.uniform(0.0, 4.0)
-        dm = dm_from(values, l_pad=4, max_d=4.0)
+        dm = dm_from(values, l_pad=4)
         perm = list(range(n))
         rng.shuffle(perm)
         pvals = [[values[perm[i]][perm[j]] for j in range(n)] for i in range(n)]
-        pdm = dm_from(pvals, l_pad=4, max_d=4.0)
+        pdm = dm_from(pvals, l_pad=4)
         assert max_architectural_spread(dm) == max_architectural_spread(pdm)
 
 
 def test_mas_scale_invariance(rng):
     values = [[0, 1.5, 0.5], [1.5, 0, 1.0], [0.5, 1.0, 0]]
-    dm = dm_from(values, l_pad=2, max_d=2.0)
-    scaled = dm_from([[v * 3 for v in row] for row in values], l_pad=6, max_d=6.0)
+    dm = dm_from(values, l_pad=2)
+    scaled = dm_from([[v * 3 for v in row] for row in values], l_pad=6)
     assert max_architectural_spread(dm) == pytest.approx(
         max_architectural_spread(scaled), abs=1e-15
     )
@@ -137,7 +135,7 @@ def test_mas_scale_invariance(rng):
 
 def test_mas_all_pairs_reading():
     # One pair at max_d saturates the all-pairs reading but not the default.
-    dm = dm_from([[0, 2, 0.1], [2, 0, 0.1], [0.1, 0.1, 0]], l_pad=2, max_d=2.0)
+    dm = dm_from([[0, 2, 0.1], [2, 0, 0.1], [0.1, 0.1, 0]], l_pad=2)
     assert max_architectural_spread(dm, all_pairs=True) == pytest.approx(1.0, abs=1e-12)
     assert max_architectural_spread(dm) < 1.0
 
@@ -164,8 +162,7 @@ def _two_sets():
 
 def test_indicators_for_identical_sets_identical_results():
     set1, set2 = _two_sets()
-    table = build_encoding([set1, set2])
-    r1, r2 = indicators_for([set1, set2], table, W)
+    r1, r2 = indicators_for([set1, set2], W)
     assert (r1.ms, r1.mas, r1.n, r1.max_d) == (r2.ms, r2.mas, r2.n, r2.max_d)
 
 
@@ -177,16 +174,14 @@ def test_indicators_spaces_are_independent():
             make_solution("b", objectives=(9.0,), steps=seq),
         )
     )
-    table = build_encoding([s])
-    (result,) = indicators_for([s], table, W)
+    (result,) = indicators_for([s], W)
     assert result.mas == 0.0
     assert result.ms > 0.0
 
 
 def test_indicators_maximally_dispersed_set_reaches_one():
     set1, _ = _two_sets()
-    table = build_encoding([set1])
-    (result,) = indicators_for([set1], table, W)
+    (result,) = indicators_for([set1], W)
     assert result.mas == pytest.approx(1.0, abs=1e-12)
 
 
@@ -209,9 +204,8 @@ def test_indicators_shared_vs_per_set_max_d():
             ),
         ),
     )
-    table = build_encoding([short, long])
-    shared = indicators_for([short, long], table, W, shared_max_d=True)
-    per_set = indicators_for([short, long], table, W, shared_max_d=False)
+    shared = indicators_for([short, long], W, shared_max_d=True)
+    per_set = indicators_for([short, long], W, shared_max_d=False)
     assert shared[0].max_d == shared[1].max_d == 3.0
     assert per_set[0].max_d == 1.0 and per_set[1].max_d == 3.0
     assert shared[0].mas < per_set[0].mas

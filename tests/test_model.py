@@ -95,14 +95,14 @@ def test_search_tree_nodes_keep_given_order():
 
 def test_distance_matrix_invariants_enforced():
     with pytest.raises(ValueError):
-        DistanceMatrix(ids=("a",), values=((1.0,),), l_pad=1, max_d=1.0)
+        DistanceMatrix(ids=("a",), values=((1.0,),), l_pad=1)
     with pytest.raises(ValueError):
         DistanceMatrix(
-            ids=("a", "b"), values=((0.0, 1.0), (0.5, 0.0)), l_pad=1, max_d=1.0
+            ids=("a", "b"), values=((0.0, 1.0), (0.5, 0.0)), l_pad=1
         )
     with pytest.raises(ValueError):
         DistanceMatrix(
-            ids=("a", "b"), values=((0.0, 7.0), (7.0, 0.0)), l_pad=1, max_d=1.0
+            ids=("a", "b"), values=((0.0, 7.0), (7.0, 0.0)), l_pad=1
         )
 
 
@@ -123,12 +123,12 @@ NAN = float("nan")
 )
 def test_distance_matrix_violation_names_first_offending_ids(ids, values, message):
     with pytest.raises(ValueError, match=message):
-        DistanceMatrix(ids=tuple(ids), values=values, l_pad=2, max_d=2.0)
+        DistanceMatrix(ids=tuple(ids), values=values, l_pad=2)
 
 
 def test_distance_matrix_copies_writeable_input():
     source = np.array([[0.0, 1.0], [1.0, 0.0]])
-    dm = DistanceMatrix(ids=("a", "b"), values=source, l_pad=1, max_d=1.0)
+    dm = DistanceMatrix(ids=("a", "b"), values=source, l_pad=1)
     source[0, 1] = source[1, 0] = 0.5
     assert dm.values.tolist() == [[0.0, 1.0], [1.0, 0.0]]
     assert not dm.values.flags.writeable

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from archspread.distance import DistanceWeights, distance_matrix
-from archspread.encoding import build_encoding
 from archspread.model import DistanceMatrix
 from archspread.projection import mds_project
 
@@ -24,7 +23,6 @@ def dm_from_points(points):
         ids=tuple(f"p{i}" for i in range(n)),
         values=tuple(tuple(row) for row in values),
         l_pad=l_pad,
-        max_d=float(l_pad),
     )
 
 
@@ -36,7 +34,7 @@ def embedded_distances(proj):
 
 
 def test_single_point():
-    dm = DistanceMatrix(ids=("a",), values=((0.0,),), l_pad=1, max_d=1.0)
+    dm = DistanceMatrix(ids=("a",), values=((0.0,),), l_pad=1)
     proj = mds_project(dm)
     assert proj.coords == ((0.0, 0.0),)
     assert proj.stress == 0.0
@@ -44,7 +42,7 @@ def test_single_point():
 
 def test_two_points_exact():
     dm = DistanceMatrix(
-        ids=("a", "b"), values=((0.0, 2.0), (2.0, 0.0)), l_pad=2, max_d=2.0
+        ids=("a", "b"), values=((0.0, 2.0), (2.0, 0.0)), l_pad=2
     )
     proj = mds_project(dm)
     assert proj.stress < 1e-12
@@ -117,7 +115,6 @@ def test_eigenvalue_share_never_exceeds_one():
             ids=tuple(f"x{i}" for i in range(n)),
             values=tuple(tuple(r) for r in values),
             l_pad=3,
-            max_d=3.0,
         )
         proj = mds_project(dm)
         assert 0.0 <= proj.eigenvalue_share <= 1.0
@@ -130,7 +127,6 @@ def test_degenerate_all_zero_matrix():
         ids=("a", "b", "c"),
         values=tuple(tuple(0.0 for _ in range(n)) for _ in range(n)),
         l_pad=1,
-        max_d=1.0,
     )
     proj = mds_project(dm)
     assert all(c == (0.0, 0.0) for c in proj.coords)
@@ -174,13 +170,13 @@ def random_symmetric_matrices(rng):
         for i in range(n):
             for j in range(i + 1, n):
                 values[i, j] = values[j, i] = rng.uniform(0.0, 3.0)
-        yield DistanceMatrix(tuple(f"x{i}" for i in range(n)), values, 3, 3.0)
+        yield DistanceMatrix(tuple(f"x{i}" for i in range(n)), values, 3)
 
 
 def sequence_distance_matrices(rng):
     for _ in range(150):
         s = random_set(rng, n=rng.randint(2, 40), max_len=6)
-        yield distance_matrix(s, build_encoding([s]), DistanceWeights(0.5, 0.5))
+        yield distance_matrix(s, DistanceWeights(0.5, 0.5))
 
 
 def assert_same_axis_up_to_sign(got, want):

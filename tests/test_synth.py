@@ -55,7 +55,7 @@ def test_singleton_set_has_zero_mas():
     tree = generate_tree(seed=2, depth=3, branching=2, name_vocab=3, arg_vocab=3)
     (s,) = generate_sets(tree, seed=2, k_sets=1, n_per_set=1)
     table = build_encoding([s])
-    assert max_architectural_spread(distance_matrix(s, table, W)) == 0.0
+    assert max_architectural_spread(distance_matrix(s, W)) == 0.0
     assert oracle_mas(s, table, W) == 0.0
 
 
@@ -63,9 +63,8 @@ def test_clustered_sampling_spreads_less_than_uniform():
     tree = generate_tree(seed=11, depth=5, branching=2, name_vocab=4, arg_vocab=6)
     (clustered,) = generate_sets(tree, seed=11, k_sets=1, n_per_set=10, dispersion=0.0)
     (uniform,) = generate_sets(tree, seed=11, k_sets=1, n_per_set=10, dispersion=1.0)
-    table = build_encoding([clustered, uniform])
-    mas_clustered = max_architectural_spread(distance_matrix(clustered, table, W))
-    mas_uniform = max_architectural_spread(distance_matrix(uniform, table, W))
+    mas_clustered = max_architectural_spread(distance_matrix(clustered, W))
+    mas_uniform = max_architectural_spread(distance_matrix(uniform, W))
     assert mas_clustered < mas_uniform
 
 
@@ -76,8 +75,7 @@ def test_dispersion_ordering_over_many_seeds():
         values = []
         for seed in range(30):
             (s,) = generate_sets(tree, seed=seed, k_sets=1, n_per_set=8, dispersion=dispersion)
-            table = build_encoding([s])
-            values.append(max_architectural_spread(distance_matrix(s, table, W)))
+            values.append(max_architectural_spread(distance_matrix(s, W)))
         return statistics.mean(values)
 
     assert mean_mas(0.0) < mean_mas(1.0)
@@ -100,7 +98,7 @@ def test_oracle_matches_hand_matrix_value():
     table = build_encoding([s])
     expected = math.sqrt(9 / 12)
     assert oracle_mas(s, table, W) == pytest.approx(expected, abs=1e-12)
-    dm = distance_matrix(s, table, W)
+    dm = distance_matrix(s, W)
     assert max_architectural_spread(dm) == pytest.approx(expected, abs=1e-12)
 
 
@@ -108,7 +106,7 @@ def test_oracle_equivalence_sweep(rng):
     for _ in range(200):
         s = random_set(rng, n=rng.randint(1, 8))
         table = build_encoding([s])
-        dm = distance_matrix(s, table, W)
+        dm = distance_matrix(s, W)
         assert max_architectural_spread(dm) == pytest.approx(
             oracle_mas(s, table, W), abs=1e-12
         )
