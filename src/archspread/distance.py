@@ -5,13 +5,16 @@ Each aligned position contributes at most 1: a 0/1 name mismatch weighted by
 weighted by ``w_args``. Sequences of different lengths are tail-padded with a
 sentinel step that is at distance 1 from every real step.
 
-Matrices are computed by a step-table kernel: every distinct step gets an
-integer id (``PAD`` is 0), each solution becomes a row of ids, and the matrix
-is the position-by-position sum of gathers from one table of step distances.
-The table applies the same floating-point operations as ``step_distance`` and
-the sum runs in position order from 0.0, so every entry equals
-``sequence_distance`` of its pair exactly. Each call encodes the solutions it
-measures; the encoding is injective, so the distances do not depend on it.
+Matrices are computed by a per-position kernel: every distinct step gets an
+integer id (``PAD`` is 0) and each solution becomes a row of ids. Each
+position has a small table of step distances over the steps that occur there,
+and the matrix is the position-by-position sum of gathers from those tables,
+so memory grows with the sum of their squared sizes, not with the square of
+all distinct steps. The tables apply the same floating-point operations as
+``step_distance`` and the sum runs in position order from 0.0, so every entry
+equals ``sequence_distance`` of its pair exactly. Each call encodes the
+solutions it measures; the encoding is injective, so the distances do not
+depend on it.
 """
 
 from __future__ import annotations
@@ -114,41 +117,81 @@ def _step_ids(
     return ids, steps
 
 
-def _step_table(steps: Sequence[EncodedStep], w: DistanceWeights) -> np.ndarray:
-    """``(U + 1) x (U + 1)`` step distances indexed by step id, ``PAD`` at 0.
+def _simargs_table(args: Sequence[tuple[int, ...]]) -> np.ndarray:
+    """``_simargs`` of every two of ``args``, by a batched Wagner–Fischer DP.
 
-    Built from a name-inequality matrix and a normalized-Levenshtein table over
-    the distinct argument tuples, combined with the operations of
-    ``step_distance`` so each entry is bit-identical to it.
+    The tuples are padded with -1, which is no symbol, to the longest arity.
+    All pairs whose first tuple has length ``la`` share one DP, run row by
+    row; a row's insertions are one running minimum. Pair ``(a, b)`` reads
+    its Levenshtein distance at ``D[la, lb]`` and divides it by the longer
+    length, as ``_simargs`` does.
     """
+    lengths = np.array([len(t) for t in args], dtype=np.intp)
+    width = int(lengths.max())
+    padded = np.full((len(args), width), -1, dtype=np.int64)
+    for i, t in enumerate(args):
+        padded[i, : len(t)] = t
+    cols = np.arange(width + 1)
+    lev = np.empty((len(args), len(args)), dtype=np.intp)
+    for la in np.flatnonzero(np.bincount(lengths)):  # not np.unique: it imports numpy.ma
+        rows = np.flatnonzero(lengths == la)
+        d = np.broadcast_to(cols, (len(rows), len(args), width + 1))
+        for i in range(la):
+            cur = np.empty_like(d)
+            cur[..., 0] = i + 1
+            # D[i, j] before insertions: a deletion or a (mis)match.
+            subst = padded[rows, None, i, None] != padded[None, :, :]
+            np.minimum(d[..., 1:] + 1, d[..., :-1] + subst, out=cur[..., 1:])
+            cur -= cols
+            d = np.minimum.accumulate(cur, axis=-1) + cols
+        lev[rows] = d[:, np.arange(len(args)), lengths]
+    longer = np.maximum(lengths[:, None], lengths[None, :])
+    return np.divide(lev, longer, out=np.zeros(lev.shape), where=longer > 0)
+
+
+def _column_tables(
+    ids: np.ndarray, steps: Sequence[EncodedStep], w: DistanceWeights
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per position: each row's index into a table, and that table of step distances.
+
+    A position's table covers only the distinct steps at that position, with
+    ``PAD`` first when present; every position holds at least one real step.
+    Each entry applies the operations of ``step_distance``, so it is
+    bit-identical to it.
+    """
+    names = np.array([PAD.name] + [s.name for s in steps], dtype=np.int64)
     arg_id: dict[tuple[int, ...], int] = {}
-    step_args = np.array([arg_id.setdefault(s.args, len(arg_id)) for s in steps], dtype=np.intp)
+    step_args = np.array([-1] + [arg_id.setdefault(s.args, len(arg_id)) for s in steps])
     arg_tuples = list(arg_id)
-    simargs = np.zeros((len(arg_tuples), len(arg_tuples)))
-    for i, a in enumerate(arg_tuples):
-        for j in range(i + 1, len(arg_tuples)):
-            simargs[i, j] = simargs[j, i] = _simargs(a, arg_tuples[j])
-    names = np.array([s.name for s in steps], dtype=np.int64)
-    out = np.ones((len(steps) + 1, len(steps) + 1))
-    out[0, 0] = 0.0
-    # In place, to hold one U x U temporary: neq * w_pred + simargs * w_args.
-    real = out[1:, 1:]
-    np.multiply(names[:, None] != names[None, :], w.w_pred, out=real)
-    args = simargs[step_args[:, None], step_args[None, :]]
-    args *= w.w_args
-    real += args
+    out = []
+    for column in ids.T:
+        present, index = np.unique(column, return_inverse=True)
+        pad = int(present[0] == 0)
+        real = present[pad:]
+        args, arg_index = np.unique(step_args[real], return_inverse=True)
+        simargs = _simargs_table([arg_tuples[a] for a in args])
+        simargs *= w.w_args
+        table = np.ones((len(present), len(present)))
+        if pad:
+            table[0, 0] = 0.0
+        inner = table[pad:, pad:]
+        np.multiply(names[real, None] != names[None, real], w.w_pred, out=inner)
+        inner += simargs.take(arg_index, axis=0).take(arg_index, axis=1)
+        out.append((index, table))
     return out
 
 
-def _kernel(step_table: np.ndarray, ids: np.ndarray) -> np.ndarray:
-    """Pairwise sums of aligned step distances, accumulated in position order.
+def _kernel(columns: Sequence[tuple[np.ndarray, np.ndarray]], rows: slice, n: int) -> np.ndarray:
+    """Pairwise sums of aligned step distances among ``rows``, in position order.
 
-    Positions past the end of both sequences add PAD/PAD = +0.0, which leaves
-    a non-negative sum unchanged.
+    Each position gathers its table by rows, then by columns. Positions past
+    the end of both sequences add PAD/PAD = +0.0, which leaves a non-negative
+    sum unchanged.
     """
-    out = np.zeros((len(ids), len(ids)))
-    for k in range(ids.shape[1]):
-        out += step_table[ids[:, k, None], ids[None, :, k]]
+    out = np.zeros((n, n))
+    for index, table in columns:
+        c = index[rows]
+        out += table.take(c, axis=0).take(c, axis=1)
     out.flags.writeable = False
     return out
 
@@ -179,14 +222,14 @@ def distance_matrix(solution_set: SolutionSet, w: DistanceWeights) -> DistanceMa
 
 
 def within_set_matrices(sets: Sequence[SolutionSet], w: DistanceWeights) -> list[DistanceMatrix]:
-    """``distance_matrix`` of every set, computed from one encoding and step table.
+    """``distance_matrix`` of every set, computed from one encoding and one table per position.
 
     Only the within-set pairs are computed: the sum of squared set sizes.
     """
     ids, steps = _step_ids((sol for s in sets for sol in s.solutions), build_encoding(list(sets)))
-    step_table = _step_table(steps, w)
+    columns = _column_tables(ids, steps, w)
     return [
-        _set_matrix(s, _kernel(step_table, ids[rows, :l_pad]), l_pad)
+        _set_matrix(s, _kernel(columns[:l_pad], rows, len(s)), l_pad)
         for s, rows, l_pad in _set_spans(sets)
     ]
 

@@ -21,8 +21,15 @@ def max_spread(solution_set: SolutionSet) -> float:
     obj = np.array([s.objectives for s in solution_set.solutions], dtype=float)
     if obj.size == 0:
         return 0.0
-    ranges = obj.max(axis=0) - obj.min(axis=0)
-    return float(np.sqrt(np.sum(ranges**2)))
+    with np.errstate(over="ignore"):
+        ranges = obj.max(axis=0) - obj.min(axis=0)
+        ms = float(np.sqrt(np.sum(ranges**2)))
+    # A range past ~1.3e154 overflows when squared, one below ~1.5e-154 (the
+    # root of the smallest normal float) loses bits or vanishes; math.hypot
+    # scales before it squares.
+    if 1.5e-154 <= ms < math.inf:
+        return ms
+    return math.hypot(*ranges.tolist())
 
 
 def max_architectural_spread(
@@ -112,9 +119,11 @@ def spread_correlation(results: list[IndicatorResult]) -> CorrelationStats:
         raise ValueError("correlation needs at least 3 sets")
     ms = np.array([r.ms for r in results])
     mas = np.array([r.mas for r in results])
-    # Rounding in the mean can give a constant column a tiny nonzero std.
-    if any(float(np.std(c)) == 0.0 or (c == c[0]).all() for c in (ms, mas)):
-        return CorrelationStats(len(results), None, None)
+    # Rounding in the mean can give a constant column a tiny nonzero std; a
+    # huge MS column overflows it to inf, which is not 0 either.
+    with np.errstate(over="ignore"):
+        if any(float(np.std(c)) == 0.0 or (c == c[0]).all() for c in (ms, mas)):
+            return CorrelationStats(len(results), None, None)
     pearson = _pearson(ms, mas)
     spearman = _spearman(ms, mas)
     return CorrelationStats(
@@ -132,7 +141,7 @@ def _pearson(x: np.ndarray, y: np.ndarray) -> float:
     columns to [-1, 1]. These are the reference library's floating-point steps
     in this order; the tests check the result against it bit for bit.
     """
-    with np.errstate(invalid="ignore", divide="ignore"):
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         xm = x - x.mean()
         ym = y - y.mean()
         xmax = np.abs(xm).max()

@@ -185,4 +185,16 @@ def validate_solution_set(solution_set: SolutionSet) -> list[str]:
         for k, v in enumerate(sol.objectives):
             if not math.isfinite(v):
                 violations.append(f"solution {sol.id!r}: objective {k} is not finite")
+    # MS is the root-sum-square of the objectives' ranges; each must be a float.
+    ranges = []
+    for k, name in enumerate(solution_set.objective_names):
+        column = [sol.objectives[k] for sol in solution_set.solutions if k < len(sol.objectives)]
+        column = [v for v in column if math.isfinite(v)]
+        ranges.append(max(column) - min(column) if column else 0.0)
+        if math.isinf(ranges[-1]):
+            violations.append(
+                f"set {solution_set.label!r}: objective {name!r} has a range past the largest float"
+            )
+    if math.isinf(math.hypot(*ranges)) and not any(map(math.isinf, ranges)):
+        violations.append(f"set {solution_set.label!r}: MS is past the largest float")
     return violations

@@ -26,9 +26,64 @@ class Projection2D:
     diagnostics: tuple[str, ...] = ()
 
 
+_EPS = 2.220446049250313e-16  # float64 machine epsilon
+# Lanczos is accepted only where the top two eigenpairs are well determined:
+# both gaps above _GAP and both residual norms within _RESIDUAL, relative to
+# the largest |eigenvalue|, after at most _STEPS iterations.
+_GAP = 1e-3
+_RESIDUAL = 16 * _EPS
+_STEPS = 128
+
+
+def _top_two_lanczos(b: np.ndarray, evals: np.ndarray) -> np.ndarray | None:
+    """Unit eigenvectors of ``b`` for its two largest eigenvalues, or None.
+
+    Lanczos iteration with full reorthogonalisation (Gram–Schmidt, twice per
+    step), from a fixed start vector that is not constant, since ``b`` maps
+    the constant vector to 0. It stops once both top Ritz vectors are exact
+    to rounding: residual estimate / gap <= eps. The result is None unless
+    ``evals`` (ascending, from ``eigvalsh``) has both gaps λ1 − λ2 and
+    λ2 − λ3 clearly nonzero and the two Ritz pairs match λ1 and λ2 with
+    residual norms at rounding level; the caller then runs ``eigh``.
+    """
+    if len(evals) < 3:
+        return None
+    n = len(b)
+    scale = max(-evals[0], evals[-1])
+    gap = min(evals[-1] - evals[-2], evals[-2] - evals[-3])
+    if gap <= _GAP * scale:
+        return None
+    basis = np.empty((min(n, _STEPS), n))
+    alpha: list[float] = []
+    beta: list[float] = []
+    q = np.arange(1.0, n + 1.0) * 0.6180339887498949 % 1.0 - 0.5  # a Weyl sequence
+    q /= np.linalg.norm(q)
+    for j in range(len(basis)):
+        basis[j] = q
+        w = b @ q
+        alpha.append(float(q @ w))
+        done = basis[: j + 1]
+        for _ in range(2):
+            w -= (done @ w) @ done
+        beta.append(float(np.linalg.norm(w)))
+        theta, s = np.linalg.eigh(np.diag(alpha) + np.diag(beta[:-1], 1) + np.diag(beta[:-1], -1))
+        if np.all(np.abs(beta[-1] * s[-1, -2:]) <= _EPS * gap):
+            break
+        q = w / beta[-1]
+    vectors = done.T @ s[:, :-3:-1]
+    top = theta[:-3:-1]
+    residual = np.linalg.norm(b @ vectors - vectors * top, axis=0)
+    tol = _RESIDUAL * scale
+    if np.all(np.abs(top - evals[:-3:-1]) <= tol) and np.all(residual <= tol):
+        return vectors
+    return None
+
+
 def mds_project(dm: DistanceMatrix) -> Projection2D:
     """Embed via double-centering and the top-2 non-negative eigenpairs.
 
+    The whole spectrum comes from ``eigvalsh``; the two eigenvectors from
+    Lanczos, or from ``eigh`` where Lanczos does not pin them down.
     Negative eigenvalues are clamped to zero (their axes contribute nothing).
     Axis signs are fixed by making the first nonzero coordinate of each axis
     positive, so output is fully deterministic.
@@ -40,12 +95,19 @@ def mds_project(dm: DistanceMatrix) -> Projection2D:
 
     d2 = d**2
     mean = d2.mean(axis=1)  # d is symmetric, so these are also the column means
-    b = -0.5 * (d2 - mean[:, None] - mean[None, :] + mean.mean())
-    evals, evecs = np.linalg.eigh(b)  # ascending, so the top two are the last two
+    b = d2 - mean[:, None]
+    b -= mean[None, :]
+    b += mean.mean()
+    b *= -0.5
+    evals = np.linalg.eigvalsh(b)  # ascending, so the top two are the last two
+    top_vectors = _top_two_lanczos(b, evals)
+    if top_vectors is None:
+        evals, evecs = np.linalg.eigh(b)
+        top_vectors = evecs[:, :-3:-1]
 
     diagnostics: list[str] = []
     top = np.clip(evals[:-3:-1], 0.0, None)
-    coords = evecs[:, :-3:-1] * np.sqrt(top)
+    coords = top_vectors * np.sqrt(top)
     if np.all(top == 0.0):
         diagnostics.append("degenerate matrix: no positive eigenvalue mass, all-zero coordinates")
 
@@ -60,10 +122,18 @@ def mds_project(dm: DistanceMatrix) -> Projection2D:
     share = float(np.sum(top) / positive_mass) if positive_mass > 0 else 1.0
     share = min(share, 1.0)
 
+    # Direct 2D distances, built in place: sqrt(dx*dx + dy*dy).
     x, y = coords[:, 0], coords[:, 1]
-    embedded = np.hypot(x[:, None] - x, y[:, None] - y)
+    embedded = x[:, None] - x
+    embedded *= embedded
+    dy = y[:, None] - y
+    dy *= dy
+    embedded += dy
+    np.sqrt(embedded, out=embedded)
+    embedded -= d
+    embedded *= embedded
     denom = float(np.sum(d2))
-    stress = float(np.sqrt(np.sum((embedded - d) ** 2) / denom)) if denom > 0 else 0.0
+    stress = float(np.sqrt(np.sum(embedded) / denom)) if denom > 0 else 0.0
 
     return Projection2D(
         ids=dm.ids,

@@ -1,8 +1,10 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -97,6 +99,53 @@ def test_compare_rejects_invariant_violations_in_one_error(violating_path, capsy
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"error: {'; '.join(INVARIANT_VIOLATIONS)}\n"
+
+
+def extreme_objectives_bundle(path, magnitude):
+    """Three sets whose objectives reach -magnitude and +magnitude; MS and MAS vary by set."""
+    sets = [
+        {
+            "label": f"s{i}",
+            "objective_names": ["f0", "f1"],
+            "solutions": [
+                {"id": "a", "objectives": [-magnitude / (i + 1), 0.0], "sequence": []},
+                {
+                    "id": "b",
+                    "objectives": [magnitude, 1.0],
+                    "sequence": [{"name": "op", "args": ["x"]}] * (i + 1),
+                },
+            ],
+        }
+        for i in range(3)
+    ]
+    path.write_text(json.dumps({"name": "extreme", "sets": sets}))
+    return path
+
+
+def refuse_constant(name):
+    raise ValueError(f"not JSON: {name}")
+
+
+def test_compare_on_ranges_past_the_squares_writes_json_and_no_warning(tmp_path, capsys):
+    path = extreme_objectives_bundle(tmp_path / "big.json", 1e200)
+    report = tmp_path / "report.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["compare", str(path), "-o", str(report)]) == 0
+    assert capsys.readouterr().err == ""
+    doc = json.loads(report.read_text(), parse_constant=refuse_constant)
+    ranges = [1e200 + 1e200 / (i + 1) for i in range(3)]
+    assert [s["ms"] for s in doc["sets"]] == [math.hypot(r, 1.0) for r in ranges]
+    assert doc["correlation"]["pearson"] is not None
+
+
+@pytest.mark.parametrize("command", ["validate", "indicators", "mds", "compare"])
+def test_objective_range_past_the_largest_float_is_data_error(tmp_path, capsys, command):
+    path = extreme_objectives_bundle(tmp_path / "huge.json", 1.7e308)
+    assert main([command, str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "set 's0': objective 'f0' has a range past the largest float" in err
 
 
 def test_validate_resolves_long_chain(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import itertools
+import time
 import random
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import archspread.distance as distance
+from archspread.cli import main
 from archspread.distance import (
     DistanceWeights,
     distance_matrix,
@@ -16,6 +18,7 @@ from archspread.distance import (
     within_set_matrices,
 )
 from archspread.encoding import PAD, EncodedStep, EncodingTable, build_encoding
+from archspread.io import AnalysisBundle, write_bundle
 
 from conftest import make_set, make_solution, make_step, random_set
 
@@ -321,3 +324,55 @@ def test_distance_matrix_values_are_read_only():
     assert dm.values.dtype == np.float64
     with pytest.raises(ValueError):
         dm.values[0, 1] = 0.0
+
+
+@given(st.lists(st.lists(st.integers(0, 3), max_size=6).map(tuple), min_size=1, max_size=12))
+def test_simargs_table_matches_full_dp_oracle(args):
+    def simargs(a, b):
+        longer = max(len(a), len(b))
+        return brute_levenshtein(a, b) / longer if longer else 0.0
+
+    table = distance._simargs_table(args)
+    assert table.tolist() == [[simargs(a, b) for b in args] for a in args]
+
+
+def all_distinct_sets(n, length=5):
+    """Two sets of ``n`` solutions in which every step has its own first argument."""
+    return [
+        make_set(
+            label=f"s{k}",
+            solutions=tuple(
+                make_solution(
+                    f"s{k}_{i}",
+                    objectives=(float(i),),
+                    steps=tuple(
+                        make_step(f"op{(i + p) % 3}", (f"u{k}_{i}_{p}", f"e{p % 2}"))
+                        for p in range(length)
+                    ),
+                )
+                for i in range(n)
+            ),
+        )
+        for k in range(2)
+    ]
+
+
+def test_all_distinct_steps_entries_equal_sequence_distance():
+    sets = all_distinct_sets(20)
+    table = build_encoding(sets)
+    for s, dm in zip(sets, within_set_matrices(sets, W)):
+        encoded = [tuple(map(table.encode_step, sol.sequence)) for sol in s.solutions]
+        for i, a in enumerate(encoded):
+            for j, b in enumerate(encoded):
+                assert dm.values[i, j] == sequence_distance(a, b, W)
+
+
+def test_all_distinct_steps_indicators_finish_in_time(tmp_path):
+    # 2 x 400 solutions, 4 000 distinct steps: the work of a table over every
+    # pair of distinct steps grows with their square, a per-position one does not.
+    path = tmp_path / "distinct.json"
+    bundle = AnalysisBundle(name="all-distinct", sets=tuple(all_distinct_sets(400)))
+    path.write_text(write_bundle(bundle))
+    start = time.perf_counter()
+    assert main(["indicators", str(path), "-o", str(tmp_path / "report.json")]) == 0
+    assert time.perf_counter() - start < 10.0

@@ -59,6 +59,35 @@ def test_ms_matches_pairwise_bruteforce(rng):
         assert max_spread(s) == pytest.approx(math.sqrt(total), abs=0)
 
 
+@pytest.mark.parametrize(
+    "ranges",
+    [(2e200,), (2e200, 3e200), (1e308, 1e-300), (1e-200,), (3e-160, 4e-160)],
+)
+def test_ms_is_finite_and_exact_past_the_range_of_squares(ranges):
+    s = make_set(
+        objective_names=tuple(f"f{k}" for k in range(len(ranges))),
+        solutions=(
+            make_solution("a", objectives=tuple(-r / 2 for r in ranges)),
+            make_solution("b", objectives=tuple(r / 2 for r in ranges)),
+        ),
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert max_spread(s) == math.hypot(*ranges)
+
+
+@pytest.mark.parametrize("scale", [1e200, 5e307])
+def test_correlation_of_huge_ms_values_writes_no_warning(scale):
+    # At 5e307 the squares of the deviations overflow, and so does the sum.
+    pairs = [(1.0, 0.2), (3.0, 0.5), (2.0, 0.4)]
+    results = [result(f"s{i}", ms * scale, mas) for i, (ms, mas) in enumerate(pairs)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stats = spread_correlation(results)
+    assert stats.spearman == 1.0
+    assert stats.pearson is None or 0.9 < stats.pearson <= 1.0
+
+
 def test_mas_singleton_is_zero():
     assert max_architectural_spread(dm_from([[0.0]])) == 0.0
 

@@ -59,6 +59,33 @@ def test_nonfinite_objective_violation():
     assert any("a" in v and "finite" in v for v in validate_solution_set(s))
 
 
+def test_objective_range_past_the_largest_float_violation():
+    s = make_set(
+        label="wide",
+        objective_names=("cost", "time"),
+        solutions=(
+            make_solution("a", objectives=(-1.7e308, 0.0)),
+            make_solution("b", objectives=(1.7e308, 1.0)),
+        ),
+    )
+    assert validate_solution_set(s) == [
+        "set 'wide': objective 'cost' has a range past the largest float"
+    ]
+
+
+def test_ms_past_the_largest_float_violation():
+    # Each range is a float; their root-sum-square is not.
+    s = make_set(
+        label="wide",
+        objective_names=("cost", "time"),
+        solutions=(
+            make_solution("a", objectives=(0.0, 0.0)),
+            make_solution("b", objectives=(1.5e308, 1.5e308)),
+        ),
+    )
+    assert validate_solution_set(s) == ["set 'wide': MS is past the largest float"]
+
+
 def test_empty_set_violation():
     assert validate_solution_set(make_set(solutions=())) != []
 

@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+import archspread.projection as projection
 from archspread.distance import DistanceWeights, distance_matrix
 from archspread.model import DistanceMatrix
 from archspread.projection import mds_project
@@ -185,10 +186,16 @@ def assert_same_axis_up_to_sign(got, want):
     )
 
 
-@pytest.mark.parametrize("matrices", [random_symmetric_matrices, sequence_distance_matrices])
-def test_mds_matches_centring_matrix_oracle(matrices):
+def paper_scale_sequence_distance_matrices(rng):
+    for n in (100, 250, 400, 554, 600):
+        s = random_set(rng, n=n, max_len=9, name_vocab=5, arg_vocab=7)
+        yield distance_matrix(s, DistanceWeights(0.5, 0.5))
+
+
+def compare_with_centring_matrix_oracle(matrices):
+    """Check ``mds_project`` against the oracle; returns how many axes were compared."""
     compared = 0
-    for dm in matrices(random.Random(2024)):
+    for dm in matrices:
         proj = mds_project(dm)
         want_coords, want_embedded, want_stress, want_share, evals = centring_matrix_mds(
             dm.values
@@ -207,4 +214,66 @@ def test_mds_matches_centring_matrix_oracle(matrices):
             assert_same_axis_up_to_sign(got[:, 0], want_coords[:, 0])
             if evals[1] > apart and (len(evals) == 2 or evals[1] - evals[2] > apart):
                 assert_same_axis_up_to_sign(got[:, 1], want_coords[:, 1])
-    assert compared >= 100
+    return compared
+
+
+@pytest.fixture
+def branches(monkeypatch):
+    """Counts of ``mds_project`` calls whose eigenvectors came from Lanczos or from eigh."""
+    counts = {"lanczos": 0, "eigh": 0}
+    lanczos = projection._top_two_lanczos
+
+    def counting(b, evals):
+        vectors = lanczos(b, evals)
+        counts["eigh" if vectors is None else "lanczos"] += 1
+        return vectors
+
+    monkeypatch.setattr(projection, "_top_two_lanczos", counting)
+    return counts
+
+
+@pytest.mark.parametrize("matrices", [random_symmetric_matrices, sequence_distance_matrices])
+def test_mds_matches_centring_matrix_oracle(matrices, branches):
+    assert compare_with_centring_matrix_oracle(matrices(random.Random(2024))) >= 100
+    # Both ways to the eigenvectors are checked against the oracle.
+    assert branches["lanczos"] >= 100 and branches["eigh"] >= 1
+
+
+def test_mds_matches_centring_matrix_oracle_up_to_paper_scale(branches):
+    matrices = paper_scale_sequence_distance_matrices(random.Random(554))
+    assert compare_with_centring_matrix_oracle(matrices) == 5
+    assert branches == {"lanczos": 5, "eigh": 0}
+
+
+def eigh_coords(d):
+    """Coordinates from the top two eigenvectors of one full ``eigh``, sign rule applied."""
+    d2 = d**2
+    mean = d2.mean(axis=1)
+    evals, evecs = np.linalg.eigh(-0.5 * (d2 - mean[:, None] - mean[None, :] + mean.mean()))
+    coords = evecs[:, :-3:-1] * np.sqrt(np.clip(evals[:-3:-1], 0.0, None))
+    for axis in range(2):
+        col = coords[:, axis]
+        nonzero = np.nonzero(col)[0]
+        if nonzero.size and col[nonzero[0]] < 0:
+            coords[:, axis] = -col
+    return coords + 0.0
+
+
+def test_equidistant_points_take_the_eigh_path_bit_for_bit(branches):
+    # Every pair at distance 1: lambda_1 = lambda_2, so no top-two axis is unique.
+    n = 40
+    values = np.ones((n, n)) - np.eye(n)
+    proj = mds_project(DistanceMatrix(tuple(f"p{i}" for i in range(n)), values, 1))
+    assert branches == {"lanczos": 0, "eigh": 1}
+    assert np.array_equal(np.array(proj.coords), eigh_coords(values))
+
+
+def test_lanczos_coordinates_match_the_eigh_path(branches, monkeypatch):
+    dm = next(paper_scale_sequence_distance_matrices(random.Random(3)))
+    got = mds_project(dm)
+    assert branches == {"lanczos": 1, "eigh": 0}
+    monkeypatch.setattr(projection, "_top_two_lanczos", lambda b, evals: None)
+    want = mds_project(dm)
+    assert np.max(np.abs(np.array(got.coords) - np.array(want.coords))) <= 1e-13
+    assert got.stress == pytest.approx(want.stress, rel=0, abs=1e-15)
+    assert got.eigenvalue_share == pytest.approx(want.eigenvalue_share, rel=0, abs=1e-15)
