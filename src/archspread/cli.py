@@ -12,8 +12,8 @@ import sys
 from pathlib import Path
 
 from . import io as bundle_io
-from .distance import DistanceWeights, distance_matrix, within_set_blocks
-from .indicators import indicators_for, indicators_from_matrices, spread_correlation
+from .distance import DistanceWeights, block_eccentricities, distance_matrix
+from .indicators import indicators_for, indicators_from_eccentricities, spread_correlation
 from .model import CorrelationStats, IndicatorResult, SolutionSet, validate_solution_set
 from .projection import Projection2D, mds_project
 
@@ -161,9 +161,11 @@ def _analyze(
 ) -> tuple[list[IndicatorResult], dict[str, Projection2D] | None]:
     """Indicators per set and, with ``project``, the shared MDS map sliced per set.
 
-    Each layer is computed once. Without a map only the within-set distances
-    are needed. With one, the joint matrix over every solution is computed
-    once; MAS uses its within-set blocks and MDS the whole matrix.
+    Each layer is computed once. MAS needs only each solution's
+    eccentricity. Without a map they come from the within-set distances,
+    block by block. With one, the joint matrix over every solution is
+    computed and checked once; the eccentricities are the row maxima of each
+    set's block of it, and MDS takes the whole matrix.
     """
     bundle, w = _load(args)
     sets = list(bundle.sets)
@@ -178,7 +180,7 @@ def _analyze(
         solutions=tuple(sol for s in sets for sol in s.solutions),
     )
     joint = distance_matrix(everything, w)
-    results = indicators_from_matrices(sets, within_set_blocks(joint, sets), **options)
+    results = indicators_from_eccentricities(sets, block_eccentricities(joint, sets), **options)
     return results, _split_projection(mds_project(joint), sets)
 
 

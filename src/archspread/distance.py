@@ -24,7 +24,14 @@ from typing import Iterable, Iterator, Sequence
 
 from ._lazy import np
 from .encoding import PAD, EncodedStep, EncodingTable, build_encoding
-from .model import ArchitectureSolution, DistanceMatrix, SolutionSet, TransformationStep
+from .model import (
+    _ROW_BLOCK,
+    ArchitectureSolution,
+    DistanceMatrix,
+    SolutionSet,
+    TransformationStep,
+    _row_blocks,
+)
 
 
 @dataclass(frozen=True)
@@ -181,36 +188,62 @@ def _column_tables(
     return out
 
 
-def _kernel(columns: Sequence[tuple[np.ndarray, np.ndarray]], rows: slice, n: int) -> np.ndarray:
-    """Pairwise sums of aligned step distances among ``rows``, in position order.
+def _kernel(
+    columns: Sequence[tuple[np.ndarray, np.ndarray]], rows: slice, blk: slice, out: np.ndarray
+) -> None:
+    """Rows ``blk`` of the pairwise sums of aligned step distances among ``rows``.
 
-    Each position gathers its table by rows, then by columns. Positions past
-    the end of both sequences add PAD/PAD = +0.0, which leaves a non-negative
-    sum unchanged.
+    ``out`` is a ``(len(blk), n)`` array. Each position gathers its table by
+    the block's rows, then by all columns, and adds that into ``out``, so
+    every entry is summed in position order from 0.0. Positions past the end
+    of both sequences add PAD/PAD = +0.0, which leaves a non-negative sum
+    unchanged.
     """
-    out = np.zeros((n, n))
+    out.fill(0.0)
     for index, table in columns:
         c = index[rows]
-        out += table.take(c, axis=0).take(c, axis=1)
+        out += table.take(c[blk], axis=0).take(c, axis=1)
+
+
+def _matrix(columns: Sequence[tuple[np.ndarray, np.ndarray]], rows: slice, n: int) -> np.ndarray:
+    out = np.empty((n, n))
+    for blk in _row_blocks(n):
+        _kernel(columns, rows, blk, out[blk])
     out.flags.writeable = False
     return out
 
 
-def _set_matrix(solution_set: SolutionSet, values: np.ndarray, l_pad: int) -> DistanceMatrix:
-    return DistanceMatrix(
-        ids=tuple(sol.id for sol in solution_set.solutions),
-        values=values,
-        l_pad=l_pad,
-    )
+def _eccentricities(
+    columns: Sequence[tuple[np.ndarray, np.ndarray]], rows: slice, n: int
+) -> np.ndarray:
+    """Row maxima of ``_matrix``, one block of rows at a time."""
+    buffer = np.empty((min(n, _ROW_BLOCK), n))
+    ecc = np.empty(n)
+    for blk in _row_blocks(n):
+        out = buffer[: blk.stop - blk.start]
+        _kernel(columns, rows, blk, out)
+        out.max(axis=1, out=ecc[blk])
+    return ecc
+
+
+def padded_length(solution_set: SolutionSet) -> int:
+    """The longest sequence in a set: its ``l_pad``, which bounds every distance in it."""
+    return max((len(sol.sequence) for sol in solution_set.solutions), default=0)
 
 
 def _set_spans(sets: Sequence[SolutionSet]) -> Iterator[tuple[SolutionSet, slice, int]]:
     """Each set with its rows among all sets' solutions in order, and its ``l_pad``."""
     start = 0
     for s in sets:
-        l_pad = max((len(sol.sequence) for sol in s.solutions), default=0)
-        yield s, slice(start, start + len(s)), l_pad
+        yield s, slice(start, start + len(s)), padded_length(s)
         start += len(s)
+
+
+def _within_sets(sets: Sequence[SolutionSet], w: DistanceWeights, reduce) -> list:
+    """``reduce(columns, rows, n)`` for each set, with one encoding and one table per position."""
+    ids, steps = _step_ids((sol for s in sets for sol in s.solutions), build_encoding(list(sets)))
+    columns = _column_tables(ids, steps, w)
+    return [reduce(columns[:l_pad], rows, len(s)) for s, rows, l_pad in _set_spans(sets)]
 
 
 def distance_matrix(solution_set: SolutionSet, w: DistanceWeights) -> DistanceMatrix:
@@ -226,18 +259,25 @@ def within_set_matrices(sets: Sequence[SolutionSet], w: DistanceWeights) -> list
 
     Only the within-set pairs are computed: the sum of squared set sizes.
     """
-    ids, steps = _step_ids((sol for s in sets for sol in s.solutions), build_encoding(list(sets)))
-    columns = _column_tables(ids, steps, w)
     return [
-        _set_matrix(s, _kernel(columns[:l_pad], rows, len(s)), l_pad)
-        for s, rows, l_pad in _set_spans(sets)
+        DistanceMatrix(tuple(sol.id for sol in s.solutions), values, padded_length(s))
+        for s, values in zip(sets, _within_sets(sets, w, _matrix))
     ]
 
 
-def within_set_blocks(joint: DistanceMatrix, sets: Sequence[SolutionSet]) -> list[DistanceMatrix]:
-    """Each set's own matrix, sliced from a matrix over all sets' solutions in order.
+def within_set_eccentricities(sets: Sequence[SolutionSet], w: DistanceWeights) -> list[np.ndarray]:
+    """Each set's eccentricities: every solution's largest distance within its set.
 
-    A pair's distance does not depend on the set it is computed in, so each
-    block equals ``distance_matrix`` of its set.
+    They are the row maxima of ``distance_matrix`` of the set, taken block by
+    block, so no set's n x n matrix is built.
     """
-    return [_set_matrix(s, joint.values[rows, rows], l_pad) for s, rows, l_pad in _set_spans(sets)]
+    return _within_sets(sets, w, _eccentricities)
+
+
+def block_eccentricities(joint: DistanceMatrix, sets: Sequence[SolutionSet]) -> list[np.ndarray]:
+    """Each set's eccentricities, from a matrix over all sets' solutions in order.
+
+    A pair's distance does not depend on the set it is computed in, so these
+    are the row maxima of each set's diagonal block.
+    """
+    return [joint.values[rows, rows].max(axis=1) for _, rows, _ in _set_spans(sets)]

@@ -6,7 +6,7 @@ import math
 from typing import Sequence
 
 from ._lazy import np
-from .distance import DistanceWeights, within_set_matrices
+from .distance import DistanceWeights, padded_length, within_set_eccentricities
 from .model import CorrelationStats, DistanceMatrix, IndicatorResult, SolutionSet
 
 
@@ -46,19 +46,25 @@ def max_architectural_spread(
     ``max_d`` is ``dm.l_pad`` unless ``max_d_override`` is given.
     """
     max_d = float(dm.l_pad if max_d_override is None else max_d_override)
+    return mas_from_eccentricities(dm.values.max(axis=1, initial=0.0), max_d, all_pairs)
+
+
+def mas_from_eccentricities(ecc: np.ndarray, max_d: float, all_pairs: bool = False) -> float:
+    """MAS of a set from its solutions' eccentricities and the scale ``max_d``.
+
+    MAS depends on the distances only through the eccentricities; see
+    ``max_architectural_spread``.
+    """
     if max_d < 0:
         raise ValueError("max_d must be non-negative")
-    n = len(dm)
+    n = len(ecc)
     if n <= 1:
         return 0.0
     if max_d == 0.0:
         # Degenerate scale: all sequences empty, no spread is expressible.
         return 0.0
-    values = dm.values
     if all_pairs:
-        ecc = np.full(n, values.max())
-    else:
-        ecc = values.max(axis=1)
+        ecc = np.full(n, ecc.max())
     # fsum is exact, so the result cannot depend on solution order.
     return math.sqrt(math.fsum(float(e) * float(e) for e in ecc) / (n * max_d**2))
 
@@ -73,36 +79,38 @@ def indicators_for(
 
     By default MAS is normalized by a shared max_d (the largest padded length
     over all sets) so values are comparable across sets; ``shared_max_d=False``
-    normalizes each set by its own longest sequence.
+    normalizes each set by its own longest sequence. Each set's eccentricities
+    are computed block by block; no set's distance matrix is built.
     """
-    return indicators_from_matrices(
-        sets, within_set_matrices(sets, w), shared_max_d=shared_max_d, all_pairs=all_pairs
+    return indicators_from_eccentricities(
+        sets, within_set_eccentricities(sets, w), shared_max_d=shared_max_d, all_pairs=all_pairs
     )
 
 
-def indicators_from_matrices(
+def indicators_from_eccentricities(
     sets: Sequence[SolutionSet],
-    matrices: Sequence[DistanceMatrix],
+    eccentricities: Sequence[np.ndarray],
     shared_max_d: bool = True,
     all_pairs: bool = False,
 ) -> list[IndicatorResult]:
-    """``indicators_for`` over already computed per-set distance matrices."""
-    shared = float(max((dm.l_pad for dm in matrices), default=0))
+    """``indicators_for`` from each set's already computed eccentricities."""
+    l_pads = [padded_length(s) for s in sets]
+    shared = float(max(l_pads, default=0))
     results = []
-    for s, dm in zip(sets, matrices):
-        max_d = shared if shared_max_d else float(dm.l_pad)
+    for s, ecc, l_pad in zip(sets, eccentricities, l_pads):
+        max_d = shared if shared_max_d else float(l_pad)
         diagnostics: tuple[str, ...] = ()
-        if max_d == 0.0 and len(dm) > 1:
+        if max_d == 0.0 and len(s) > 1:
             diagnostics = ("degenerate scale: max_d is 0 (all sequences empty)",)
         results.append(
             IndicatorResult(
                 set_label=s.label,
                 ms=max_spread(s),
-                mas=max_architectural_spread(dm, max_d_override=max_d, all_pairs=all_pairs),
+                mas=mas_from_eccentricities(ecc, max_d, all_pairs),
                 n=len(s),
                 max_d=max_d,
                 o=len(s.objective_names),
-                l_pad=dm.l_pad,
+                l_pad=l_pad,
                 diagnostics=diagnostics,
             )
         )
@@ -133,6 +141,10 @@ def spread_correlation(results: list[IndicatorResult]) -> CorrelationStats:
     )
 
 
+# Brings the sum of fewer than 2**64 finite floats below the largest float.
+_SHRINK = 2.0**-64
+
+
 def _pearson(x: np.ndarray, y: np.ndarray) -> float:
     """Pearson's r of two non-constant columns.
 
@@ -140,8 +152,13 @@ def _pearson(x: np.ndarray, y: np.ndarray) -> float:
     norm (no premature overflow), then clips the dot product of the unit
     columns to [-1, 1]. These are the reference library's floating-point steps
     in this order; the tests check the result against it bit for bit.
+
+    A column whose mean overflows (its sum passes the largest float) is first
+    scaled by an exact power of two. Each step commutes with that scaling and
+    r is scale-invariant, so r is that of the scaled column.
     """
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        x, y = (c if math.isfinite(c.mean()) else c * _SHRINK for c in (x, y))
         xm = x - x.mean()
         ym = y - y.mean()
         xmax = np.abs(xm).max()

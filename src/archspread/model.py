@@ -7,6 +7,15 @@ from dataclasses import dataclass, field
 
 from ._lazy import np
 
+# Rows per block wherever the numeric layers sweep an n x n matrix: a
+# temporary then holds _ROW_BLOCK x n entries, not n x n.
+_ROW_BLOCK = 64
+
+
+def _row_blocks(n: int):
+    """Consecutive slices of at most ``_ROW_BLOCK`` rows that cover ``range(n)``."""
+    return (slice(start, min(start + _ROW_BLOCK, n)) for start in range(0, n, _ROW_BLOCK))
+
 
 @dataclass(frozen=True)
 class TransformationStep:
@@ -119,13 +128,13 @@ class DistanceMatrix:
         object.__setattr__(self, "values", values)
         if values.shape != (n, n):
             raise ValueError("distance matrix shape does not match ids")
+        if _is_valid(values, self.l_pad):
+            return
         # Report the first violation in row-major order over the upper
         # triangle, diagonal included; NaN fails every check.
         in_range = (values >= 0.0) & (values <= self.l_pad + 1e-9)
         bad = np.triu((values != values.T) | ~in_range, 1)
         np.fill_diagonal(bad, np.diagonal(values) != 0.0)
-        if not bad.any():
-            return
         i, j = (int(k) for k in np.argwhere(bad)[0])
         if i == j:
             raise ValueError(f"nonzero diagonal at {self.ids[i]!r}")
@@ -135,6 +144,22 @@ class DistanceMatrix:
 
     def __len__(self) -> int:
         return len(self.ids)
+
+
+def _is_valid(values: np.ndarray, l_pad: int) -> bool:
+    """Whether a square matrix passes every ``DistanceMatrix`` check, by reductions.
+
+    NaN makes the minimum NaN, which fails the range test. Symmetry is
+    compared one block of rows against the same block of columns at a time.
+    """
+    if values.size == 0:
+        return True
+    if not (values.min() >= 0.0 and values.max() <= l_pad + 1e-9):
+        return False
+    if np.diagonal(values).any():
+        return False
+    blocks = _row_blocks(len(values))
+    return all(np.array_equal(values[rows], values[:, rows].T) for rows in blocks)
 
 
 @dataclass(frozen=True)

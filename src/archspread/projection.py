@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from ._lazy import np
-
-from .model import DistanceMatrix
+from .model import DistanceMatrix, _row_blocks
 
 
 @dataclass(frozen=True)
@@ -86,16 +86,20 @@ def mds_project(dm: DistanceMatrix) -> Projection2D:
     Lanczos, or from ``eigh`` where Lanczos does not pin them down.
     Negative eigenvalues are clamped to zero (their axes contribute nothing).
     Axis signs are fixed by making the first nonzero coordinate of each axis
-    positive, so output is fully deterministic.
+    positive, so output is fully deterministic. Beside ``dm.values`` it holds
+    one n x n array, ``b`` (and the eigenvectors while ``eigh`` runs), then
+    blocks of rows for the stress.
     """
     n = len(dm)
     d = dm.values
     if n == 1:
         return Projection2D(dm.ids, ((0.0, 0.0),), 0.0, 1.0)
 
-    d2 = d**2
-    mean = d2.mean(axis=1)  # d is symmetric, so these are also the column means
-    b = d2 - mean[:, None]
+    # One n x n buffer: d*d, whose sum is the stress denominator, then b in place.
+    b = d * d
+    denom = float(np.sum(b))
+    mean = b.mean(axis=1)  # d is symmetric, so these are also the column means
+    b -= mean[:, None]
     b -= mean[None, :]
     b += mean.mean()
     b *= -0.5
@@ -103,7 +107,9 @@ def mds_project(dm: DistanceMatrix) -> Projection2D:
     top_vectors = _top_two_lanczos(b, evals)
     if top_vectors is None:
         evals, evecs = np.linalg.eigh(b)
-        top_vectors = evecs[:, :-3:-1]
+        top_vectors = evecs[:, :-3:-1].copy()
+        del evecs
+    del b
 
     diagnostics: list[str] = []
     top = np.clip(evals[:-3:-1], 0.0, None)
@@ -121,19 +127,7 @@ def mds_project(dm: DistanceMatrix) -> Projection2D:
     positive_mass = float(np.sum(evals[evals > 0]))
     share = float(np.sum(top) / positive_mass) if positive_mass > 0 else 1.0
     share = min(share, 1.0)
-
-    # Direct 2D distances, built in place: sqrt(dx*dx + dy*dy).
-    x, y = coords[:, 0], coords[:, 1]
-    embedded = x[:, None] - x
-    embedded *= embedded
-    dy = y[:, None] - y
-    dy *= dy
-    embedded += dy
-    np.sqrt(embedded, out=embedded)
-    embedded -= d
-    embedded *= embedded
-    denom = float(np.sum(d2))
-    stress = float(np.sqrt(np.sum(embedded) / denom)) if denom > 0 else 0.0
+    stress = float(np.sqrt(_squared_residual(coords, d) / denom)) if denom > 0 else 0.0
 
     return Projection2D(
         ids=dm.ids,
@@ -142,3 +136,23 @@ def mds_project(dm: DistanceMatrix) -> Projection2D:
         eigenvalue_share=share,
         diagnostics=tuple(diagnostics),
     )
+
+
+def _squared_residual(coords: np.ndarray, d: np.ndarray) -> float:
+    """Sum over all pairs of (2D distance - d)², one block of rows at a time.
+
+    The 2D distances are direct, sqrt(dx*dx + dy*dy), built in place.
+    """
+    x, y = coords[:, 0], coords[:, 1]
+    total = []
+    for rows in _row_blocks(len(d)):
+        embedded = x[rows, None] - x
+        embedded *= embedded
+        dy = y[rows, None] - y
+        dy *= dy
+        embedded += dy
+        np.sqrt(embedded, out=embedded)
+        embedded -= d[rows]
+        embedded *= embedded
+        total.append(np.sum(embedded))
+    return math.fsum(total)

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -171,7 +172,11 @@ def test_validate_resolves_long_chain(tmp_path, capsys):
     }
     path = tmp_path / "chain.json"
     path.write_text(json.dumps(doc))
+    # Linear work is ~15 us per step; 0.5 ms per step leaves room for a slow
+    # host but not for work that grows with the square of the chain.
+    start = time.perf_counter()
     assert main(["validate", str(path)]) == 0
+    assert time.perf_counter() - start < length * 0.5e-3
     assert "ok: chain" in capsys.readouterr().out
     sequence = parse_bundle(path.read_text()).sets[0].solutions[0].sequence
     assert len(sequence) == length
@@ -476,6 +481,31 @@ def test_repeated_warnings_print_once_per_path_pattern(tmp_path, capsys):
         "warning: ignored unknown field $.sets[0].solutions[7].other\n"
     )
     assert len(parse_bundle(path.read_text()).warnings) == 3002
+
+
+@pytest.mark.parametrize("shape", ["one object", "every solution"])
+def test_ten_thousand_unknown_fields_validate_in_time(tmp_path, capsys, shape):
+    fields = 10_000
+    if shape == "one object":
+        solutions = [{"id": "a", "objectives": [0.0], "sequence": []}]
+        solutions[0].update((f"x{i}", i) for i in range(fields))
+    else:
+        solutions = [
+            {"id": f"s{i}", "objectives": [0.0], "sequence": [], "stray": i} for i in range(fields)
+        ]
+    doc = {
+        "name": "noisy",
+        "sets": [{"label": "s", "objective_names": ["f0"], "solutions": solutions}],
+    }
+    path = tmp_path / "noisy.json"
+    path.write_text(json.dumps(doc))
+    # Linear work is under 10 us per field; a pass over all warnings for
+    # each warning would take seconds.
+    start = time.perf_counter()
+    assert main(["validate", str(path)]) == 0
+    assert time.perf_counter() - start < fields * 0.2e-3
+    err = capsys.readouterr().err
+    assert err.count("\n") == (fields if shape == "one object" else 1)
 
 
 def test_validate_and_synth_load_no_numpy(bundle_path, tmp_path):

@@ -11,10 +11,11 @@ import archspread.distance as distance
 from archspread.cli import main
 from archspread.distance import (
     DistanceWeights,
+    block_eccentricities,
     distance_matrix,
     sequence_distance,
     step_distance,
-    within_set_blocks,
+    within_set_eccentricities,
     within_set_matrices,
 )
 from archspread.encoding import PAD, EncodedStep, EncodingTable, build_encoding
@@ -304,16 +305,22 @@ def test_distance_matrix_entries_equal_sequence_distance_exactly(w_pred):
                 assert dm.values[i, j] == sequence_distance(a, b, w)
 
 
-def test_within_set_blocks_equal_each_sets_own_matrix():
+def test_eccentricities_equal_row_maxima_of_each_sets_own_matrix():
     rng = random.Random(77)
     sets = [random_set(rng, n=rng.randint(1, 9), max_len=rng.randint(0, 6)) for _ in range(4)]
     everything = make_set(solutions=tuple(sol for s in sets for sol in s.solutions))
     joint = distance_matrix(everything, W)
-    for s, block, shared in zip(sets, within_set_blocks(joint, sets), within_set_matrices(sets, W)):
+    for s, sliced, blocked, shared in zip(
+        sets,
+        block_eccentricities(joint, sets),
+        within_set_eccentricities(sets, W),
+        within_set_matrices(sets, W),
+    ):
         own = distance_matrix(s, W)
-        for dm in (block, shared):
-            assert np.array_equal(dm.values, own.values)
-            assert (dm.ids, dm.l_pad) == (own.ids, own.l_pad)
+        assert np.array_equal(shared.values, own.values)
+        assert (shared.ids, shared.l_pad) == (own.ids, own.l_pad)
+        for ecc in (sliced, blocked):
+            assert np.array_equal(ecc, own.values.max(axis=1))
 
 
 def test_distance_matrix_values_are_read_only():

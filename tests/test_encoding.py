@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -181,7 +183,11 @@ def test_trap_dag_resolves_without_enumerating_layer_paths():
     steps = [make_step(f"chain{i}", (f"e{i}",)) for i in range(depth)]
     edges += [(a, b, step) for a, b, step in zip(chain, chain[1:], steps)]
     tree = SearchTree(nodes=nodes, root_id="r", edges=tuple(edges))
+    # A search that visits each edge a bounded number of times is ~10 us per
+    # edge; width**depth = 2.2e9 paths are not.
+    start = time.perf_counter()
     assert extract_sequence(tree, "zt") == tuple(steps)
+    assert time.perf_counter() - start < len(edges) * 1e-3
 
 
 def _oracle_sequence(nodes, root, edges, target):

@@ -2,8 +2,10 @@ import math
 import random
 import warnings
 
+import numpy as np
 import pytest
 
+import archspread.indicators as indicators
 from archspread.distance import DistanceWeights
 from archspread.indicators import (
     indicators_for,
@@ -85,7 +87,21 @@ def test_correlation_of_huge_ms_values_writes_no_warning(scale):
         warnings.simplefilter("error")
         stats = spread_correlation(results)
     assert stats.spearman == 1.0
-    assert stats.pearson is None or 0.9 < stats.pearson <= 1.0
+    assert 0.9 < stats.pearson <= 1.0
+
+
+def test_pearson_of_an_ms_column_whose_sum_overflows():
+    # Each MS is a valid float, but the column's sum is not, so its mean is not.
+    ms = np.array([5e307, 1.5e308, 1e308])
+    mas = np.array([0.2, 0.9, 0.4])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        r = indicators._pearson(ms, mas)
+        stats = spread_correlation([result(f"s{i}", *p) for i, p in enumerate(zip(ms, mas))])
+    assert math.isfinite(r)
+    assert r == indicators._pearson(ms * 2.0**-64, mas)
+    assert r == indicators._pearson(ms * 2.0**-500, mas)
+    assert stats.pearson == r
 
 
 def test_mas_singleton_is_zero():
