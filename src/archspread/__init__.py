@@ -2,17 +2,15 @@
 
 Scores solution sets from multi-objective architecture optimization runs:
 the objective-space maximum spread (MS) and an architectural-space maximum
-spread (MAS) built on edit distances between encoded refactoring sequences,
-plus MDS projections and comparison reports.
+spread (MAS) built on position-wise edit distances between the refactoring
+sequences that produced the alternatives, plus MDS projections and
+comparison reports.
 """
 
 from .distance import DistanceWeights, distance_matrix, sequence_distance, step_distance
 from .encoding import (
-    EncodedStep,
     EncodingTable,
-    PAD,
     UnknownNodeError,
-    UnknownTokenError,
     UnreachableNodeError,
     build_encoding,
     extract_sequence,
@@ -52,16 +50,13 @@ __all__ = [
     "CorrelationStats",
     "DistanceMatrix",
     "DistanceWeights",
-    "EncodedStep",
     "EncodingTable",
     "IndicatorResult",
-    "PAD",
     "Projection2D",
     "SearchTree",
     "SolutionSet",
     "TransformationStep",
     "UnknownNodeError",
-    "UnknownTokenError",
     "UnreachableNodeError",
     "build_encoding",
     "distance_matrix",

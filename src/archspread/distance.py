@@ -1,29 +1,29 @@
-"""Architectural distance between encoded refactoring sequences.
+"""Architectural distance between refactoring sequences.
 
 Each aligned position contributes at most 1: a 0/1 name mismatch weighted by
-``w_pred`` plus a length-normalized Levenshtein over the argument symbols
+``w_pred`` plus a length-normalized Levenshtein over the argument tokens
 weighted by ``w_args``. Sequences of different lengths are tail-padded with a
-sentinel step that is at distance 1 from every real step.
+padding step (``None``) that is at distance 1 from every real step.
 
 Matrices are computed by a per-position kernel: every distinct step gets an
-integer id (``PAD`` is 0) and each solution becomes a row of ids. Each
+integer id (padding is 0) and each solution becomes a row of ids. Each
 position has a small table of step distances over the steps that occur there,
 and the matrix is the position-by-position sum of gathers from those tables,
 so memory grows with the sum of their squared sizes, not with the square of
 all distinct steps. The tables apply the same floating-point operations as
 ``step_distance`` and the sum runs in position order from 0.0, so every entry
-equals ``sequence_distance`` of its pair exactly. Each call encodes the
-solutions it measures; the encoding is injective, so the distances do not
-depend on it.
+equals ``sequence_distance`` of its pair exactly. The tables compare only
+step names and argument tokens for equality, so they number those
+themselves.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import zip_longest
 from typing import Iterable, Iterator, Sequence
 
 from ._lazy import np
-from .encoding import PAD, EncodedStep, EncodingTable, build_encoding
 from .model import (
     _ROW_BLOCK,
     ArchitectureSolution,
@@ -48,7 +48,7 @@ class DistanceWeights:
             raise ValueError("weights must sum to 1")
 
 
-def _levenshtein(a: tuple[int, ...], b: tuple[int, ...]) -> int:
+def _levenshtein(a: tuple[str, ...], b: tuple[str, ...]) -> int:
     if not a:
         return len(b)
     if not b:
@@ -62,66 +62,52 @@ def _levenshtein(a: tuple[int, ...], b: tuple[int, ...]) -> int:
     return prev[-1]
 
 
-def _simargs(a: tuple[int, ...], b: tuple[int, ...]) -> float:
+def _simargs(a: tuple[str, ...], b: tuple[str, ...]) -> float:
     longer = max(len(a), len(b))
     if longer == 0:
         return 0.0
     return _levenshtein(a, b) / longer
 
 
-def step_distance(a: EncodedStep, b: EncodedStep, w: DistanceWeights) -> float:
-    """Distance between two aligned steps, in [0, 1]."""
-    a_pad = a == PAD
-    b_pad = b == PAD
-    if a_pad and b_pad:
-        return 0.0
-    if a_pad or b_pad:
-        return 1.0
+def step_distance(
+    a: TransformationStep | None, b: TransformationStep | None, w: DistanceWeights
+) -> float:
+    """Distance between two aligned steps, in [0, 1]; ``None`` is the padding step."""
+    if a is None or b is None:
+        return 0.0 if a is b else 1.0
     simpred = 0.0 if a.name == b.name else 1.0
     return simpred * w.w_pred + _simargs(a.args, b.args) * w.w_args
 
 
 def sequence_distance(
-    a: tuple[EncodedStep, ...], b: tuple[EncodedStep, ...], w: DistanceWeights
+    a: Sequence[TransformationStep], b: Sequence[TransformationStep], w: DistanceWeights
 ) -> float:
     """Sum of per-position step distances after tail-padding to equal length.
 
     Result lies in [0, max(|a|, |b|)]; two empty sequences are at distance 0.
     """
-    length = max(len(a), len(b))
     total = 0.0
-    for k in range(length):
-        sa = a[k] if k < len(a) else PAD
-        sb = b[k] if k < len(b) else PAD
+    for sa, sb in zip_longest(a, b):
         total += step_distance(sa, sb, w)
     return total
 
 
 def _step_ids(
-    solutions: Iterable[ArchitectureSolution], table: EncodingTable
-) -> tuple[np.ndarray, list[EncodedStep]]:
-    """Encode solutions as an ``(n, L_pad)`` array of step ids, tail-padded with 0.
+    solutions: Iterable[ArchitectureSolution],
+) -> tuple[np.ndarray, list[TransformationStep]]:
+    """Solutions as an ``(n, L_pad)`` array of step ids, tail-padded with 0.
 
-    Also returns the distinct steps; step ``i`` of that list has id ``i + 1``.
-    Each distinct step is encoded once, at its first occurrence; ``table`` is
-    injective, so equal steps and equal encodings get the same ids.
+    Also returns the distinct steps in first-seen order; step ``i`` of that
+    list has id ``i + 1``. Equal steps get the same id.
     """
     step_id: dict[TransformationStep, int] = {}
-    steps: list[EncodedStep] = []
-    rows = []
-    for sol in solutions:
-        row = []
-        for step in sol.sequence:
-            i = step_id.get(step)
-            if i is None:
-                steps.append(table.encode_step(step))
-                i = step_id[step] = len(steps)
-            row.append(i)
-        rows.append(row)
+    rows = [
+        [step_id.setdefault(step, len(step_id) + 1) for step in sol.sequence] for sol in solutions
+    ]
     ids = np.zeros((len(rows), max(map(len, rows), default=0)), dtype=np.intp)
     for i, row in enumerate(rows):
         ids[i, : len(row)] = row
-    return ids, steps
+    return ids, list(step_id)
 
 
 def _simargs_table(args: Sequence[tuple[int, ...]]) -> np.ndarray:
@@ -157,19 +143,22 @@ def _simargs_table(args: Sequence[tuple[int, ...]]) -> np.ndarray:
 
 
 def _column_tables(
-    ids: np.ndarray, steps: Sequence[EncodedStep], w: DistanceWeights
+    ids: np.ndarray, steps: Sequence[TransformationStep], w: DistanceWeights
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Per position: each row's index into a table, and that table of step distances.
 
     A position's table covers only the distinct steps at that position, with
-    ``PAD`` first when present; every position holds at least one real step.
-    Each entry applies the operations of ``step_distance``, so it is
-    bit-identical to it.
+    padding first when present; every position holds at least one real step.
+    Names, argument tuples and argument tokens are numbered in first-seen
+    order, so equal ints mean equal strings. Each entry applies the
+    operations of ``step_distance``, so it is bit-identical to it.
     """
-    names = np.array([PAD.name] + [s.name for s in steps], dtype=np.int64)
-    arg_id: dict[tuple[int, ...], int] = {}
+    name_id: dict[str, int] = {}
+    arg_id: dict[tuple[str, ...], int] = {}
+    token_id: dict[str, int] = {}
+    names = np.array([-1] + [name_id.setdefault(s.name, len(name_id)) for s in steps])
     step_args = np.array([-1] + [arg_id.setdefault(s.args, len(arg_id)) for s in steps])
-    arg_tuples = list(arg_id)
+    arg_tuples = [tuple(token_id.setdefault(t, len(token_id)) for t in args) for args in arg_id]
     out = []
     for column in ids.T:
         present, index = np.unique(column, return_inverse=True)
@@ -196,7 +185,7 @@ def _kernel(
     ``out`` is a ``(len(blk), n)`` array. Each position gathers its table by
     the block's rows, then by all columns, and adds that into ``out``, so
     every entry is summed in position order from 0.0. Positions past the end
-    of both sequences add PAD/PAD = +0.0, which leaves a non-negative sum
+    of both sequences add padding/padding = +0.0, which leaves a non-negative sum
     unchanged.
     """
     out.fill(0.0)
@@ -240,8 +229,8 @@ def _set_spans(sets: Sequence[SolutionSet]) -> Iterator[tuple[SolutionSet, slice
 
 
 def _within_sets(sets: Sequence[SolutionSet], w: DistanceWeights, reduce) -> list:
-    """``reduce(columns, rows, n)`` for each set, with one encoding and one table per position."""
-    ids, steps = _step_ids((sol for s in sets for sol in s.solutions), build_encoding(list(sets)))
+    """``reduce(columns, rows, n)`` for each set, with one table per position for all sets."""
+    ids, steps = _step_ids(sol for s in sets for sol in s.solutions)
     columns = _column_tables(ids, steps, w)
     return [reduce(columns[:l_pad], rows, len(s)) for s, rows, l_pad in _set_spans(sets)]
 
@@ -251,18 +240,9 @@ def distance_matrix(solution_set: SolutionSet, w: DistanceWeights) -> DistanceMa
 
     ``l_pad`` is the longest sequence in the set and the default MAS scale.
     """
-    return within_set_matrices([solution_set], w)[0]
-
-
-def within_set_matrices(sets: Sequence[SolutionSet], w: DistanceWeights) -> list[DistanceMatrix]:
-    """``distance_matrix`` of every set, computed from one encoding and one table per position.
-
-    Only the within-set pairs are computed: the sum of squared set sizes.
-    """
-    return [
-        DistanceMatrix(tuple(sol.id for sol in s.solutions), values, padded_length(s))
-        for s, values in zip(sets, _within_sets(sets, w, _matrix))
-    ]
+    (values,) = _within_sets([solution_set], w, _matrix)
+    ids = tuple(sol.id for sol in solution_set.solutions)
+    return DistanceMatrix(ids, values, padded_length(solution_set))
 
 
 def within_set_eccentricities(sets: Sequence[SolutionSet], w: DistanceWeights) -> list[np.ndarray]:

@@ -1,4 +1,10 @@
-"""Label encoding of transformation vocabularies and path extraction from search trees."""
+"""Path extraction from search trees, and the token table of the MAS oracle.
+
+``PathResolver`` and ``extract_sequence`` turn node references into
+refactoring sequences. ``EncodingTable`` and ``build_encoding`` number step
+names and argument tokens for ``synth.oracle_mas`` and
+``perfbench/inputs.py``; the distance layer does not use them.
+"""
 
 from __future__ import annotations
 
@@ -6,10 +12,6 @@ from collections import deque
 from dataclasses import dataclass
 
 from .model import SearchTree, SolutionSet, TransformationStep
-
-
-class UnknownTokenError(KeyError):
-    """A step token has no symbol in the encoding table."""
 
 
 class UnknownNodeError(KeyError):
@@ -21,48 +23,24 @@ class UnreachableNodeError(ValueError):
 
 
 @dataclass(frozen=True)
-class EncodedStep:
-    """A transformation step mapped into symbol space.
-
-    ``name`` and ``args`` live in separate symbol spaces; equality of an int
-    across the two spaces carries no meaning.
-    """
-
-    name: int
-    args: tuple[int, ...]
-
-
-# Sentinel used to align sequences of different lengths; at distance 1 from
-# every real step and 0 from itself.
-PAD = EncodedStep(name=-1, args=())
-
-
-@dataclass(frozen=True)
 class EncodingTable:
-    """Injective token -> dense symbol maps, one per space (names, args)."""
+    """Injective token -> dense symbol maps, one per space (names, args).
+
+    Only ``synth.oracle_mas`` and ``perfbench/inputs.py`` use it, so the
+    oracle shares no code with the distance layer, which compares the parsed
+    steps themselves.
+    """
 
     name_symbols: dict[str, int]
     arg_symbols: dict[str, int]
-
-    def encode_step(self, step: TransformationStep) -> EncodedStep:
-        try:
-            name = self.name_symbols[step.name]
-        except KeyError:
-            raise UnknownTokenError(step.name) from None
-        args = []
-        for a in step.args:
-            try:
-                args.append(self.arg_symbols[a])
-            except KeyError:
-                raise UnknownTokenError(a) from None
-        return EncodedStep(name, tuple(args))
 
 
 def build_encoding(sets: list[SolutionSet]) -> EncodingTable:
     """Assign dense symbols in first-occurrence order over the given sets.
 
     Names and arguments get separate symbol spaces, so the same token used as
-    a name and as an argument receives one symbol in each.
+    a name and as an argument receives one symbol in each. It builds the
+    table for ``synth.oracle_mas``; no command calls it.
     """
     if not sets:
         raise ValueError("at least one solution set is required")

@@ -6,6 +6,7 @@ import csv
 import io as _stdio
 import json
 import math
+import random
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -477,10 +478,15 @@ def _xml_escape(text: str) -> str:
 
 
 def _min_enclosing_circle(points: list[tuple[float, float]]) -> tuple[float, float, float]:
-    """Welzl's algorithm (deterministic order; fine at plot scale)."""
+    """Welzl's algorithm over the points in a seeded random order.
+
+    In input order it can take cubic time, e.g. on points that spiral
+    outwards; a random order makes the expected time linear.
+    """
     pts = list(dict.fromkeys(points))
     if not pts:
         return 0.0, 0.0, 0.0
+    random.Random(0).shuffle(pts)
     circle: tuple[float, float, float] | None = None
     for i, p in enumerate(pts):
         if circle is None or not _in_circle(circle, p):

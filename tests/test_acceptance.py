@@ -17,9 +17,9 @@ from archspread.distance import (
     sequence_distance,
     step_distance,
 )
-from archspread.encoding import EncodedStep, build_encoding
+from archspread.encoding import build_encoding
 from archspread.indicators import max_architectural_spread, max_spread
-from archspread.model import DistanceMatrix
+from archspread.model import DistanceMatrix, TransformationStep
 from archspread.projection import mds_project
 from archspread.synth import generate_sets, generate_tree, oracle_mas
 
@@ -102,9 +102,9 @@ def test_criterion_4_distance_metric_axioms():
     # Exhaustive: sequences of length <= 3 over 2 names and 0..1 args from a
     # 2-symbol arg vocabulary.
     steps = [
-        EncodedStep(name, args)
-        for name in range(2)
-        for args in [(), (0,), (1,)]
+        TransformationStep(name, args)
+        for name in ("op0", "op1")
+        for args in [(), ("e0",), ("e1",)]
     ]
     seqs = [()]
     for length in range(1, 4):
@@ -136,10 +136,10 @@ def test_criterion_4_distance_metric_axioms():
 
 def test_criterion_5_step_distance_endpoints_on_weight_grid():
     ok = True
-    identical_a = EncodedStep(0, (0, 1))
-    identical_b = EncodedStep(0, (0, 1))
-    different_a = EncodedStep(0, (0, 1))
-    different_b = EncodedStep(1, (2, 3))
+    identical_a = TransformationStep("op0", ("e0", "e1"))
+    identical_b = TransformationStep("op0", ("e0", "e1"))
+    different_a = TransformationStep("op0", ("e0", "e1"))
+    different_b = TransformationStep("op1", ("e2", "e3"))
     for i in range(11):
         w = DistanceWeights(w_pred=i / 10, w_args=1 - i / 10)
         ok = ok and step_distance(identical_a, identical_b, w) == 0.0

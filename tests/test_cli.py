@@ -49,6 +49,30 @@ def test_synth_output_matches_golden_digest(tmp_path):
     assert digest == "ea3f51dc8a4852a956d4bb62e3fa3ee3ac12ffafac774e168e684eefc17a0bd9"
 
 
+@pytest.mark.parametrize(
+    "flags, digest",
+    [
+        (["--w-pred", "0"], "a09aca4b62356272c77f37f51e3578c765679741520b9b8b8d00e24decc901f1"),
+        (["--w-pred", "0.5"], "a923cd7a19999e349ec765907c32762131c12a5e3785a9df4f4a0a3b9591f244"),
+        (["--w-pred", "1"], "816fcbf4d5957db87a7a3c3002db91c65d71f112c6ed134bef1041ec08279077"),
+        (
+            ["--per-set-maxd", "--mas-allpairs"],
+            "723a8b0739f2b799db290b57da5750e7de43ab8ba4f3214b207f2aa180f3d1c9",
+        ),
+    ],
+)
+def test_indicators_summary_matches_golden_digest(tmp_path, flags, digest):
+    # MS and MAS use no LAPACK and no BLAS dot, so the summary's bytes do not
+    # depend on the host's numerical libraries.
+    path = tmp_path / "golden.json"
+    synth = ["synth", "--sets", "3", "--n", "12", "--seed", "99", "--dispersion", "0.4"]
+    assert main(synth + ["-o", str(path)]) == 0
+    out = tmp_path / "report.csv"
+    assert main(["indicators", str(path), "--format", "csv", "-o", str(out)] + flags) == 0
+    summary = (tmp_path / "report_summary.csv").read_bytes()
+    assert hashlib.sha256(summary).hexdigest() == digest
+
+
 def test_validate_accepts_synth_output(bundle_path, capsys):
     assert main(["validate", str(bundle_path)]) == 0
     assert "ok:" in capsys.readouterr().out

@@ -16,16 +16,16 @@ from archspread.distance import (
     sequence_distance,
     step_distance,
     within_set_eccentricities,
-    within_set_matrices,
 )
-from archspread.encoding import PAD, EncodedStep, EncodingTable, build_encoding
 from archspread.io import AnalysisBundle, write_bundle
+from archspread.model import TransformationStep
 
 from conftest import make_set, make_solution, make_step, random_set
 
 
 def enc(name, *args):
-    return EncodedStep(name, tuple(args))
+    """A step over small int vocabularies, spelled as the parser would hold it."""
+    return TransformationStep(f"op{name}", tuple(f"e{a}" for a in args))
 
 
 W = DistanceWeights(0.5, 0.5)
@@ -73,9 +73,9 @@ def test_shared_prefix_args_derived_value():
 
 
 def test_pad_rules():
-    assert step_distance(PAD, PAD, W) == 0.0
-    assert step_distance(PAD, enc(0), W) == 1.0
-    assert step_distance(enc(0, 1), PAD, W) == 1.0
+    assert step_distance(None, None, W) == 0.0
+    assert step_distance(None, enc(0), W) == 1.0
+    assert step_distance(enc(0, 1), None, W) == 1.0
 
 
 def test_empty_arg_lists_are_identical():
@@ -107,7 +107,7 @@ def test_sequence_distance_padding():
 
 
 def _enumerate_sequences(max_len=3, names=2, args_vocab=2):
-    """All encoded sequences of length <= max_len over a tiny vocabulary.
+    """All step sequences of length <= max_len over a tiny vocabulary.
 
     Each step: one of `names` names and 0..2 args over `args_vocab` symbols.
     """
@@ -133,8 +133,8 @@ def test_symmetry_and_identity_exhaustive_small():
         assert d_ab == sequence_distance(b, a, W)
         length = max(len(a), len(b))
         assert 0.0 <= d_ab <= length + 1e-12
-        padded_a = a + (PAD,) * (length - len(a))
-        padded_b = b + (PAD,) * (length - len(b))
+        padded_a = a + (None,) * (length - len(a))
+        padded_b = b + (None,) * (length - len(b))
         assert (d_ab == 0.0) == (padded_a == padded_b)
 
 
@@ -166,12 +166,12 @@ def test_property_bounds(a, b):
 def test_property_name_channel_only_is_hamming(a, b):
     w = DistanceWeights(1.0, 0.0)
     length = max(len(a), len(b))
-    pa = a + (PAD,) * (length - len(a))
-    pb = b + (PAD,) * (length - len(b))
+    pa = a + (None,) * (length - len(a))
+    pb = b + (None,) * (length - len(b))
     hamming = sum(
         1.0
         for x, y in zip(pa, pb)
-        if (x == PAD) != (y == PAD) or (x != PAD and y != PAD and x.name != y.name)
+        if (x is None) != (y is None) or (x is not None and y is not None and x.name != y.name)
     )
     assert sequence_distance(a, b, w) == pytest.approx(hamming)
 
@@ -180,13 +180,13 @@ def test_property_name_channel_only_is_hamming(a, b):
 def test_property_arg_channel_only_is_sum_of_normalized_levenshtein(a, b):
     w = DistanceWeights(0.0, 1.0)
     length = max(len(a), len(b))
-    pa = a + (PAD,) * (length - len(a))
-    pb = b + (PAD,) * (length - len(b))
+    pa = a + (None,) * (length - len(a))
+    pb = b + (None,) * (length - len(b))
     total = 0.0
     for x, y in zip(pa, pb):
-        if x == PAD and y == PAD:
+        if x is None and y is None:
             continue
-        if x == PAD or y == PAD:
+        if x is None or y is None:
             total += 1.0
             continue
         longer = max(len(x.args), len(y.args))
@@ -222,18 +222,17 @@ def test_distance_matrix_duplicate_sequences():
 def test_distance_matrix_against_positionwise_oracle(rng):
     for trial in range(20):
         s = random_set(rng, n=6)
-        table = build_encoding([s])
         dm = distance_matrix(s, W)
         assert dm.l_pad == max(len(sol.sequence) for sol in s.solutions)
 
-        encoded = [tuple(map(table.encode_step, sol.sequence)) for sol in s.solutions]
-        for i in range(len(encoded)):
-            for j in range(len(encoded)):
-                length = max(len(encoded[i]), len(encoded[j]))
+        seqs = [sol.sequence for sol in s.solutions]
+        for i in range(len(seqs)):
+            for j in range(len(seqs)):
+                length = max(len(seqs[i]), len(seqs[j]))
                 expected = 0.0
                 for k in range(length):
-                    x = encoded[i][k] if k < len(encoded[i]) else None
-                    y = encoded[j][k] if k < len(encoded[j]) else None
+                    x = seqs[i][k] if k < len(seqs[i]) else None
+                    y = seqs[j][k] if k < len(seqs[j]) else None
                     if x is None and y is None:
                         continue
                     if x is None or y is None:
@@ -246,49 +245,45 @@ def test_distance_matrix_against_positionwise_oracle(rng):
                 assert dm.values[i][j] == pytest.approx(expected, abs=1e-12)
 
 
-def per_occurrence_step_ids(solutions, table):
-    """Oracle: encode every occurrence, number distinct encodings in first-seen order."""
-    step_id = {}
-    rows = [
-        [step_id.setdefault(table.encode_step(s), len(step_id) + 1) for s in sol.sequence]
-        for sol in solutions
-    ]
+def per_occurrence_step_ids(solutions):
+    """Oracle: number every occurrence's (name, args) in first-seen order, from 1."""
+    step_id, first = {}, []
+    rows = []
+    for sol in solutions:
+        row = []
+        for step in sol.sequence:
+            key = (step.name, step.args)
+            if key not in step_id:
+                step_id[key] = len(step_id) + 1
+                first.append(step)
+            row.append(step_id[key])
+        rows.append(row)
     ids = np.zeros((len(rows), max(map(len, rows), default=0)), dtype=np.intp)
     for i, row in enumerate(rows):
         ids[i, : len(row)] = row
-    return ids, list(step_id)
+    return ids, first
 
 
-def test_each_distinct_step_is_encoded_once(monkeypatch):
+def test_step_ids_number_distinct_steps_in_first_seen_order():
     rng = random.Random(8)
     # random_set builds a new TransformationStep for every occurrence, so
     # equal steps are distinct objects here.
     sets = [random_set(rng, n=10, max_len=6, name_vocab=3, arg_vocab=3) for _ in range(3)]
-    table = build_encoding(sets)
     solutions = [sol for s in sets for sol in s.solutions]
-    distinct = len({step for sol in solutions for step in sol.sequence})
-    assert distinct < sum(len(sol.sequence) for sol in solutions)
-    expected_ids, expected_steps = per_occurrence_step_ids(solutions, table)
+    occurrences = [step for sol in solutions for step in sol.sequence]
+    assert len(set(occurrences)) < len({id(step) for step in occurrences})
+    expected_ids, expected_steps = per_occurrence_step_ids(solutions)
 
-    encoded = []
-    encode_step = EncodingTable.encode_step
-
-    def counting(self, step):
-        encoded.append(step)
-        return encode_step(self, step)
-
-    monkeypatch.setattr(EncodingTable, "encode_step", counting)
-    ids, steps = distance._step_ids(solutions, table)
+    ids, steps = distance._step_ids(solutions)
     assert np.array_equal(ids, expected_ids)
     assert steps == expected_steps
-    assert len(encoded) == distinct
 
-    encoded.clear()
-    distance_matrix(make_set(solutions=tuple(solutions)), W)
-    assert len(encoded) == distinct
-    encoded.clear()
-    within_set_matrices(sets, W)
-    assert len(encoded) == distinct
+
+def pairs_equal_sequence_distance(s, w):
+    dm = distance_matrix(s, w)
+    for i, a in enumerate(s.solutions):
+        for j, b in enumerate(s.solutions):
+            assert dm.values[i, j] == sequence_distance(a.sequence, b.sequence, w)
 
 
 @pytest.mark.parametrize("w_pred", [0.0, 0.3, 0.5, 1.0])
@@ -296,13 +291,33 @@ def test_distance_matrix_entries_equal_sequence_distance_exactly(w_pred):
     rng = random.Random(2024)
     w = DistanceWeights(w_pred, 1.0 - w_pred)
     for _ in range(10):
-        s = random_set(rng, n=12, max_len=6, name_vocab=4, arg_vocab=5)
-        table = build_encoding([s])
-        dm = distance_matrix(s, w)
-        encoded = [tuple(map(table.encode_step, sol.sequence)) for sol in s.solutions]
-        for i, a in enumerate(encoded):
-            for j, b in enumerate(encoded):
-                assert dm.values[i, j] == sequence_distance(a, b, w)
+        pairs_equal_sequence_distance(
+            random_set(rng, n=12, max_len=6, name_vocab=4, arg_vocab=5), w
+        )
+    # One token as a step name and as an argument.
+    x, y = make_step("x", ("y",)), make_step("y", ("x",))
+    pairs_equal_sequence_distance(
+        make_set(
+            solutions=(
+                make_solution("a", steps=(x, y)),
+                make_solution("b", steps=(y, x)),
+                make_solution("c", steps=(make_step("x", ("x", "y")), make_step("y", ("y",)))),
+            )
+        ),
+        w,
+    )
+    # Argument tuples that differ only in order.
+    ab, ba = make_step("op", ("a", "b")), make_step("op", ("b", "a"))
+    pairs_equal_sequence_distance(
+        make_set(
+            solutions=(
+                make_solution("a", steps=(ab,)),
+                make_solution("b", steps=(ba,)),
+                make_solution("c", steps=(ab, ba)),
+            )
+        ),
+        w,
+    )
 
 
 def test_eccentricities_equal_row_maxima_of_each_sets_own_matrix():
@@ -314,11 +329,10 @@ def test_eccentricities_equal_row_maxima_of_each_sets_own_matrix():
         sets,
         block_eccentricities(joint, sets),
         within_set_eccentricities(sets, W),
-        within_set_matrices(sets, W),
+        distance._within_sets(sets, W, distance._matrix),
     ):
         own = distance_matrix(s, W)
-        assert np.array_equal(shared.values, own.values)
-        assert (shared.ids, shared.l_pad) == (own.ids, own.l_pad)
+        assert np.array_equal(shared, own.values)
         for ecc in (sliced, blocked):
             assert np.array_equal(ecc, own.values.max(axis=1))
 
@@ -366,12 +380,10 @@ def all_distinct_sets(n, length=5):
 
 def test_all_distinct_steps_entries_equal_sequence_distance():
     sets = all_distinct_sets(20)
-    table = build_encoding(sets)
-    for s, dm in zip(sets, within_set_matrices(sets, W)):
-        encoded = [tuple(map(table.encode_step, sol.sequence)) for sol in s.solutions]
-        for i, a in enumerate(encoded):
-            for j, b in enumerate(encoded):
-                assert dm.values[i, j] == sequence_distance(a, b, W)
+    for s, values in zip(sets, distance._within_sets(sets, W, distance._matrix)):
+        for i, a in enumerate(s.solutions):
+            for j, b in enumerate(s.solutions):
+                assert values[i, j] == sequence_distance(a.sequence, b.sequence, W)
 
 
 def test_all_distinct_steps_indicators_finish_in_time(tmp_path):

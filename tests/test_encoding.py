@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from archspread.encoding import (
     UnknownNodeError,
-    UnknownTokenError,
     UnreachableNodeError,
     build_encoding,
     extract_sequence,
@@ -70,22 +69,6 @@ def test_build_encoding_deterministic():
         )
     )
     assert build_encoding([s]) == build_encoding([s])
-
-
-def test_encode_step_direct_lookup():
-    s = make_set(solutions=(make_solution("a", steps=(make_step("cloneNode", ("Rebook",)),)),))
-    table = build_encoding([s])
-    encoded = table.encode_step(make_step("cloneNode", ("Rebook",)))
-    assert (encoded.name, list(encoded.args)) == (0, [0])
-    empty = table.encode_step(TransformationStep("cloneNode"))
-    assert (empty.name, list(empty.args)) == (0, [])
-
-
-def test_encode_step_unknown_token():
-    s = make_set(solutions=(make_solution("a", steps=(make_step("cloneNode", ("Rebook",)),)),))
-    table = build_encoding([s])
-    with pytest.raises(UnknownTokenError, match="unknownOp"):
-        table.encode_step(TransformationStep("unknownOp"))
 
 
 def _chain_tree():

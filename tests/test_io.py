@@ -1,4 +1,6 @@
 import json
+import math
+import time
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -347,6 +349,18 @@ def test_svg_two_sets_two_circles_two_colors():
     # Every data marker lies inside its set's enclosing circle.
     texts = root.findall(".//{http://www.w3.org/2000/svg}text")
     assert len(texts) == 2
+
+
+def test_enclosing_circle_of_an_outward_spiral_in_time():
+    # Each point lies outside the circle of the points before it: Welzl's
+    # algorithm in input order takes cubic time on this order.
+    n = 2000
+    points = [(k * math.cos(k * 2.4), k * math.sin(k * 2.4)) for k in range(1, n + 1)]
+    start = time.perf_counter()
+    cx, cy, r = bundle_io._min_enclosing_circle(points)
+    assert time.perf_counter() - start < n * 0.05e-3
+    assert r <= n
+    assert all(math.hypot(x - cx, y - cy) <= r * (1 + 1e-12) for x, y in points)
 
 
 def test_svg_requires_points():

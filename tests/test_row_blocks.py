@@ -14,8 +14,7 @@ import pytest
 import archspread.distance as distance
 import archspread.projection as projection
 from archspread.cli import main
-from archspread.distance import DistanceWeights, distance_matrix, within_set_matrices
-from archspread.encoding import build_encoding
+from archspread.distance import DistanceWeights, distance_matrix
 from archspread.indicators import indicators_for
 from archspread.io import parse_bundle
 from archspread.model import _ROW_BLOCK, DistanceMatrix, SolutionSet
@@ -29,7 +28,7 @@ W = DistanceWeights(0.5, 0.5)
 def unblocked_matrix(sets, rows):
     """All position tables gathered over the whole of ``rows`` and summed in position order."""
     solutions = [sol for s in sets for sol in s.solutions]
-    ids, steps = distance._step_ids(solutions, build_encoding(sets))
+    ids, steps = distance._step_ids(solutions)
     columns = distance._column_tables(ids, steps, W)
     l_pad = max(len(sol.sequence) for sol in solutions[rows])
     n = rows.stop - rows.start
@@ -72,13 +71,14 @@ def unblocked_mds(d):
 @pytest.mark.parametrize("n", [_ROW_BLOCK - 1, _ROW_BLOCK, _ROW_BLOCK + 1, 2 * _ROW_BLOCK + 1])
 def test_blocked_layers_match_unblocked_oracles_at_block_boundaries(n):
     rng = random.Random(n)
-    # A small set first, so the large set's rows start inside the joint encoding.
+    # A small set first, so the large set's rows start inside the joint step ids.
     sets = [
         random_set(rng, n=5, max_len=9, name_vocab=5, arg_vocab=7),
         random_set(rng, n=n, max_len=9, name_vocab=5, arg_vocab=7),
     ]
     want = unblocked_matrix(sets, slice(5, 5 + n))
-    got = within_set_matrices(sets, W)[1]
+    assert np.array_equal(distance._within_sets(sets, W, distance._matrix)[1], want)
+    got = distance_matrix(sets[1], W)
     assert np.array_equal(got.values, want)
     everything = make_set(solutions=sets[0].solutions + sets[1].solutions)
     assert np.array_equal(
