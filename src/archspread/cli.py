@@ -12,7 +12,8 @@ import sys
 from pathlib import Path
 
 from . import io as bundle_io
-from .distance import DistanceWeights, block_eccentricities, distance_matrix
+from ._lazy import np
+from .distance import DistanceWeights, distance_matrix, distinct_sequences, gathered_eccentricities
 from .indicators import indicators_for, indicators_from_eccentricities, spread_correlation
 from .model import CorrelationStats, IndicatorResult, SolutionSet, validate_solution_set
 from .projection import Projection2D, mds_project
@@ -163,9 +164,10 @@ def _analyze(
 
     Each layer is computed once. MAS needs only each solution's
     eccentricity. Without a map they come from the within-set distances,
-    block by block. With one, the joint matrix over every solution is
-    computed and checked once; the eccentricities are the row maxima of each
-    set's block of it, and MDS takes the whole matrix.
+    block by block. With one, the joint matrix over one solution per
+    distinct sequence of all sets is computed and checked once; the
+    eccentricities are its row maxima gathered through each set's rows, and
+    MDS weighs each row by how many solutions share its sequence.
     """
     bundle, w = _load(args)
     sets = list(bundle.sets)
@@ -174,28 +176,30 @@ def _analyze(
     options = {"shared_max_d": args.shared_maxd, "all_pairs": args.mas_allpairs}
     if not project:
         return indicators_for(sets, w, **options), None
-    everything = SolutionSet(
-        label="__all__",
-        objective_names=sets[0].objective_names,
-        solutions=tuple(sol for s in sets for sol in s.solutions),
-    )
-    joint = distance_matrix(everything, w)
-    results = indicators_from_eccentricities(sets, block_eccentricities(joint, sets), **options)
-    return results, _split_projection(mds_project(joint), sets)
+    representatives, index = distinct_sequences([sol for s in sets for sol in s.solutions])
+    distinct = SolutionSet("__all__", sets[0].objective_names, tuple(representatives))
+    joint = distance_matrix(distinct, w)
+    eccentricities = gathered_eccentricities(joint, index, sets)
+    results = indicators_from_eccentricities(sets, eccentricities, **options)
+    projection = mds_project(joint, np.bincount(index))
+    return results, _split_projection(projection, index.tolist(), sets)
 
 
-def _split_projection(joint: Projection2D, sets: list[SolutionSet]) -> dict[str, Projection2D]:
-    """Per-set views of a projection of every set's solutions, in bundle order.
+def _split_projection(
+    joint: Projection2D, index: list[int], sets: list[SolutionSet]
+) -> dict[str, Projection2D]:
+    """Per-set views of a projection of the distinct sequences, in bundle order.
 
-    Points are taken by position, so ids that repeat across sets cannot mix.
+    Solution ``i`` of all sets in order takes point ``index[i]``, so ids that
+    repeat across sets cannot mix, and equal sequences get equal points.
     """
     out = {}
     start = 0
     for s in sets:
         stop = start + len(s)
         out[s.label] = Projection2D(
-            ids=joint.ids[start:stop],
-            coords=joint.coords[start:stop],
+            ids=tuple(sol.id for sol in s.solutions),
+            coords=tuple(joint.coords[i] for i in index[start:stop]),
             stress=joint.stress,
             eigenvalue_share=joint.eigenvalue_share,
             diagnostics=joint.diagnostics,

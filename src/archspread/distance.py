@@ -254,10 +254,36 @@ def within_set_eccentricities(sets: Sequence[SolutionSet], w: DistanceWeights) -
     return _within_sets(sets, w, _eccentricities)
 
 
-def block_eccentricities(joint: DistanceMatrix, sets: Sequence[SolutionSet]) -> list[np.ndarray]:
-    """Each set's eccentricities, from a matrix over all sets' solutions in order.
+def distinct_sequences(
+    solutions: Sequence[ArchitectureSolution],
+) -> tuple[list[ArchitectureSolution], np.ndarray]:
+    """The first solution with each distinct sequence, in order, and each solution's row among them.
 
-    A pair's distance does not depend on the set it is computed in, so these
-    are the row maxima of each set's diagonal block.
+    Solutions with equal sequences are at distance 0 from each other and at
+    equal distances from every other solution, so a matrix over the returned
+    representatives, gathered through the rows, is the matrix over all of
+    ``solutions``.
     """
-    return [joint.values[rows, rows].max(axis=1) for _, rows, _ in _set_spans(sets)]
+    first: dict[tuple[TransformationStep, ...], tuple[int, ArchitectureSolution]] = {}
+    rows = [first.setdefault(sol.sequence, (len(first), sol))[0] for sol in solutions]
+    return [sol for _, sol in first.values()], np.array(rows, dtype=np.intp)
+
+
+def gathered_eccentricities(
+    joint: DistanceMatrix, index: np.ndarray, sets: Sequence[SolutionSet]
+) -> list[np.ndarray]:
+    """Each set's eccentricities, from a matrix over the distinct sequences of all sets.
+
+    Solution ``i`` of all sets in order has row ``index[i]`` of ``joint``. A
+    pair's distance does not depend on the set it is computed in, so a set's
+    eccentricities are the row maxima of ``joint`` gathered through its
+    solutions' rows, taken one block of rows at a time.
+    """
+    out = []
+    for _, rows, _ in _set_spans(sets):
+        own = index[rows]
+        ecc = np.empty(len(own))
+        for blk in _row_blocks(len(own)):
+            joint.values[np.ix_(own[blk], own)].max(axis=1, out=ecc[blk])
+        out.append(ecc)
+    return out

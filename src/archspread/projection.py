@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 from ._lazy import np
 from .model import DistanceMatrix, _row_blocks
@@ -33,18 +34,20 @@ _EPS = 2.220446049250313e-16  # float64 machine epsilon
 _GAP = 1e-3
 _RESIDUAL = 16 * _EPS
 _STEPS = 128
+_DEGENERATE = ("degenerate matrix: no positive eigenvalue mass, all-zero coordinates",)
 
 
 def _top_two_lanczos(b: np.ndarray, evals: np.ndarray) -> np.ndarray | None:
     """Unit eigenvectors of ``b`` for its two largest eigenvalues, or None.
 
     Lanczos iteration with full reorthogonalisation (Gram–Schmidt, twice per
-    step), from a fixed start vector that is not constant, since ``b`` maps
-    the constant vector to 0. It stops once both top Ritz vectors are exact
-    to rounding: residual estimate / gap <= eps. The result is None unless
-    ``evals`` (ascending, from ``eigvalsh``) has both gaps λ1 − λ2 and
-    λ2 − λ3 clearly nonzero and the two Ritz pairs match λ1 and λ2 with
-    residual norms at rounding level; the caller then runs ``eigh``.
+    step), from a fixed start vector with entries of both signs, since ``b``
+    maps the all-positive vector of root multiplicities to 0. It stops once
+    both top Ritz vectors are exact to rounding: residual estimate / gap <=
+    eps. The result is None unless ``evals`` (ascending, from ``eigvalsh``)
+    has both gaps λ1 − λ2 and λ2 − λ3 clearly nonzero and the two Ritz pairs
+    match λ1 and λ2 with residual norms at rounding level; the caller then
+    runs ``eigh``.
     """
     if len(evals) < 3:
         return None
@@ -79,8 +82,18 @@ def _top_two_lanczos(b: np.ndarray, evals: np.ndarray) -> np.ndarray | None:
     return None
 
 
-def mds_project(dm: DistanceMatrix) -> Projection2D:
+def mds_project(dm: DistanceMatrix, multiplicity: Sequence[int] | None = None) -> Projection2D:
     """Embed via double-centering and the top-2 non-negative eigenpairs.
+
+    Row ``a`` of ``dm`` stands for ``multiplicity[a]`` identical points
+    (default 1 each). The map is that of the matrix with every row repeated
+    that often, computed on ``dm`` alone (weighted classical MDS, Gower
+    1966): centring uses multiplicity-weighted means, the eigenpairs are
+    those of W^½ B W^½ with W the diagonal of multiplicities, and the vectors
+    are mapped back through W^-½. The repeated matrix has the same nonzero
+    eigenvalues, so the same share, and the stress weighs each pair by
+    ``w_a * w_b``. With unit multiplicities every extra operation multiplies
+    or divides by 1.0, which changes nothing.
 
     The whole spectrum comes from ``eigvalsh``; the two eigenvectors from
     Lanczos, or from ``eigh`` where Lanczos does not pin them down.
@@ -88,21 +101,30 @@ def mds_project(dm: DistanceMatrix) -> Projection2D:
     Axis signs are fixed by making the first nonzero coordinate of each axis
     positive, so output is fully deterministic. Beside ``dm.values`` it holds
     one n x n array, ``b`` (and the eigenvectors while ``eigh`` runs), then
-    blocks of rows for the stress.
+    blocks of rows.
     """
     n = len(dm)
     d = dm.values
+    w = np.ones(n) if multiplicity is None else np.asarray(multiplicity, dtype=np.float64)
+    total = float(w.sum())
     if n == 1:
-        return Projection2D(dm.ids, ((0.0, 0.0),), 0.0, 1.0)
+        # One distinct point; repeated, it is a degenerate map.
+        return Projection2D(dm.ids, ((0.0, 0.0),), 0.0, 1.0, _DEGENERATE if total > 1 else ())
 
-    # One n x n buffer: d*d, whose sum is the stress denominator, then b in place.
+    # One n x n buffer: d*d, then b in place. Its weighted row sums give the
+    # centring means and the stress denominator.
     b = d * d
-    denom = float(np.sum(b))
-    mean = b.mean(axis=1)  # d is symmetric, so these are also the column means
+    sums = np.empty(n)
+    for rows in _row_blocks(n):
+        np.sum(b[rows] * w, axis=1, out=sums[rows])
+    denom = math.fsum(sums * w)
+    mean = sums / total  # d is symmetric, so these are also the column means
     b -= mean[:, None]
     b -= mean[None, :]
-    b += mean.mean()
-    b *= -0.5
+    b += (mean * w).sum() / total
+    root = np.sqrt(w)
+    b *= -0.5 * root[:, None]
+    b *= root
     evals = np.linalg.eigvalsh(b)  # ascending, so the top two are the last two
     top_vectors = _top_two_lanczos(b, evals)
     if top_vectors is None:
@@ -110,12 +132,13 @@ def mds_project(dm: DistanceMatrix) -> Projection2D:
         top_vectors = evecs[:, :-3:-1].copy()
         del evecs
     del b
+    top_vectors /= root[:, None]
 
-    diagnostics: list[str] = []
+    diagnostics: tuple[str, ...] = ()
     top = np.clip(evals[:-3:-1], 0.0, None)
     coords = top_vectors * np.sqrt(top)
     if np.all(top == 0.0):
-        diagnostics.append("degenerate matrix: no positive eigenvalue mass, all-zero coordinates")
+        diagnostics = _DEGENERATE
 
     for axis in range(2):
         col = coords[:, axis]
@@ -127,19 +150,19 @@ def mds_project(dm: DistanceMatrix) -> Projection2D:
     positive_mass = float(np.sum(evals[evals > 0]))
     share = float(np.sum(top) / positive_mass) if positive_mass > 0 else 1.0
     share = min(share, 1.0)
-    stress = float(np.sqrt(_squared_residual(coords, d) / denom)) if denom > 0 else 0.0
+    stress = float(np.sqrt(_squared_residual(coords, d, w) / denom)) if denom > 0 else 0.0
 
     return Projection2D(
         ids=dm.ids,
         coords=tuple((float(x), float(y)) for x, y in coords),
         stress=stress,
         eigenvalue_share=share,
-        diagnostics=tuple(diagnostics),
+        diagnostics=diagnostics,
     )
 
 
-def _squared_residual(coords: np.ndarray, d: np.ndarray) -> float:
-    """Sum over all pairs of (2D distance - d)², one block of rows at a time.
+def _squared_residual(coords: np.ndarray, d: np.ndarray, w: np.ndarray) -> float:
+    """Sum over all pairs of w_a * w_b * (2D distance - d)², one block of rows at a time.
 
     The 2D distances are direct, sqrt(dx*dx + dy*dy), built in place.
     """
@@ -154,5 +177,7 @@ def _squared_residual(coords: np.ndarray, d: np.ndarray) -> float:
         np.sqrt(embedded, out=embedded)
         embedded -= d[rows]
         embedded *= embedded
+        embedded *= w
+        embedded *= w[rows, None]
         total.append(np.sum(embedded))
     return math.fsum(total)

@@ -2,22 +2,25 @@ import hashlib
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import time
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import archspread.cli as cli
 from archspread.cli import main
 from archspread.distance import DistanceWeights, distance_matrix
-from archspread.io import parse_bundle
-from archspread.model import SolutionSet
+from archspread.indicators import indicators_from_eccentricities, spread_correlation
+from archspread.io import AnalysisBundle, parse_bundle, write_bundle, write_report
+from archspread.model import ArchitectureSolution, SolutionSet
 from archspread.projection import mds_project
 
-from conftest import one_solution_bundle
+from conftest import one_solution_bundle, random_set
 
 
 @pytest.fixture
@@ -555,3 +558,91 @@ def test_import_without_numpy_fails_at_import():
     )
     assert child.returncode != 0
     assert "ModuleNotFoundError: No module named 'numpy'" in child.stderr
+
+
+def repeated_sequence_bundle(rng):
+    """1 to 4 sets whose solutions draw their sequences from one small pool,
+    so sequences repeat within and across sets.
+
+    At least three distinct sequences are in use, so both axes belong to
+    nonzero eigenvalues; fewer are pinned in ``test_projection.py``.
+    """
+    pool = list(dict.fromkeys(sol.sequence for sol in random_set(rng, n=12, max_len=6).solutions))
+    assert len(pool) >= 3
+    pool = pool[: rng.randint(3, len(pool))]
+    n = rng.randint(3, 100)
+    sequences = pool[:3] + [rng.choice(pool) for _ in range(n - 3)]
+    rng.shuffle(sequences)
+    cuts = [0, *sorted(rng.sample(range(1, n), rng.randint(0, 3))), n]
+    sets = []
+    for k, (start, stop) in enumerate(zip(cuts, cuts[1:])):
+        solutions = tuple(
+            ArchitectureSolution(f"s{k}_{i}", (rng.uniform(-5, 5), rng.uniform(-5, 5)), seq)
+            for i, seq in enumerate(sequences[start:stop])
+        )
+        sets.append(SolutionSet(f"set{k}", ("f0", "f1"), solutions))
+    return AnalysisBundle(name="repeats", sets=tuple(sets))
+
+
+def distinct_spectrum(d, m):
+    """Descending eigenvalues of the doubly centred ``d``, a matrix over ``m``
+    distinct rows, repeated, without the ``len(d) - m`` that are 0.
+
+    Those are 0 in exact arithmetic; ``eigvalsh`` returns them as rounding
+    noise of either sign, and the positive ones would add up to ~1e-15 of
+    spurious mass. The ``len(d) - m`` nearest 0 are dropped.
+    """
+    d2 = d * d
+    mean = d2.mean(axis=1)
+    evals = np.linalg.eigvalsh(-0.5 * (d2 - mean[:, None] - mean[None, :] + mean.mean()))
+    return np.sort(evals[np.argsort(np.abs(evals), kind="stable")[len(d) - m :]])[::-1]
+
+
+def expanded_matrix_report(bundle):
+    """Oracle: the compare report from the unweighted MDS of the matrix over
+    every solution, and MAS from the row maxima of each set's block of it."""
+    sets = list(bundle.sets)
+    everything = SolutionSet("all", ("f0", "f1"), tuple(sol for s in sets for sol in s.solutions))
+    joint = distance_matrix(everything, DistanceWeights())
+    spans, start = [], 0
+    for s in sets:
+        spans.append(slice(start, start + len(s)))
+        start += len(s)
+    results = indicators_from_eccentricities(
+        sets, [joint.values[rows, rows].max(axis=1) for rows in spans]
+    )
+    correlation = spread_correlation(results) if len(results) >= 3 else None
+    report = json.loads(write_report(results, correlation)["report"])
+    m = len({sol.sequence for sol in everything.solutions})
+    return report, mds_project(joint), distinct_spectrum(joint.values, m), spans
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_compare_on_repeated_sequences_matches_the_expanded_matrix(tmp_path, seed):
+    bundle = repeated_sequence_bundle(random.Random(seed))
+    path, out = tmp_path / "bundle.json", tmp_path / "report.json"
+    path.write_text(write_bundle(bundle))
+    assert main(["compare", str(path), "-o", str(out)]) == 0
+    report = json.loads(out.read_text())
+    want, projection, evals, spans = expanded_matrix_report(bundle)
+    # The draws are generic: the top three eigenvalues are apart, so both
+    # axes are unique, and no axis takes its sign from a coordinate that is 0
+    # up to rounding. So the two maps can be compared point by point.
+    assert min(evals[0] - evals[1], evals[1] - evals[2]) > 1e-6 * evals[0]
+    for col in np.array(projection.coords).T:
+        assert abs(col[np.flatnonzero(col)[0]]) > 1e-9 * np.max(np.abs(col))
+    share = min(float(np.sum(evals[:2]) / np.sum(evals[evals > 0])), 1.0)
+
+    for key in ("sets", "correlation"):
+        assert json.dumps(report[key]) == json.dumps(want[key])
+    point_of = {}
+    for s, rows in zip(bundle.sets, spans):
+        got = report["projections"][s.label]
+        assert abs(got["stress"] - projection.stress) <= 1e-15
+        assert abs(got["eigenvalue_share"] - share) <= 1e-15
+        assert list(got.get("diagnostics", [])) == list(projection.diagnostics)
+        assert [p["id"] for p in got["points"]] == [sol.id for sol in s.solutions]
+        xy = np.array([(p["x"], p["y"]) for p in got["points"]])
+        assert np.max(np.abs(xy - np.array(projection.coords[rows]))) <= 1e-12
+        for sol, point in zip(s.solutions, map(tuple, xy)):
+            assert point_of.setdefault(sol.sequence, point) == point

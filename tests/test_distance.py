@@ -11,8 +11,9 @@ import archspread.distance as distance
 from archspread.cli import main
 from archspread.distance import (
     DistanceWeights,
-    block_eccentricities,
     distance_matrix,
+    distinct_sequences,
+    gathered_eccentricities,
     sequence_distance,
     step_distance,
     within_set_eccentricities,
@@ -323,11 +324,11 @@ def test_distance_matrix_entries_equal_sequence_distance_exactly(w_pred):
 def test_eccentricities_equal_row_maxima_of_each_sets_own_matrix():
     rng = random.Random(77)
     sets = [random_set(rng, n=rng.randint(1, 9), max_len=rng.randint(0, 6)) for _ in range(4)]
-    everything = make_set(solutions=tuple(sol for s in sets for sol in s.solutions))
-    joint = distance_matrix(everything, W)
+    representatives, index = distinct_sequences([sol for s in sets for sol in s.solutions])
+    joint = distance_matrix(make_set(solutions=tuple(representatives)), W)
     for s, sliced, blocked, shared in zip(
         sets,
-        block_eccentricities(joint, sets),
+        gathered_eccentricities(joint, index, sets),
         within_set_eccentricities(sets, W),
         distance._within_sets(sets, W, distance._matrix),
     ):

@@ -277,3 +277,43 @@ def test_lanczos_coordinates_match_the_eigh_path(branches, monkeypatch):
     assert np.max(np.abs(np.array(got.coords) - np.array(want.coords))) <= 1e-13
     assert got.stress == pytest.approx(want.stress, rel=0, abs=1e-15)
     assert got.eigenvalue_share == pytest.approx(want.eigenvalue_share, rel=0, abs=1e-15)
+
+
+def expanded(dm, multiplicity):
+    """``dm`` with row and column ``a`` repeated ``multiplicity[a]`` times."""
+    index = np.repeat(np.arange(len(dm)), multiplicity)
+    ids = tuple(f"{dm.ids[a]}.{k}" for k, a in enumerate(index))
+    return DistanceMatrix(ids, dm.values[np.ix_(index, index)], dm.l_pad), index
+
+
+def test_one_distinct_point_five_times_is_degenerate():
+    dm = DistanceMatrix(("a",), ((0.0,),), l_pad=1)
+    proj = mds_project(dm, [5])
+    want = mds_project(expanded(dm, [5])[0])
+    assert proj.coords == ((0.0, 0.0),)
+    assert (proj.stress, proj.eigenvalue_share) == (0.0, 1.0)
+    assert (want.stress, want.eigenvalue_share) == (0.0, 1.0)
+    assert proj.diagnostics == want.diagnostics
+    assert proj.diagnostics == (
+        "degenerate matrix: no positive eigenvalue mass, all-zero coordinates",
+    )
+    # A single solution is no repeated point.
+    assert mds_project(dm).diagnostics == ()
+
+
+def test_two_distinct_points_five_times_match_the_repeated_matrix():
+    dm = DistanceMatrix(("a", "b"), ((0.0, 2.0), (2.0, 0.0)), l_pad=2)
+    proj = mds_project(dm, [2, 3])
+    # The weighted centroid sits 3/5 and 2/5 of the way from each point.
+    assert np.allclose(np.array(proj.coords), [[1.2, 0.0], [-0.8, 0.0]], rtol=0, atol=1e-12)
+    assert proj.stress <= 1e-15
+    assert (proj.eigenvalue_share, proj.diagnostics) == (1.0, ())
+
+    big, index = expanded(dm, [2, 3])
+    want = mds_project(big)
+    got = np.array(proj.coords)[index]
+    # The second axis belongs to a zero eigenvalue; both carry only its rounding.
+    assert np.allclose(got[:, 0], np.array(want.coords)[:, 0], rtol=0, atol=1e-12)
+    assert np.max(np.abs(np.array(want.coords)[:, 1])) <= 1e-7
+    assert want.stress <= 1e-8
+    assert (want.eigenvalue_share, want.diagnostics) == (1.0, ())

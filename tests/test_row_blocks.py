@@ -11,10 +11,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import archspread.cli as cli
 import archspread.distance as distance
 import archspread.projection as projection
 from archspread.cli import main
-from archspread.distance import DistanceWeights, distance_matrix
+from archspread.distance import DistanceWeights, distance_matrix, distinct_sequences
 from archspread.indicators import indicators_for
 from archspread.io import parse_bundle
 from archspread.model import _ROW_BLOCK, DistanceMatrix, SolutionSet
@@ -120,7 +121,7 @@ def extra_peak(fn):
         tracemalloc.stop()
 
 
-def test_numeric_layers_hold_one_n_by_n_work_array(tmp_path):
+def test_numeric_layers_hold_one_n_by_n_work_array(tmp_path, monkeypatch):
     path = tmp_path / "bundle.json"
     synth = ["synth", "--sets", "2", "--n", "1000", "--seed", "3", "--depth", "11"]
     assert main(synth + ["-o", str(path)]) == 0
@@ -139,3 +140,20 @@ def test_numeric_layers_hold_one_n_by_n_work_array(tmp_path):
     assert peak <= 1.3 * unit  # b, then blocks of rows
     _, peak = extra_peak(lambda: indicators_for(sets, W))
     assert peak <= 0.15 * unit  # no set's matrix: blocks of rows only
+
+    # compare and mds measure one solution per distinct sequence.
+    representatives, index = distinct_sequences(everything.solutions)
+    m = len(representatives)
+    assert m == len({sol.sequence for sol in everything.solutions}) == 1753
+    built = []
+
+    def recording(solution_set, w):
+        built.append(distance_matrix(solution_set, w))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "distance_matrix", recording)
+    assert main(["mds", str(path), "-o", str(tmp_path / "report.json")]) == 0
+    assert [joint.values.shape for joint in built] == [(m, m)]
+    assert built[0].ids == tuple(sol.id for sol in representatives)
+    _, peak = extra_peak(lambda: mds_project(built[0], np.bincount(index)))
+    assert peak <= 1.3 * m * m * 8  # b over the distinct rows, then blocks of rows
