@@ -63,12 +63,10 @@ def parse_bundle(text: str) -> AnalysisBundle:
     ``TransformationStep``. Unknown fields are collected as warnings on the
     returned bundle, not errors.
     """
-    doc = _load_json(text)
-    if not isinstance(doc, dict):
-        raise BundleError("$: bundle must be a JSON object")
-    warnings: list[str] = []
     steps: Steps = {}
     root = _at("$")
+    doc = _object(_load_json(text, steps), root, "bundle must be a JSON object")
+    warnings: list[str] = []
     _unknown_keys(doc, _BUNDLE_KEYS, root, warnings)
 
     name = _text(doc, "name", root)
@@ -84,8 +82,7 @@ def parse_bundle(text: str) -> AnalysisBundle:
     labels: set[str] = set()
     for i, raw_set in enumerate(raw_sets):
         where = _at(f"$.sets[{i}]")
-        if not isinstance(raw_set, dict):
-            raise BundleError(f"{where()}: must be an object")
+        raw_set = _object(raw_set, where)
         _unknown_keys(raw_set, _SET_KEYS, where, warnings)
         label = _text(raw_set, "label", where)
         if label in labels:
@@ -115,19 +112,52 @@ def _at(path: str) -> Where:
     return lambda: path
 
 
-def _load_json(text: str) -> object:
+def _load_json(text: str, steps: Steps) -> object:
+    """The decoded ``text``, each step in it interned into ``steps`` as it is decoded.
+
+    An object whose keys are ``name`` and, optionally, ``args``, with a string
+    name and a list of string args, becomes the shared ``TransformationStep``,
+    so no step's dict outlives its own decoding. One that
+    ``TransformationStep`` rejects stays a dict, for the parse pass to report
+    at its JSON path.
+    """
+
+    def intern(obj: dict) -> object:
+        if not obj.keys() <= _STEP_KEYS:
+            return obj
+        name, args = obj.get("name"), obj.get("args", [])
+        if not (isinstance(name, str) and isinstance(args, list)):
+            return obj
+        try:
+            key = (name, tuple(args))
+            step = steps.get(key)
+            if step is None and all(isinstance(a, str) for a in args):
+                step = steps[key] = TransformationStep(*key)
+        except (TypeError, ValueError):  # an unhashable arg; a blank name or token
+            return obj
+        return obj if step is None else step
+
     # Malformed text, an integer literal beyond the int-to-str digit limit and
     # nesting deeper than the recursion limit all end here.
     try:
-        return json.loads(text)
+        return json.loads(text, object_hook=intern)
     except (ValueError, RecursionError) as exc:
         raise BundleError(f"$: invalid JSON: {exc}") from None
 
 
-def _parse_tree(raw: object, steps: Steps, warnings: list[str]) -> SearchTree:
+def _object(raw: object, where: Where, message: str = "must be an object") -> dict:
+    """``raw`` where an object is expected; a step that decoding interned counts
+    as the object it was decoded from."""
+    if isinstance(raw, TransformationStep):
+        return {"name": raw.name, "args": list(raw.args)}
     if not isinstance(raw, dict):
-        raise BundleError("$.tree: must be an object")
+        raise BundleError(f"{where()}: {message}")
+    return raw
+
+
+def _parse_tree(raw: object, steps: Steps, warnings: list[str]) -> SearchTree:
     at_tree = _at("$.tree")
+    raw = _object(raw, at_tree)
     _unknown_keys(raw, _TREE_KEYS, at_tree, warnings)
     root = _require(raw, "root", str, at_tree)
     nodes = _string_list(_require(raw, "nodes", list, at_tree), _at("$.tree.nodes"))
@@ -137,17 +167,18 @@ def _parse_tree(raw: object, steps: Steps, warnings: list[str]) -> SearchTree:
     edges = []
     for i, raw_edge in enumerate(_require(raw, "edges", list, at_tree)):
         where = lambda: f"$.tree.edges[{i}]"
-        if not isinstance(raw_edge, dict):
-            raise BundleError(f"{where()}: must be an object")
+        raw_edge = _object(raw_edge, where)
         _unknown_keys(raw_edge, _EDGE_KEYS, where, warnings)
         src = _require(raw_edge, "from", str, where)
         dst = _require(raw_edge, "to", str, where)
         for end, key in ((src, "from"), (dst, "to")):
             if end not in known:
                 raise BundleError(f"{where()}.{key}: unknown node {end!r}")
-        step = _parse_step(
-            _require(raw_edge, "step", dict, where), lambda: f"{where()}.step", steps, warnings
-        )
+        step = raw_edge.get("step")
+        if not isinstance(step, TransformationStep):
+            step = _parse_step(
+                _require(raw_edge, "step", dict, where), lambda: f"{where()}.step", steps, warnings
+            )
         edges.append((src, dst, step))
     return SearchTree(nodes=nodes, root_id=root, edges=edges)
 
@@ -170,8 +201,7 @@ def _node_resolver(tree: SearchTree | None) -> Resolve | None:
 def _parse_solution(
     raw: object, where: Where, resolve: Resolve | None, steps: Steps, warnings: list[str]
 ) -> ArchitectureSolution:
-    if not isinstance(raw, dict):
-        raise BundleError(f"{where()}: must be an object")
+    raw = _object(raw, where)
     _unknown_keys(raw, _SOLUTION_KEYS, where, warnings)
     sol_id = _text(raw, "id", where)
     objectives = _require(raw, "objectives", list, where)
@@ -196,12 +226,12 @@ def _parse_solution(
         except UnreachableNodeError as exc:
             raise BundleError(f"{where()}.node: {exc}") from None
     elif has_sequence:
-        sequence = []
-        for k, raw_step in enumerate(_require(raw, "sequence", list, where)):
-            at_step = lambda: f"{where()}.sequence[{k}]"
-            if not isinstance(raw_step, dict):
-                raise BundleError(f"{at_step()}: must be an object")
-            sequence.append(_parse_step(raw_step, at_step, steps, warnings))
+        sequence = _require(raw, "sequence", list, where)
+        for k, raw_step in enumerate(sequence):
+            if not isinstance(raw_step, TransformationStep):
+                sequence[k] = _parse_step(
+                    raw_step, lambda: f"{where()}.sequence[{k}]", steps, warnings
+                )
     else:
         raise BundleError(f"{where()}: solution {sol_id!r} needs either 'sequence' or 'node'")
     return ArchitectureSolution(sol_id, objectives, sequence)
@@ -216,25 +246,13 @@ def _is_finite_number(value: object) -> bool:
         return False
 
 
-def _parse_step(raw: dict, where: Where, steps: Steps, warnings: list[str]) -> TransformationStep:
-    """The step of ``raw``, checked on its first occurrence and looked up in ``steps`` after.
-
-    The lookup is taken only where it cannot skip a check: ``raw`` has no
-    unknown field (that would warn) and its ``args`` is a list (a string
-    ``"ab"`` must not match ``("a", "b")``). A name or argument that cannot
-    be hashed takes the checks, which reject it.
-    """
-    args = raw.get("args", [])
-    if raw.keys() <= _STEP_KEYS and isinstance(args, list):
-        try:
-            step = steps.get((raw.get("name"), tuple(args)))
-        except TypeError:
-            step = None
-        if step is not None:
-            return step
+def _parse_step(raw: object, where: Where, steps: Steps, warnings: list[str]) -> TransformationStep:
+    """The step of ``raw``, a step that decoding did not intern: one with a
+    stray field, which warns, or a malformed one, which fails."""
+    raw = _object(raw, where)
     _unknown_keys(raw, _STEP_KEYS, where, warnings)
     name = _require(raw, "name", str, where)
-    args = _string_list(args, lambda: f"{where()}.args")
+    args = _string_list(raw.get("args", []), lambda: f"{where()}.args")
     try:
         step = TransformationStep(name, args)
     except ValueError as exc:
@@ -272,7 +290,7 @@ def _string_list(raw: object, where: Where) -> list[str]:
 
 
 def _unknown_keys(obj: dict, known: set[str], where: Where, warnings: list[str]) -> None:
-    # Runs once per edge, solution and step not answered by the lookup: the
+    # Runs once per edge, solution and step that decoding left a dict: the
     # subset test keeps the usual no-unknown-key case out of a Python-level loop.
     if not obj.keys() <= known:
         path = where()

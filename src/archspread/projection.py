@@ -34,6 +34,9 @@ _EPS = 2.220446049250313e-16  # float64 machine epsilon
 _GAP = 1e-3
 _RESIDUAL = 16 * _EPS
 _STEPS = 128
+# Each axis takes the sign of its first coordinate above this share of its
+# largest |coordinate|, so a coordinate that is 0 up to rounding cannot flip it.
+_SIGN_FLOOR = 1e-9
 _DEGENERATE = ("degenerate matrix: no positive eigenvalue mass, all-zero coordinates",)
 
 
@@ -97,11 +100,12 @@ def mds_project(dm: DistanceMatrix, multiplicity: Sequence[int] | None = None) -
 
     The whole spectrum comes from ``eigvalsh``; the two eigenvectors from
     Lanczos, or from ``eigh`` where Lanczos does not pin them down.
-    Negative eigenvalues are clamped to zero (their axes contribute nothing).
-    Axis signs are fixed by making the first nonzero coordinate of each axis
-    positive, so output is fully deterministic. Beside ``dm.values`` it holds
-    one n x n array, ``b`` (and the eigenvectors while ``eigh`` runs), then
-    blocks of rows.
+    Negative eigenvalues are clamped to zero, and a top eigenvalue within
+    rounding of zero (at most n·eps·max|λ|) gives an all-zero axis. Axis
+    signs are fixed by making positive the first coordinate of each axis that
+    is not zero up to rounding, so output is fully deterministic. Beside
+    ``dm.values`` it holds one n x n array, ``b`` (and the eigenvectors while
+    ``eigh`` runs), then blocks of rows.
     """
     n = len(dm)
     d = dm.values
@@ -137,13 +141,15 @@ def mds_project(dm: DistanceMatrix, multiplicity: Sequence[int] | None = None) -
     diagnostics: tuple[str, ...] = ()
     top = np.clip(evals[:-3:-1], 0.0, None)
     coords = top_vectors * np.sqrt(top)
+    # An eigenvalue within rounding of 0 is 0: its axis would carry only noise.
+    coords[:, top <= n * _EPS * np.max(np.abs(evals))] = 0.0
     if np.all(top == 0.0):
         diagnostics = _DEGENERATE
 
     for axis in range(2):
         col = coords[:, axis]
-        nonzero = np.nonzero(col)[0]
-        if nonzero.size and col[nonzero[0]] < 0:
+        decisive = np.flatnonzero(np.abs(col) > _SIGN_FLOOR * np.max(np.abs(col)))
+        if decisive.size and col[decisive[0]] < 0:
             coords[:, axis] = -col
     coords = coords + 0.0  # normalize -0.0
 

@@ -617,7 +617,9 @@ def expanded_matrix_report(bundle):
     return report, mds_project(joint), distinct_spectrum(joint.values, m), spans
 
 
-@pytest.mark.parametrize("seed", range(12))
+# On seed 224 an axis's first coordinate is 0 up to rounding, of either sign
+# in the two maps; the sign must come from a coordinate above that noise.
+@pytest.mark.parametrize("seed", [*range(12), 224])
 def test_compare_on_repeated_sequences_matches_the_expanded_matrix(tmp_path, seed):
     bundle = repeated_sequence_bundle(random.Random(seed))
     path, out = tmp_path / "bundle.json", tmp_path / "report.json"
@@ -626,11 +628,8 @@ def test_compare_on_repeated_sequences_matches_the_expanded_matrix(tmp_path, see
     report = json.loads(out.read_text())
     want, projection, evals, spans = expanded_matrix_report(bundle)
     # The draws are generic: the top three eigenvalues are apart, so both
-    # axes are unique, and no axis takes its sign from a coordinate that is 0
-    # up to rounding. So the two maps can be compared point by point.
+    # axes are unique and the two maps can be compared point by point.
     assert min(evals[0] - evals[1], evals[1] - evals[2]) > 1e-6 * evals[0]
-    for col in np.array(projection.coords).T:
-        assert abs(col[np.flatnonzero(col)[0]]) > 1e-9 * np.max(np.abs(col))
     share = min(float(np.sum(evals[:2]) / np.sum(evals[evals > 0])), 1.0)
 
     for key in ("sets", "correlation"):

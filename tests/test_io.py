@@ -199,12 +199,64 @@ def repeated_step_doc(later: dict) -> dict:
 
 
 def test_equal_steps_in_edges_and_sequences_are_one_object():
-    bundle = parse_bundle(json.dumps(repeated_step_doc({"args": ["a", "b"], "name": "m"})))
-    a, b, c = bundle.sets[0].solutions
-    edge_steps = [step for _, _, step in bundle.tree.edges]
-    shared = edge_steps[0]
-    assert shared == TransformationStep("m", ("a", "b"))
-    assert all(step is shared for step in (*edge_steps, *a.sequence, *b.sequence, *c.sequence))
+    for later in ({"args": ["a", "b"], "name": "m"}, {"name": "m", "args": ["a", "b"]}):
+        bundle = parse_bundle(json.dumps(repeated_step_doc(later)))
+        a, b, c = bundle.sets[0].solutions
+        edge_steps = [step for _, _, step in bundle.tree.edges]
+        shared = edge_steps[0]
+        assert shared == TransformationStep("m", ("a", "b"))
+        assert all(step is shared for step in (*edge_steps, *a.sequence, *b.sequence, *c.sequence))
+
+
+# Decoding turns every step-shaped object into a step, wherever it stands; where
+# the bundle expects another object, it must fail as that object would have.
+@pytest.mark.parametrize("step", [{"name": "x", "args": []}, {"name": "x"}])
+@pytest.mark.parametrize(
+    "place, message",
+    [
+        ("bundle", "$.sets: missing required field"),
+        ("tree", "$.tree.root: missing required field"),
+        ("edge", "$.tree.edges[0].from: missing required field"),
+        ("set", "$.sets[0].label: missing required field"),
+        ("solution", "$.sets[0].solutions[0].id: missing required field"),
+    ],
+)
+def test_step_shaped_object_where_another_object_belongs(step, place, message):
+    doc = json.loads(json.dumps(TREE_DOC))
+    if place == "bundle":
+        doc = step
+    elif place == "tree":
+        doc["tree"] = step
+    elif place == "edge":
+        doc["tree"]["edges"][0] = step
+    elif place == "set":
+        doc["sets"][0] = step
+    else:
+        doc["sets"][0]["solutions"][0] = step
+    with pytest.raises(BundleError) as excinfo:
+        parse_bundle(json.dumps(doc))
+    assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize("where", ["edge", "sequence"])
+@pytest.mark.parametrize(
+    "step, message",
+    [
+        ({"name": " ", "args": []}, ": transformation name must be non-empty"),
+        ({"name": "m", "args": ["a", ""]}, ": transformation 'm' has an empty argument token"),
+    ],
+)
+def test_first_occurrence_of_an_invalid_step_fails_at_its_path(where, step, message):
+    doc = json.loads(json.dumps(TREE_DOC))
+    if where == "edge":
+        doc["tree"]["edges"][0]["step"] = step
+        path = "$.tree.edges[0].step"
+    else:
+        doc["sets"][0]["solutions"][0] = {"id": "a", "objectives": [0.0], "sequence": [step]}
+        path = "$.sets[0].solutions[0].sequence[0]"
+    with pytest.raises(BundleError) as excinfo:
+        parse_bundle(json.dumps(doc))
+    assert str(excinfo.value) == path + message
 
 
 # Each later occurrence of STEP, altered, must fail or warn as it would have

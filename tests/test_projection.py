@@ -312,8 +312,20 @@ def test_two_distinct_points_five_times_match_the_repeated_matrix():
     big, index = expanded(dm, [2, 3])
     want = mds_project(big)
     got = np.array(proj.coords)[index]
-    # The second axis belongs to a zero eigenvalue; both carry only its rounding.
+    # The second axis belongs to a zero eigenvalue, computed as rounding noise.
     assert np.allclose(got[:, 0], np.array(want.coords)[:, 0], rtol=0, atol=1e-12)
-    assert np.max(np.abs(np.array(want.coords)[:, 1])) <= 1e-7
-    assert want.stress <= 1e-8
+    assert np.all(got[:, 1] == 0.0)
+    assert np.all(np.array(want.coords)[:, 1] == 0.0)
+    assert want.stress <= 1e-15
     assert (want.eigenvalue_share, want.diagnostics) == (1.0, ())
+
+
+def test_collinear_points_have_an_all_zero_second_axis():
+    x = np.array([0.0, 1.0, 3.0, 4.5])
+    dm = DistanceMatrix(tuple("abcd"), np.abs(x[:, None] - x), l_pad=5)
+    proj = mds_project(dm)
+    coords = np.array(proj.coords)
+    assert np.allclose(coords[:, 0], 2.125 - x, rtol=0, atol=1e-12)
+    assert np.all(coords[:, 1] == 0.0)
+    assert proj.stress <= 1e-15
+    assert (proj.eigenvalue_share, proj.diagnostics) == (1.0, ())

@@ -2,6 +2,8 @@
 
 Results at the block boundaries must match unblocked computations, and the
 layers must hold at most one n x n work array beside the distance matrix.
+Parsing, before them, must peak near the size of the bundle's text: no
+decoded dict per refactoring step.
 """
 
 import math
@@ -119,6 +121,17 @@ def extra_peak(fn):
         return result, tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
+
+
+def test_parse_holds_no_decoded_dict_per_step(tmp_path):
+    path = tmp_path / "bundle.json"
+    synth = ["synth", "--sets", "2", "--n", "1000", "--seed", "3", "--depth", "11"]
+    assert main(synth + ["-o", str(path)]) == 0
+    text = path.read_text()
+    parse_bundle(text)  # load whatever the first parse loads
+    _, peak = extra_peak(lambda: parse_bundle(text))
+    # Each step is interned while it is decoded; a dict per step peaks at ~3.5.
+    assert peak <= 1.25 * len(text)
 
 
 def test_numeric_layers_hold_one_n_by_n_work_array(tmp_path, monkeypatch):
