@@ -5,72 +5,58 @@ the objective-space maximum spread (MS) and an architectural-space maximum
 spread (MAS) built on position-wise edit distances between the refactoring
 sequences that produced the alternatives, plus MDS projections and
 comparison reports.
+
+Each public name loads its module on first access, so a command imports
+only the layers it runs.
 """
 
-from .distance import DistanceWeights, distance_matrix, sequence_distance, step_distance
-from .encoding import (
-    EncodingTable,
-    UnknownNodeError,
-    UnreachableNodeError,
-    build_encoding,
-    extract_sequence,
-)
-from .indicators import (
-    indicators_for,
-    max_architectural_spread,
-    max_spread,
-    spread_correlation,
-)
-from .io import (
-    AnalysisBundle,
-    BundleError,
-    emit_scatter_svg,
-    parse_bundle,
-    write_bundle,
-    write_report,
-)
-from .model import (
-    ArchitectureSolution,
-    CorrelationStats,
-    DistanceMatrix,
-    IndicatorResult,
-    SearchTree,
-    SolutionSet,
-    TransformationStep,
-    validate_solution_set,
-)
-from .projection import Projection2D, mds_project
+import importlib
+
+# Without numpy the package fails here, at import, not at first numeric use.
+from . import _lazy  # noqa: F401
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AnalysisBundle",
-    "ArchitectureSolution",
-    "BundleError",
-    "CorrelationStats",
-    "DistanceMatrix",
-    "DistanceWeights",
-    "EncodingTable",
-    "IndicatorResult",
-    "Projection2D",
-    "SearchTree",
-    "SolutionSet",
-    "TransformationStep",
-    "UnknownNodeError",
-    "UnreachableNodeError",
-    "build_encoding",
-    "distance_matrix",
-    "emit_scatter_svg",
-    "extract_sequence",
-    "indicators_for",
-    "max_architectural_spread",
-    "max_spread",
-    "mds_project",
-    "parse_bundle",
-    "sequence_distance",
-    "spread_correlation",
-    "step_distance",
-    "validate_solution_set",
-    "write_bundle",
-    "write_report",
-]
+# Public name -> the module that defines it.
+_HOMES = {
+    "AnalysisBundle": "io",
+    "ArchitectureSolution": "model",
+    "BundleError": "io",
+    "CorrelationStats": "model",
+    "DistanceMatrix": "model",
+    "DistanceWeights": "distance",
+    "EncodingTable": "encoding",
+    "IndicatorResult": "model",
+    "Projection2D": "projection",
+    "SearchTree": "model",
+    "SolutionSet": "model",
+    "TransformationStep": "model",
+    "UnknownNodeError": "encoding",
+    "UnreachableNodeError": "encoding",
+    "build_encoding": "encoding",
+    "distance_matrix": "distance",
+    "emit_scatter_svg": "io",
+    "extract_sequence": "encoding",
+    "indicators_for": "indicators",
+    "max_architectural_spread": "indicators",
+    "max_spread": "indicators",
+    "mds_project": "projection",
+    "parse_bundle": "io",
+    "sequence_distance": "distance",
+    "spread_correlation": "indicators",
+    "step_distance": "distance",
+    "validate_solution_set": "model",
+    "write_bundle": "io",
+    "write_report": "io",
+}
+
+__all__ = list(_HOMES)
+
+
+def __getattr__(name: str):
+    home = _HOMES.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{home}", __name__), name)
+    globals()[name] = value
+    return value

@@ -1,15 +1,22 @@
-"""numpy, imported on first attribute access.
+"""Modules registered at import, executed on first attribute access.
 
 ``validate`` and ``synth`` compute nothing numeric, so importing the package
-must not pay for numpy. The numeric layers take ``np`` from here; numpy's own
-code runs the first time one of them touches ``np.<anything>``.
+must pay neither for numpy nor for the numeric layers. The numeric layers
+take ``np`` from here; numpy's own code runs the first time one of them
+touches ``np.<anything>``. ``cli`` holds the layer modules the same way.
 """
 
 import importlib.util
 import sys
 
 
-def _lazy_import(name: str):
+def lazy_import(name: str):
+    """``name`` as a module that runs its code on first attribute access.
+
+    A missing module fails here, at import. The module is registered in
+    ``sys.modules`` and, for a submodule, on its package, as an import
+    statement would register it.
+    """
     module = sys.modules.get(name)
     if module is not None:
         return module
@@ -21,7 +28,10 @@ def _lazy_import(name: str):
     module = importlib.util.module_from_spec(spec)
     sys.modules[name] = module
     loader.exec_module(module)
+    package, _, child = name.rpartition(".")
+    if package:
+        setattr(sys.modules[package], child, module)
     return module
 
 
-np = _lazy_import("numpy")
+np = lazy_import("numpy")

@@ -10,13 +10,22 @@ import argparse
 import re
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import io as bundle_io
-from ._lazy import np
-from .distance import DistanceWeights, distance_matrix, distinct_sequences, gathered_eccentricities
-from .indicators import indicators_for, indicators_from_eccentricities, spread_correlation
+from ._lazy import lazy_import, np
 from .model import CorrelationStats, IndicatorResult, SolutionSet, validate_solution_set
-from .projection import Projection2D, mds_project
+
+if TYPE_CHECKING:
+    from .distance import DistanceWeights
+    from .projection import Projection2D
+
+# The numeric layers run their code on first use, so validate and synth
+# never execute them. They are registered in sys.modules all the same, where
+# perfbench/traced.py looks up the functions it wraps.
+distance = lazy_import(f"{__package__}.distance")
+indicators = lazy_import(f"{__package__}.indicators")
+projection = lazy_import(f"{__package__}.projection")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -154,7 +163,7 @@ def _load(args) -> tuple[bundle_io.AnalysisBundle, DistanceWeights]:
     bundle, violations = _parse_checked(args.bundle)
     if violations:
         raise bundle_io.BundleError("; ".join(violations))
-    return bundle, DistanceWeights(w_pred=args.w_pred, w_args=1.0 - args.w_pred)
+    return bundle, distance.DistanceWeights(w_pred=args.w_pred, w_args=1.0 - args.w_pred)
 
 
 def _analyze(
@@ -175,14 +184,14 @@ def _analyze(
         raise ValueError("at least one solution set is required")
     options = {"shared_max_d": args.shared_maxd, "all_pairs": args.mas_allpairs}
     if not project:
-        return indicators_for(sets, w, **options), None
-    representatives, index = distinct_sequences([sol for s in sets for sol in s.solutions])
+        return indicators.indicators_for(sets, w, **options), None
+    representatives, index = distance.distinct_sequences([sol for s in sets for sol in s.solutions])
     distinct = SolutionSet("__all__", sets[0].objective_names, tuple(representatives))
-    joint = distance_matrix(distinct, w)
-    eccentricities = gathered_eccentricities(joint, index, sets)
-    results = indicators_from_eccentricities(sets, eccentricities, **options)
-    projection = mds_project(joint, np.bincount(index))
-    return results, _split_projection(projection, index.tolist(), sets)
+    joint = distance.distance_matrix(distinct, w)
+    eccentricities = distance.gathered_eccentricities(joint, index, sets)
+    results = indicators.indicators_from_eccentricities(sets, eccentricities, **options)
+    mds = projection.mds_project(joint, np.bincount(index))
+    return results, _split_projection(mds, index.tolist(), sets)
 
 
 def _split_projection(
@@ -197,7 +206,7 @@ def _split_projection(
     start = 0
     for s in sets:
         stop = start + len(s)
-        out[s.label] = Projection2D(
+        out[s.label] = projection.Projection2D(
             ids=tuple(sol.id for sol in s.solutions),
             coords=tuple(joint.coords[i] for i in index[start:stop]),
             stress=joint.stress,
@@ -209,7 +218,7 @@ def _split_projection(
 
 
 def _correlation(results: list[IndicatorResult]) -> CorrelationStats | None:
-    return spread_correlation(results) if len(results) >= 3 else None
+    return indicators.spread_correlation(results) if len(results) >= 3 else None
 
 
 def _emit(documents: dict[str, str], output: Path | None) -> None:
@@ -218,10 +227,11 @@ def _emit(documents: dict[str, str], output: Path | None) -> None:
             sys.stdout.write(text)
         return
     if len(documents) == 1:
-        output.write_text(next(iter(documents.values())))
+        output.write_text(next(iter(documents.values())), encoding="utf-8")
     else:
         for name, text in documents.items():
-            output.with_name(f"{output.stem}_{name}{output.suffix or '.csv'}").write_text(text)
+            path = output.with_name(f"{output.stem}_{name}{output.suffix or '.csv'}")
+            path.write_text(text, encoding="utf-8")
 
 
 def _emit_projected(
@@ -232,7 +242,7 @@ def _emit_projected(
 ) -> int:
     _emit(bundle_io.write_report(results, correlation, projections=projections), args.output)
     if args.svg is not None:
-        args.svg.write_text(bundle_io.emit_scatter_svg(projections, results))
+        args.svg.write_text(bundle_io.emit_scatter_svg(projections, results), encoding="utf-8")
     return 0
 
 
@@ -267,7 +277,7 @@ def _cmd_synth(args) -> int:
         tree=tree,
         provenance=f"synth --sets {args.sets} --n {args.n} --seed {args.seed}",
     )
-    args.output.write_text(bundle_io.write_bundle(bundle))
+    args.output.write_text(bundle_io.write_bundle(bundle), encoding="utf-8")
     return 0
 
 

@@ -2,13 +2,11 @@
 
 from __future__ import annotations
 
-import csv
 import io as _stdio
 import json
 import math
-import random
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from .encoding import PathResolver, UnknownNodeError, UnreachableNodeError
 from .model import (
@@ -19,7 +17,9 @@ from .model import (
     SolutionSet,
     TransformationStep,
 )
-from .projection import Projection2D
+
+if TYPE_CHECKING:
+    from .projection import Projection2D
 
 
 class BundleError(ValueError):
@@ -113,17 +113,26 @@ def _at(path: str) -> Where:
 
 
 def _load_json(text: str, steps: Steps) -> object:
-    """The decoded ``text``, each step in it interned into ``steps`` as it is decoded.
+    """The decoded ``text``, each step and tree edge in it decoded straight
+    into what the bundle holds.
 
     An object whose keys are ``name`` and, optionally, ``args``, with a string
     name and a list of string args, becomes the shared ``TransformationStep``,
     so no step's dict outlives its own decoding. One that
     ``TransformationStep`` rejects stays a dict, for the parse pass to report
-    at its JSON path.
+    at its JSON path. Objects decode innermost first, so an object whose keys
+    are exactly ``from``, ``to`` and ``step``, with string ends and a step
+    already interned, becomes the ``(from, to, step)`` triple that
+    ``SearchTree.edges`` holds. JSON decodes to no other tuple.
     """
 
-    def intern(obj: dict) -> object:
-        if not obj.keys() <= _STEP_KEYS:
+    def decode(obj: dict) -> object:
+        keys = obj.keys()
+        if keys == _EDGE_KEYS:
+            src, dst, step = obj["from"], obj["to"], obj["step"]
+            if type(src) is str and type(dst) is str and type(step) is TransformationStep:
+                return src, dst, step
+        if not keys <= _STEP_KEYS:
             return obj
         name, args = obj.get("name"), obj.get("args", [])
         if not (isinstance(name, str) and isinstance(args, list)):
@@ -140,16 +149,19 @@ def _load_json(text: str, steps: Steps) -> object:
     # Malformed text, an integer literal beyond the int-to-str digit limit and
     # nesting deeper than the recursion limit all end here.
     try:
-        return json.loads(text, object_hook=intern)
+        return json.loads(text, object_hook=decode)
     except (ValueError, RecursionError) as exc:
         raise BundleError(f"$: invalid JSON: {exc}") from None
 
 
 def _object(raw: object, where: Where, message: str = "must be an object") -> dict:
-    """``raw`` where an object is expected; a step that decoding interned counts
-    as the object it was decoded from."""
+    """``raw`` where an object is expected; a step or an edge that decoding
+    turned into a value counts as the object it was decoded from."""
     if isinstance(raw, TransformationStep):
         return {"name": raw.name, "args": list(raw.args)}
+    if type(raw) is tuple:
+        src, dst, step = raw
+        return {"from": src, "to": dst, "step": step}
     if not isinstance(raw, dict):
         raise BundleError(f"{where()}: {message}")
     return raw
@@ -164,23 +176,33 @@ def _parse_tree(raw: object, steps: Steps, warnings: list[str]) -> SearchTree:
     known = set(nodes)
     if root not in known:
         raise BundleError(f"$.tree.root: unknown node {root!r}")
-    edges = []
-    for i, raw_edge in enumerate(_require(raw, "edges", list, at_tree)):
-        where = lambda: f"$.tree.edges[{i}]"
-        raw_edge = _object(raw_edge, where)
-        _unknown_keys(raw_edge, _EDGE_KEYS, where, warnings)
-        src = _require(raw_edge, "from", str, where)
-        dst = _require(raw_edge, "to", str, where)
-        for end, key in ((src, "from"), (dst, "to")):
-            if end not in known:
-                raise BundleError(f"{where()}.{key}: unknown node {end!r}")
-        step = raw_edge.get("step")
-        if not isinstance(step, TransformationStep):
-            step = _parse_step(
-                _require(raw_edge, "step", dict, where), lambda: f"{where()}.step", steps, warnings
-            )
-        edges.append((src, dst, step))
+    edges = _require(raw, "edges", list, at_tree)
+    for i, edge in enumerate(edges):
+        # Decoding made each well-formed edge a triple; only its ends are left to check.
+        if type(edge) is tuple and edge[0] in known and edge[1] in known:
+            continue
+        edges[i] = _parse_edge(edge, lambda: f"$.tree.edges[{i}]", known, steps, warnings)
     return SearchTree(nodes=nodes, root_id=root, edges=edges)
+
+
+def _parse_edge(
+    raw: object, where: Where, known: set[str], steps: Steps, warnings: list[str]
+) -> tuple[str, str, TransformationStep]:
+    """The edge of ``raw``, one that decoding did not turn into a triple, or
+    one with an unknown end."""
+    raw = _object(raw, where)
+    _unknown_keys(raw, _EDGE_KEYS, where, warnings)
+    src = _require(raw, "from", str, where)
+    dst = _require(raw, "to", str, where)
+    for end, key in ((src, "from"), (dst, "to")):
+        if end not in known:
+            raise BundleError(f"{where()}.{key}: unknown node {end!r}")
+    step = raw.get("step")
+    if not isinstance(step, TransformationStep):
+        if type(step) is not tuple:  # a step decoded as an edge is an object too
+            _require(raw, "step", dict, where)
+        step = _parse_step(step, lambda: f"{where()}.step", steps, warnings)
+    return src, dst, step
 
 
 def _node_resolver(tree: SearchTree | None) -> Resolve | None:
@@ -398,6 +420,8 @@ def _json_report(
 def _csv_report(
     results: list[IndicatorResult], projections: dict[str, Projection2D]
 ) -> dict[str, str]:
+    import csv
+
     summary = _stdio.StringIO()
     writer = csv.writer(summary, lineterminator="\n")
     writer.writerow(["label", "n", "o", "ms", "mas", "max_d", "L_pad"])
@@ -491,8 +515,16 @@ def emit_scatter_svg(projections: dict[str, Projection2D], results: list[Indicat
     return "\n".join(parts) + "\n"
 
 
+# Characters outside XML 1.0's Char production, which no escape can carry.
+_NOT_XML_CHARS = dict.fromkeys(
+    [*range(0x09), 0x0B, 0x0C, *range(0x0E, 0x20), 0xFFFE, 0xFFFF], "\ufffd"
+)
+
+
 def _xml_escape(text: str) -> str:
-    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    """``text`` as XML character data; a character XML 1.0 forbids becomes U+FFFD."""
+    text = text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    return text.translate(_NOT_XML_CHARS)
 
 
 def _min_enclosing_circle(points: list[tuple[float, float]]) -> tuple[float, float, float]:
@@ -501,6 +533,8 @@ def _min_enclosing_circle(points: list[tuple[float, float]]) -> tuple[float, flo
     In input order it can take cubic time, e.g. on points that spiral
     outwards; a random order makes the expected time linear.
     """
+    import random
+
     pts = list(dict.fromkeys(points))
     if not pts:
         return 0.0, 0.0, 0.0

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from ._lazy import np
 
@@ -86,13 +87,12 @@ class SearchTree:
     def children(self) -> dict[str, list[tuple[str, TransformationStep]]]:
         """Adjacency map parent -> [(child, step)], children sorted by id.
 
-        The sort is stable: parallel edges keep the order they are listed in.
+        All edges are sorted once, stably, by child id: parallel edges keep
+        the order they are listed in.
         """
         adj: dict[str, list[tuple[str, TransformationStep]]] = {n: [] for n in self.nodes}
-        for parent, child, step in self.edges:
+        for parent, child, step in sorted(self.edges, key=itemgetter(1)):
             adj[parent].append((child, step))
-        for lst in adj.values():
-            lst.sort(key=lambda e: e[0])
         return adj
 
 

@@ -10,10 +10,13 @@ from __future__ import annotations
 import math
 import random
 import zlib
+from typing import TYPE_CHECKING
 
-from .distance import DistanceWeights
 from .encoding import EncodingTable, PathResolver
 from .model import ArchitectureSolution, SearchTree, SolutionSet, TransformationStep
+
+if TYPE_CHECKING:
+    from .distance import DistanceWeights
 
 
 def generate_tree(

@@ -7,12 +7,14 @@ import subprocess
 import sys
 import time
 import warnings
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import archspread.cli as cli
+import archspread.indicators as indicators
 from archspread.cli import main
 from archspread.distance import DistanceWeights, distance_matrix
 from archspread.indicators import indicators_from_eccentricities, spread_correlation
@@ -450,6 +452,55 @@ def test_lone_surrogate_in_printed_string_is_data_error_with_path(
     assert capsys.readouterr().err == f"error: {path}: contains a lone surrogate\n"
 
 
+def labelled_bundle(tmp_path, labels):
+    """A bundle of one two-solution set per label."""
+    sets = [
+        {
+            "label": label,
+            "objective_names": ["f0"],
+            "solutions": [
+                {"id": "a", "objectives": [0.0], "sequence": []},
+                {"id": "b", "objectives": [1.0 + k], "sequence": [{"name": "m", "args": ["x"]}]},
+            ],
+        }
+        for k, label in enumerate(labels)
+    ]
+    path = tmp_path / "labelled.json"
+    path.write_text(json.dumps({"name": "labelled", "sets": sets}))
+    return path
+
+
+def test_svg_of_labels_outside_xml_chars_parses(tmp_path):
+    # Valid JSON and accepted by validate, but XML 1.0 admits neither character.
+    bundle = labelled_bundle(tmp_path, ["a\u0001b", "c\uffffd"])
+    assert main(["validate", str(bundle)]) == 0
+    svg = tmp_path / "m.svg"
+    assert main(["compare", str(bundle), "--svg", str(svg), "-o", str(tmp_path / "r.json")]) == 0
+    texts = ET.parse(svg).getroot().findall(".//{http://www.w3.org/2000/svg}text")
+    assert [t.text.split("  ")[0] for t in texts] == ["a\ufffdb", "c\ufffdd"]
+
+
+def test_output_files_are_utf8_under_any_locale(tmp_path):
+    bundle = labelled_bundle(tmp_path, ["caf\u00e9", "na\u00efve", "\u6f22"])
+    outputs = {}
+    for mode, env in (("utf8", {"PYTHONUTF8": "1"}), ("ascii", {"LC_ALL": "C", "PYTHONUTF8": "0"})):
+        out = tmp_path / mode
+        out.mkdir()
+        for argv in (
+            ["compare", str(bundle), "--svg", "m.svg", "-o", "r.json"],
+            ["indicators", str(bundle), "--format", "csv", "-o", "r.csv"],
+            ["synth", "--sets", "2", "--n", "3", "--seed", "1", "-o", "b.json"],
+        ):
+            subprocess.run(
+                [sys.executable, "-m", "archspread.cli", *argv],
+                env=child_env(**env), cwd=out, check=True, capture_output=True,
+            )
+        outputs[mode] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    assert set(outputs["utf8"]) == {"m.svg", "r.json", "r_summary.csv", "r_points.csv", "b.json"}
+    assert outputs["ascii"] == outputs["utf8"]
+    assert "caf\u00e9".encode() in outputs["ascii"]["m.svg"]
+
+
 def test_cli_import_loads_no_scipy():
     code = (
         "import sys, archspread.cli; "
@@ -465,7 +516,7 @@ def test_indicators_csv_skips_correlation(bundle_path, monkeypatch):
     def fail(results):
         raise AssertionError("correlation computed for CSV output")
 
-    monkeypatch.setattr(cli, "spread_correlation", fail)
+    monkeypatch.setattr(indicators, "spread_correlation", fail)
     assert main(["indicators", str(bundle_path), "--format", "csv"]) == 0
 
 
@@ -549,6 +600,43 @@ def test_validate_and_synth_load_no_numpy(bundle_path, tmp_path):
         [sys.executable, "-c", code], env=child_env(), capture_output=True, text=True, check=True
     ).stdout
     assert out.strip().splitlines()[-1] == "[]"
+
+
+def test_validate_and_synth_run_no_numeric_layer_code(bundle_path, tmp_path):
+    # The layer modules are registered at import, for tools that look them up
+    # in sys.modules, but no frame of their code runs.
+    synth = ["synth", "--sets", "2", "--n", "5", "--seed", "1", "-o", str(tmp_path / "b.json")]
+    code = (
+        "import os, sys; ran = set(); "
+        "sys.settrace(lambda frame, event, arg: ran.add(frame.f_code.co_filename)); "
+        "import archspread.cli as cli; "
+        f"assert cli.main({['validate', str(bundle_path)]!r}) == 0; "
+        f"assert cli.main({synth!r}) == 0; "
+        "sys.settrace(None); "
+        "layers = ('distance', 'indicators', 'projection'); "
+        "files = {os.path.join(os.path.dirname(cli.__file__), f'{m}.py') for m in layers}; "
+        "assert all(f'archspread.{m}' in sys.modules for m in layers); "
+        "print(sorted(ran & files))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=child_env(), capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip().splitlines()[-1] == "[]"
+
+
+def test_package_names_load_their_module_on_first_access():
+    code = (
+        "import importlib, sys, archspread; "
+        "assert 'archspread.distance' not in sys.modules; "
+        "values = {name: getattr(archspread, name) for name in archspread.__all__}; "
+        "assert all(v is getattr(importlib.import_module(v.__module__), n) "
+        "for n, v in values.items()); "
+        "print(hasattr(archspread, 'no_such_name'), len(values))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=child_env(), capture_output=True, text=True, check=True
+    ).stdout
+    assert out.split() == ["False", "29"]
 
 
 def test_import_without_numpy_fails_at_import():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import time
@@ -294,6 +295,101 @@ def test_repeated_step_with_stray_key_warns_at_its_own_path():
     assert bundle.sets[0].solutions[1].sequence[0] is bundle.tree.edges[0][2]
 
 
+EDGE = {"from": "n0", "to": "n1", "step": {"name": "x"}}
+
+
+# Decoding turns every edge-shaped object into a tree edge, wherever it stands;
+# where the bundle expects another object, it must fail as that object would have.
+@pytest.mark.parametrize(
+    "place, message",
+    [
+        ("bundle", "$.name: missing required field"),
+        ("tree", "$.tree.root: missing required field"),
+        ("edge step", "$.tree.edges[0].step.name: missing required field"),
+        ("set", "$.sets[0].label: missing required field"),
+        ("solution", "$.sets[0].solutions[0].id: missing required field"),
+        ("sequence", "$.sets[0].solutions[0].sequence[0].name: missing required field"),
+    ],
+)
+def test_edge_shaped_object_where_another_object_belongs(place, message):
+    doc = json.loads(json.dumps(TREE_DOC))
+    if place == "bundle":
+        doc = EDGE
+    elif place == "tree":
+        doc["tree"] = EDGE
+    elif place == "edge step":
+        doc["tree"]["edges"][0]["step"] = EDGE
+    elif place == "set":
+        doc["sets"][0] = EDGE
+    elif place == "solution":
+        doc["sets"][0]["solutions"][0] = EDGE
+    else:
+        doc["sets"][0]["solutions"][0] = {"id": "a", "objectives": [0.0], "sequence": [EDGE]}
+    with pytest.raises(BundleError) as excinfo:
+        parse_bundle(json.dumps(doc))
+    assert str(excinfo.value) == message
+
+
+def test_edges_with_stray_fields_warn_and_keep_their_edge():
+    doc = json.loads(json.dumps(TREE_DOC))
+    doc["tree"]["edges"][1]["w"] = 3
+    doc["tree"]["edges"][2]["step"]["x"] = 0
+    bundle = parse_bundle(json.dumps(doc))
+    assert bundle.warnings == (
+        "ignored unknown field $.tree.edges[1].w",
+        "ignored unknown field $.tree.edges[2].step.x",
+    )
+    assert bundle.tree == parse_bundle(json.dumps(TREE_DOC)).tree
+    assert bundle.sets == parse_bundle(json.dumps(TREE_DOC)).sets
+
+
+@pytest.mark.parametrize("end", ["from", "to"])
+@pytest.mark.parametrize(
+    "value, message", [("x9", "unknown node 'x9'"), (3, "expected str"), (["n0"], "expected str")]
+)
+def test_edge_end_that_is_not_a_known_node_fails_at_its_path(end, value, message):
+    doc = json.loads(json.dumps(TREE_DOC))
+    doc["tree"]["edges"][2][end] = value
+    with pytest.raises(BundleError) as excinfo:
+        parse_bundle(json.dumps(doc))
+    assert str(excinfo.value) == f"$.tree.edges[2].{end}: {message}"
+
+
+def test_parallel_edges_listed_out_of_id_order_resolve_as_documented():
+    # The search visits children in id order ("a" before "b") and, among
+    # parallel edges, keeps the first-listed one.
+    edges = [
+        ("n0", "b", "toB1"),
+        ("b", "t", "bt"),
+        ("n0", "a", "toA1"),
+        ("n0", "b", "toB2"),
+        ("a", "t", "at1"),
+        ("n0", "a", "toA2"),
+        ("a", "t", "at2"),
+    ]
+    doc = {
+        "name": "parallel",
+        "tree": {
+            "root": "n0",
+            "nodes": ["n0", "b", "a", "t"],
+            "edges": [{"from": p, "to": c, "step": {"name": n}} for p, c, n in edges],
+        },
+        "sets": [
+            {
+                "label": "s",
+                "objective_names": ["f0"],
+                "solutions": [
+                    {"id": node, "objectives": [0.0], "node": node} for node in ("t", "b", "a")
+                ],
+            }
+        ],
+    }
+    bundle = parse_bundle(json.dumps(doc))
+    assert [step.name for _, _, step in bundle.tree.edges] == [n for _, _, n in edges]
+    paths = {sol.id: [step.name for step in sol.sequence] for sol in bundle.sets[0].solutions}
+    assert paths == {"t": ["toA1", "at1"], "b": ["toB1"], "a": ["toA1"]}
+
+
 def test_duplicate_set_labels_rejected():
     doc = json.loads(json.dumps(MINIMAL))
     doc["sets"].append(json.loads(json.dumps(doc["sets"][0])))
@@ -401,6 +497,30 @@ def test_svg_two_sets_two_circles_two_colors():
     # Every data marker lies inside its set's enclosing circle.
     texts = root.findall(".//{http://www.w3.org/2000/svg}text")
     assert len(texts) == 2
+
+
+def test_svg_of_labels_that_xml_admits_keeps_its_bytes():
+    # Markup characters are escaped; tab, newline, CR, DEL, C1 controls and
+    # astral characters are XML Chars and pass as they are.
+    labels = [
+        "plain",
+        "a & b <c> \"q\" 'q'",
+        "tab\tnew\nline\rcr",
+        "caf\u00e9 \U0001F600 \u007f\u0085\ufffd",
+    ]
+    svg = emit_scatter_svg({l: make_projection() for l in labels}, [make_result(l) for l in labels])
+    digest = hashlib.sha256(svg.encode()).hexdigest()
+    assert digest == "94adcd4c45a6bdce50c413da21aee4fb24100f1e080548b2802f6cf3be5506f0"
+
+
+@pytest.mark.parametrize(
+    "bad", [*map(chr, range(0x09)), "\x0b", "\x0c", "\x0e", "\x1f", "\ufffe", "\uffff"]
+)
+def test_svg_replaces_characters_outside_xml_with_the_replacement_character(bad):
+    label = f"a{bad}b&"
+    root = ET.fromstring(emit_scatter_svg({label: make_projection()}, [make_result(label)]))
+    text = root.find(".//{http://www.w3.org/2000/svg}text").text
+    assert text.startswith("a\ufffdb&  MAS=")
 
 
 def test_enclosing_circle_of_an_outward_spiral_in_time():

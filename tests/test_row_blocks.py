@@ -3,9 +3,10 @@
 Results at the block boundaries must match unblocked computations, and the
 layers must hold at most one n x n work array beside the distance matrix.
 Parsing, before them, must peak near the size of the bundle's text: no
-decoded dict per refactoring step.
+decoded dict per refactoring step or tree edge.
 """
 
+import json
 import math
 import random
 import tracemalloc
@@ -13,15 +14,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-import archspread.cli as cli
 import archspread.distance as distance
 import archspread.projection as projection
 from archspread.cli import main
 from archspread.distance import DistanceWeights, distance_matrix, distinct_sequences
 from archspread.indicators import indicators_for
-from archspread.io import parse_bundle
+from archspread.io import AnalysisBundle, parse_bundle, write_bundle
 from archspread.model import _ROW_BLOCK, DistanceMatrix, SolutionSet
 from archspread.projection import mds_project
+from archspread.synth import generate_tree
 
 from conftest import make_set, random_set
 
@@ -134,6 +135,28 @@ def test_parse_holds_no_decoded_dict_per_step(tmp_path):
     assert peak <= 1.25 * len(text)
 
 
+def test_parse_holds_no_decoded_dict_per_tree_edge():
+    tree = generate_tree(7, 11, 2, 6, 9)
+    rng = random.Random(7)
+    doc = json.loads(write_bundle(AnalysisBundle("refs", (), tree)))
+    doc["sets"] = [
+        {
+            "label": f"s{k}",
+            "objective_names": ["f0", "f1"],
+            "solutions": [
+                {"id": f"s{k}_{i}", "objectives": [rng.random(), rng.random()], "node": node}
+                for i, node in enumerate(rng.sample(tree.nodes, 250))
+            ],
+        }
+        for k in range(2)
+    ]
+    text = json.dumps(doc, indent=2)
+    parse_bundle(text)  # load whatever the first parse loads
+    _, peak = extra_peak(lambda: parse_bundle(text))
+    # Each edge is decoded into its (from, to, step) triple; a dict per edge peaks at ~3.6.
+    assert peak <= 3.0 * len(text)
+
+
 def test_numeric_layers_hold_one_n_by_n_work_array(tmp_path, monkeypatch):
     path = tmp_path / "bundle.json"
     synth = ["synth", "--sets", "2", "--n", "1000", "--seed", "3", "--depth", "11"]
@@ -164,7 +187,7 @@ def test_numeric_layers_hold_one_n_by_n_work_array(tmp_path, monkeypatch):
         built.append(distance_matrix(solution_set, w))
         return built[-1]
 
-    monkeypatch.setattr(cli, "distance_matrix", recording)
+    monkeypatch.setattr(distance, "distance_matrix", recording)
     assert main(["mds", str(path), "-o", str(tmp_path / "report.json")]) == 0
     assert [joint.values.shape for joint in built] == [(m, m)]
     assert built[0].ids == tuple(sol.id for sol in representatives)
