@@ -60,3 +60,7 @@ def __getattr__(name: str):
     value = getattr(importlib.import_module(f".{home}", __name__), name)
     globals()[name] = value
     return value
+
+
+def __dir__() -> list[str]:
+    return sorted(globals().keys() | _HOMES.keys())

@@ -19,7 +19,6 @@ themselves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import zip_longest
 from typing import Iterable, Iterator, Sequence
 
@@ -30,21 +29,23 @@ from .model import (
     DistanceMatrix,
     SolutionSet,
     TransformationStep,
+    _Record,
     _row_blocks,
 )
 
 
-@dataclass(frozen=True)
-class DistanceWeights:
+class DistanceWeights(_Record):
     """Channel weights; they must sum to 1 so a position contributes at most 1."""
 
-    w_pred: float = 0.5
-    w_args: float = 0.5
+    __slots__ = __match_args__ = ("w_pred", "w_args")
+    w_pred: float
+    w_args: float
 
-    def __post_init__(self) -> None:
-        if not (0.0 <= self.w_pred <= 1.0 and 0.0 <= self.w_args <= 1.0):
+    def __init__(self, w_pred: float = 0.5, w_args: float = 0.5) -> None:
+        self._fill(w_pred, w_args)
+        if not (0.0 <= w_pred <= 1.0 and 0.0 <= w_args <= 1.0):
             raise ValueError("weights must lie in [0, 1]")
-        if abs(self.w_pred + self.w_args - 1.0) > 1e-12:
+        if abs(w_pred + w_args - 1.0) > 1e-12:
             raise ValueError("weights must sum to 1")
 
 

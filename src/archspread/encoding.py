@@ -9,9 +9,8 @@ names and argument tokens for ``synth.oracle_mas`` and
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
-from .model import SearchTree, SolutionSet, TransformationStep
+from .model import SearchTree, SolutionSet, TransformationStep, _Record
 
 
 class UnknownNodeError(KeyError):
@@ -22,8 +21,7 @@ class UnreachableNodeError(ValueError):
     """The queried node cannot be reached from the root."""
 
 
-@dataclass(frozen=True)
-class EncodingTable:
+class EncodingTable(_Record):
     """Injective token -> dense symbol maps, one per space (names, args).
 
     Only ``synth.oracle_mas`` and ``perfbench/inputs.py`` use it, so the
@@ -31,8 +29,12 @@ class EncodingTable:
     steps themselves.
     """
 
+    __slots__ = __match_args__ = ("name_symbols", "arg_symbols")
     name_symbols: dict[str, int]
     arg_symbols: dict[str, int]
+
+    def __init__(self, name_symbols: dict[str, int], arg_symbols: dict[str, int]) -> None:
+        self._fill(name_symbols, arg_symbols)
 
 
 def build_encoding(sets: list[SolutionSet]) -> EncodingTable:

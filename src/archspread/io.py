@@ -5,7 +5,6 @@ from __future__ import annotations
 import io as _stdio
 import json
 import math
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
 from .encoding import PathResolver, UnknownNodeError, UnreachableNodeError
@@ -16,6 +15,7 @@ from .model import (
     SearchTree,
     SolutionSet,
     TransformationStep,
+    _Record,
 )
 
 if TYPE_CHECKING:
@@ -26,15 +26,29 @@ class BundleError(ValueError):
     """Schema or referential-integrity violation; message carries the JSON path."""
 
 
-@dataclass(frozen=True)
-class AnalysisBundle:
-    """One analysis input: named solution sets, optionally backed by a search tree."""
+class AnalysisBundle(_Record):
+    """One analysis input: named solution sets, optionally backed by a search tree.
 
+    ``warnings`` take no part in ``==`` or ``hash``.
+    """
+
+    __slots__ = __match_args__ = ("name", "sets", "tree", "provenance", "warnings")
+    _compared = ("name", "sets", "tree", "provenance")
     name: str
     sets: tuple[SolutionSet, ...]
-    tree: SearchTree | None = None
-    provenance: str = ""
-    warnings: tuple[str, ...] = field(default=(), compare=False)
+    tree: SearchTree | None
+    provenance: str
+    warnings: tuple[str, ...]
+
+    def __init__(
+        self,
+        name: str,
+        sets: tuple[SolutionSet, ...],
+        tree: SearchTree | None = None,
+        provenance: str = "",
+        warnings: tuple[str, ...] = (),
+    ) -> None:
+        self._fill(name, sets, tree, provenance, warnings)
 
 
 Resolve = Callable[[str], tuple[TransformationStep, ...]]

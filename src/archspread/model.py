@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 
 from ._lazy import np
 
@@ -18,68 +17,128 @@ def _row_blocks(n: int):
     return (slice(start, min(start + _ROW_BLOCK, n)) for start in range(0, n, _ROW_BLOCK))
 
 
-@dataclass(frozen=True)
-class TransformationStep:
+class _Record:
+    """Base of the frozen value types.
+
+    A subclass names its fields, in ``__init__`` order, in ``__match_args__``
+    and in ``__slots__`` (which may end with private slots), and sets every
+    slot once in ``__init__`` by ``_fill``.
+    ``==`` and ``hash`` compare the fields named by ``_compared`` (all of them
+    unless the class names fewer), and only between instances of one class.
+    Copying and unpickling call the class with the fields again, since a
+    frozen instance cannot be filled in after ``__new__``.
+    """
+
+    __slots__ = ()
+    __match_args__: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        cls._key = attrgetter(*getattr(cls, "_compared", cls.__match_args__))
+
+    def _fill(self, *values: object) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._key(self) == self._key(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return self.__class__, tuple(getattr(self, name) for name in self.__match_args__)
+
+
+class TransformationStep(_Record):
     """One refactoring: a name plus the ordered arguments it targets."""
 
+    # Steps are hashed wherever they occur, so the hash is taken once.
+    __slots__ = ("name", "args", "_hash")
+    __match_args__ = ("name", "args")
     name: str
-    args: tuple[str, ...] = ()
+    args: tuple[str, ...]
 
-    def __post_init__(self) -> None:
-        if not self.name.strip():
+    def __init__(self, name: str, args: tuple[str, ...] = ()) -> None:
+        if not name.strip():
             raise ValueError("transformation name must be non-empty")
-        object.__setattr__(self, "args", tuple(self.args))
-        if any(not a for a in self.args):
-            raise ValueError(f"transformation {self.name!r} has an empty argument token")
+        args = tuple(args)
+        if any(not a for a in args):
+            raise ValueError(f"transformation {name!r} has an empty argument token")
+        self._fill(name, args, hash((name, args)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
-@dataclass(frozen=True)
-class ArchitectureSolution:
+class ArchitectureSolution(_Record):
     """A design alternative: objective values plus the refactoring path from the root."""
 
+    __slots__ = __match_args__ = ("id", "objectives", "sequence")
     id: str
     objectives: tuple[float, ...]
-    sequence: tuple[TransformationStep, ...] = ()
+    sequence: tuple[TransformationStep, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "objectives", tuple(float(v) for v in self.objectives))
-        object.__setattr__(self, "sequence", tuple(self.sequence))
+    def __init__(
+        self, id: str, objectives: tuple[float, ...], sequence: tuple[TransformationStep, ...] = ()
+    ) -> None:
+        self._fill(id, tuple(float(v) for v in objectives), tuple(sequence))
 
 
-@dataclass(frozen=True)
-class SolutionSet:
+class SolutionSet(_Record):
     """A labeled collection of solutions produced by one optimization configuration."""
 
+    __slots__ = __match_args__ = ("label", "objective_names", "solutions")
     label: str
     objective_names: tuple[str, ...]
     solutions: tuple[ArchitectureSolution, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "objective_names", tuple(self.objective_names))
-        object.__setattr__(self, "solutions", tuple(self.solutions))
+    def __init__(
+        self,
+        label: str,
+        objective_names: tuple[str, ...],
+        solutions: tuple[ArchitectureSolution, ...],
+    ) -> None:
+        self._fill(label, tuple(objective_names), tuple(solutions))
 
     def __len__(self) -> int:
         return len(self.solutions)
 
 
-@dataclass(frozen=True)
-class SearchTree:
+class SearchTree(_Record):
     """Search tree (or DAG) rooted at the initial architecture.
 
     ``nodes`` holds the node ids in the order given, each once. ``edges``
     holds ``(parent_id, child_id, step)`` triples.
     """
 
+    __slots__ = __match_args__ = ("nodes", "root_id", "edges")
     nodes: tuple[str, ...]
     root_id: str
     edges: tuple[tuple[str, str, TransformationStep], ...]
 
-    def __post_init__(self) -> None:
-        known = dict.fromkeys(self.nodes)
-        object.__setattr__(self, "nodes", tuple(known))
-        object.__setattr__(self, "edges", tuple(self.edges))
-        if self.root_id not in known:
-            raise ValueError(f"root id {self.root_id!r} is not a node")
+    def __init__(
+        self,
+        nodes: tuple[str, ...],
+        root_id: str,
+        edges: tuple[tuple[str, str, TransformationStep], ...],
+    ) -> None:
+        known = dict.fromkeys(nodes)
+        self._fill(tuple(known), root_id, tuple(edges))
+        if root_id not in known:
+            raise ValueError(f"root id {root_id!r} is not a node")
         for parent, child, _ in self.edges:
             if parent not in known or child not in known:
                 raise ValueError(f"edge ({parent!r}, {child!r}) references unknown node")
@@ -96,8 +155,7 @@ class SearchTree:
         return adj
 
 
-@dataclass(frozen=True)
-class DistanceMatrix:
+class DistanceMatrix(_Record):
     """Symmetric matrix of architectural distances between a set's solutions.
 
     ``values`` is a read-only float64 array. Any other input is copied into
@@ -105,13 +163,13 @@ class DistanceMatrix:
     entry and is the default MAS scale.
     """
 
+    __slots__ = __match_args__ = ("ids", "values", "l_pad")
     ids: tuple[str, ...]
     values: np.ndarray
     l_pad: int
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "ids", tuple(self.ids))
-        values = self.values
+    def __init__(self, ids: tuple[str, ...], values: np.ndarray, l_pad: int) -> None:
+        ids = tuple(ids)
         if not (
             isinstance(values, np.ndarray)
             and values.dtype == np.float64
@@ -122,25 +180,25 @@ class DistanceMatrix:
             except ValueError:
                 raise ValueError("distance matrix shape does not match ids") from None
             values.flags.writeable = False
-        n = len(self.ids)
+        n = len(ids)
         if n == 0 and values.size == 0:
             values = values.reshape(0, 0)
-        object.__setattr__(self, "values", values)
+        self._fill(ids, values, l_pad)
         if values.shape != (n, n):
             raise ValueError("distance matrix shape does not match ids")
-        if _is_valid(values, self.l_pad):
+        if _is_valid(values, l_pad):
             return
         # Report the first violation in row-major order over the upper
         # triangle, diagonal included; NaN fails every check.
-        in_range = (values >= 0.0) & (values <= self.l_pad + 1e-9)
+        in_range = (values >= 0.0) & (values <= l_pad + 1e-9)
         bad = np.triu((values != values.T) | ~in_range, 1)
         np.fill_diagonal(bad, np.diagonal(values) != 0.0)
         i, j = (int(k) for k in np.argwhere(bad)[0])
         if i == j:
-            raise ValueError(f"nonzero diagonal at {self.ids[i]!r}")
+            raise ValueError(f"nonzero diagonal at {ids[i]!r}")
         if values[i, j] != values[j, i]:
-            raise ValueError(f"asymmetry at ({self.ids[i]!r}, {self.ids[j]!r})")
-        raise ValueError(f"distance out of [0, L] at ({self.ids[i]!r}, {self.ids[j]!r})")
+            raise ValueError(f"asymmetry at ({ids[i]!r}, {ids[j]!r})")
+        raise ValueError(f"distance out of [0, L] at ({ids[i]!r}, {ids[j]!r})")
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -162,30 +220,48 @@ def _is_valid(values: np.ndarray, l_pad: int) -> bool:
     return all(np.array_equal(values[rows], values[:, rows].T) for rows in blocks)
 
 
-@dataclass(frozen=True)
-class IndicatorResult:
+class IndicatorResult(_Record):
     """Spread values for one solution set."""
 
+    __slots__ = __match_args__ = (
+        "set_label", "ms", "mas", "n", "max_d", "o", "l_pad", "diagnostics"
+    )
     set_label: str
     ms: float
     mas: float
     n: int
     max_d: float
     o: int
-    l_pad: int = 0
-    diagnostics: tuple[str, ...] = field(default=())
+    l_pad: int
+    diagnostics: tuple[str, ...]
+
+    def __init__(
+        self,
+        set_label: str,
+        ms: float,
+        mas: float,
+        n: int,
+        max_d: float,
+        o: int,
+        l_pad: int = 0,
+        diagnostics: tuple[str, ...] = (),
+    ) -> None:
+        self._fill(set_label, ms, mas, n, max_d, o, l_pad, diagnostics)
 
 
-@dataclass(frozen=True)
-class CorrelationStats:
+class CorrelationStats(_Record):
     """Descriptive correlation between the objective-space and architectural spreads.
 
     A coefficient is ``None`` when it is not computable.
     """
 
+    __slots__ = __match_args__ = ("n", "pearson", "spearman")
     n: int
     pearson: float | None
     spearman: float | None
+
+    def __init__(self, n: int, pearson: float | None, spearman: float | None) -> None:
+        self._fill(n, pearson, spearman)
 
 
 def validate_solution_set(solution_set: SolutionSet) -> list[str]:

@@ -3,15 +3,13 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 from ._lazy import np
-from .model import DistanceMatrix, _row_blocks
+from .model import DistanceMatrix, _Record, _row_blocks
 
 
-@dataclass(frozen=True)
-class Projection2D:
+class Projection2D(_Record):
     """2D embedding of a distance matrix with fidelity diagnostics.
 
     ``stress`` is Kruskal stress-1 of the embedded vs. input distances;
@@ -20,11 +18,22 @@ class Projection2D:
     both are reported for the user to judge projection fidelity.
     """
 
+    __slots__ = __match_args__ = ("ids", "coords", "stress", "eigenvalue_share", "diagnostics")
     ids: tuple[str, ...]
     coords: tuple[tuple[float, float], ...]
     stress: float
     eigenvalue_share: float
-    diagnostics: tuple[str, ...] = ()
+    diagnostics: tuple[str, ...]
+
+    def __init__(
+        self,
+        ids: tuple[str, ...],
+        coords: tuple[tuple[float, float], ...],
+        stress: float,
+        eigenvalue_share: float,
+        diagnostics: tuple[str, ...] = (),
+    ) -> None:
+        self._fill(ids, coords, stress, eigenvalue_share, diagnostics)
 
 
 _EPS = 2.220446049250313e-16  # float64 machine epsilon

@@ -589,17 +589,20 @@ def test_ten_thousand_unknown_fields_validate_in_time(tmp_path, capsys, shape):
 def test_validate_and_synth_load_no_numpy(bundle_path, tmp_path):
     # numpy itself may sit in sys.modules as a lazy module; its code has not
     # run as long as none of its submodules (numpy.core, numpy._core, ...) is there.
+    # Nor do they import dataclasses, unless the interpreter's start-up did.
     synth = ["synth", "--sets", "2", "--n", "5", "--seed", "1", "-o", str(tmp_path / "b.json")]
     code = (
-        "import sys; from archspread.cli import main; "
+        "import sys; preloaded = 'dataclasses' in sys.modules; "
+        "from archspread.cli import main; "
         f"assert main({['validate', str(bundle_path)]!r}) == 0; "
         f"assert main({synth!r}) == 0; "
-        "print(sorted(m for m in sys.modules if m.startswith('numpy.')))"
+        "print(sorted(m for m in sys.modules if m.startswith('numpy.'))); "
+        "print(preloaded or 'dataclasses' not in sys.modules)"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], env=child_env(), capture_output=True, text=True, check=True
     ).stdout
-    assert out.strip().splitlines()[-1] == "[]"
+    assert out.strip().splitlines()[-2:] == ["[]", "True"]
 
 
 def test_validate_and_synth_run_no_numeric_layer_code(bundle_path, tmp_path):
@@ -628,6 +631,7 @@ def test_package_names_load_their_module_on_first_access():
     code = (
         "import importlib, sys, archspread; "
         "assert 'archspread.distance' not in sys.modules; "
+        "assert {'__version__', *archspread.__all__} <= set(dir(archspread)); "
         "values = {name: getattr(archspread, name) for name in archspread.__all__}; "
         "assert all(v is getattr(importlib.import_module(v.__module__), n) "
         "for n, v in values.items()); "
