@@ -13,7 +13,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import io as bundle_io
-from ._lazy import lazy_import, np
+from ._lazy import lazy_import
 from .model import CorrelationStats, IndicatorResult, SolutionSet, validate_solution_set
 
 if TYPE_CHECKING:
@@ -57,14 +57,14 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_w_pred_arg(p)
     p.add_argument("--svg", type=Path, help="write a scatter SVG to this path")
     p.add_argument("-o", "--output", type=Path, help="output path (default: stdout)")
-    p.set_defaults(func=_cmd_mds, shared_maxd=True, mas_allpairs=False)
+    p.set_defaults(func=_cmd_projected, shared_maxd=True, mas_allpairs=False)
 
     p = sub.add_parser("compare", help="indicators + correlation + projection in one report")
     _add_bundle_arg(p)
     _add_indicator_flags(p)
     p.add_argument("--svg", type=Path, help="write a scatter SVG to this path")
     p.add_argument("-o", "--output", type=Path, help="output path (default: stdout)")
-    p.set_defaults(func=_cmd_compare)
+    p.set_defaults(func=_cmd_projected)
 
     p = sub.add_parser("synth", help="generate a seeded synthetic bundle")
     positive = _bounded(int, 1)
@@ -168,15 +168,15 @@ def _load(args) -> tuple[bundle_io.AnalysisBundle, DistanceWeights]:
 
 def _analyze(
     args, project: bool
-) -> tuple[list[IndicatorResult], dict[str, Projection2D] | None]:
-    """Indicators per set and, with ``project``, the shared MDS map sliced per set.
+) -> tuple[list[SolutionSet], list[IndicatorResult], Projection2D | None]:
+    """The sets, their indicators and, with ``project``, the MDS map of all their solutions.
 
     Each layer is computed once. MAS needs only each solution's
     eccentricity. Without a map they come from the within-set distances,
     block by block. With one, the joint matrix over one solution per
     distinct sequence of all sets is computed and checked once; the
     eccentricities are its row maxima gathered through each set's rows, and
-    MDS weighs each row by how many solutions share its sequence.
+    MDS gives solution ``i`` of all sets, in order, the point of its row.
     """
     bundle, w = _load(args)
     sets = list(bundle.sets)
@@ -184,37 +184,13 @@ def _analyze(
         raise ValueError("at least one solution set is required")
     options = {"shared_max_d": args.shared_maxd, "all_pairs": args.mas_allpairs}
     if not project:
-        return indicators.indicators_for(sets, w, **options), None
+        return sets, indicators.indicators_for(sets, w, **options), None
     representatives, index = distance.distinct_sequences([sol for s in sets for sol in s.solutions])
     distinct = SolutionSet("__all__", sets[0].objective_names, tuple(representatives))
     joint = distance.distance_matrix(distinct, w)
     eccentricities = distance.gathered_eccentricities(joint, index, sets)
     results = indicators.indicators_from_eccentricities(sets, eccentricities, **options)
-    mds = projection.mds_project(joint, np.bincount(index))
-    return results, _split_projection(mds, index.tolist(), sets)
-
-
-def _split_projection(
-    joint: Projection2D, index: list[int], sets: list[SolutionSet]
-) -> dict[str, Projection2D]:
-    """Per-set views of a projection of the distinct sequences, in bundle order.
-
-    Solution ``i`` of all sets in order takes point ``index[i]``, so ids that
-    repeat across sets cannot mix, and equal sequences get equal points.
-    """
-    out = {}
-    start = 0
-    for s in sets:
-        stop = start + len(s)
-        out[s.label] = projection.Projection2D(
-            ids=tuple(sol.id for sol in s.solutions),
-            coords=tuple(joint.coords[i] for i in index[start:stop]),
-            stress=joint.stress,
-            eigenvalue_share=joint.eigenvalue_share,
-            diagnostics=joint.diagnostics,
-        )
-        start = stop
-    return out
+    return sets, results, projection.mds_project(joint, index)
 
 
 def _correlation(results: list[IndicatorResult]) -> CorrelationStats | None:
@@ -234,34 +210,22 @@ def _emit(documents: dict[str, str], output: Path | None) -> None:
             path.write_text(text, encoding="utf-8")
 
 
-def _emit_projected(
-    args,
-    results: list[IndicatorResult],
-    correlation: CorrelationStats | None,
-    projections: dict[str, Projection2D],
-) -> int:
-    _emit(bundle_io.write_report(results, correlation, projections=projections), args.output)
-    if args.svg is not None:
-        args.svg.write_text(bundle_io.emit_scatter_svg(projections, results), encoding="utf-8")
-    return 0
-
-
 def _cmd_indicators(args) -> int:
-    results, _ = _analyze(args, project=False)
+    _, results, _ = _analyze(args, project=False)
     # The CSV summary has no correlation column, so only JSON computes it.
     correlation = _correlation(results) if args.format == "json" else None
     _emit(bundle_io.write_report(results, correlation, format=args.format), args.output)
     return 0
 
 
-def _cmd_mds(args) -> int:
-    results, projections = _analyze(args, project=True)
-    return _emit_projected(args, results, None, projections)
-
-
-def _cmd_compare(args) -> int:
-    results, projections = _analyze(args, project=True)
-    return _emit_projected(args, results, _correlation(results), projections)
+def _cmd_projected(args) -> int:
+    """mds and compare: the report with the map, and the SVG on request; compare correlates."""
+    sets, results, mds = _analyze(args, project=True)
+    correlation = _correlation(results) if args.command == "compare" else None
+    _emit(bundle_io.write_report(results, correlation, sets, mds), args.output)
+    if args.svg is not None:
+        args.svg.write_text(bundle_io.emit_scatter_svg(sets, mds, results), encoding="utf-8")
+    return 0
 
 
 def _cmd_synth(args) -> int:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import io as _stdio
 import json
 import math
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .encoding import PathResolver, UnknownNodeError, UnreachableNodeError
 from .model import (
@@ -370,28 +370,43 @@ def write_bundle(bundle: AnalysisBundle) -> str:
 def write_report(
     results: list[IndicatorResult],
     correlation: CorrelationStats | None,
-    projections: dict[str, Projection2D] | None = None,
+    sets: Sequence[SolutionSet] = (),
+    projection: Projection2D | None = None,
     format: str = "json",
 ) -> dict[str, str]:
-    """Serialize indicator results to named documents.
+    """Serialize indicator results, and the map of ``sets`` if any, to named documents.
 
     Returns a mapping from logical document name to text: {"report": json}
     for JSON, or {"summary": csv, "points": csv} for CSV.
     """
     if not results:
         raise ValueError("results must be non-empty")
-    projections = projections or {}
+    placed = _set_points(sets, projection)
     if format == "json":
-        return {"report": _json_report(results, correlation, projections)}
+        return {"report": _json_report(results, correlation, placed, projection)}
     if format == "csv":
-        return _csv_report(results, projections)
+        return _csv_report(results, placed)
     raise ValueError(f"unknown format {format!r}")
+
+
+def _set_points(
+    sets: Sequence[SolutionSet], projection: Projection2D | None
+) -> list[tuple[str, list[tuple[str, float, float]]]]:
+    """Each set's label and rows ``(id, x, y)``; solution ``i`` of all sets has point ``i``."""
+    if projection is None:
+        return []
+    total = sum(len(s) for s in sets)
+    if len(projection.coords) != total:
+        raise ValueError(f"{len(projection.coords)} projection points for {total} solutions")
+    points = iter(projection.coords)
+    return [(s.label, [(sol.id, *next(points)) for sol in s.solutions]) for s in sets]
 
 
 def _json_report(
     results: list[IndicatorResult],
     correlation: CorrelationStats | None,
-    projections: dict[str, Projection2D],
+    placed: list[tuple[str, list[tuple[str, float, float]]]],
+    projection: Projection2D | None,
 ) -> str:
     doc: dict = {
         "sets": [
@@ -417,22 +432,20 @@ def _json_report(
             "pearson": correlation.pearson,
             "spearman": correlation.spearman,
         }
-    if projections:
+    if placed:
         doc["projections"] = {
             label: {
-                "stress": p.stress,
-                "eigenvalue_share": p.eigenvalue_share,
-                "points": [
-                    {"id": i, "x": x, "y": y} for i, (x, y) in zip(p.ids, p.coords)
-                ],
+                "stress": projection.stress,
+                "eigenvalue_share": projection.eigenvalue_share,
+                "points": [{"id": i, "x": x, "y": y} for i, x, y in rows],
             }
-            for label, p in projections.items()
+            for label, rows in placed
         }
     return json.dumps(doc, indent=2) + "\n"
 
 
 def _csv_report(
-    results: list[IndicatorResult], projections: dict[str, Projection2D]
+    results: list[IndicatorResult], placed: list[tuple[str, list[tuple[str, float, float]]]]
 ) -> dict[str, str]:
     import csv
 
@@ -445,8 +458,8 @@ def _csv_report(
     points = _stdio.StringIO()
     writer = csv.writer(points, lineterminator="\n")
     writer.writerow(["id", "label", "x", "y"])
-    for label, p in projections.items():
-        for i, (x, y) in zip(p.ids, p.coords):
+    for label, rows in placed:
+        for i, x, y in rows:
             writer.writerow([i, label, repr(x), repr(y)])
     return {"summary": summary.getvalue(), "points": points.getvalue()}
 
@@ -461,22 +474,22 @@ _SVG_WIDTH = 640
 _SVG_HEIGHT = 520
 
 
-def emit_scatter_svg(projections: dict[str, Projection2D], results: list[IndicatorResult]) -> str:
+def emit_scatter_svg(
+    sets: Sequence[SolutionSet], projection: Projection2D, results: list[IndicatorResult]
+) -> str:
     """Standalone SVG scatter: one marker per solution, colored by set label.
 
+    Solution ``i`` of ``sets``, in order, sits at point ``i`` of ``projection``.
     Each set gets its minimum enclosing circle and a legend entry; the caption
     carries the set's MAS/MS from its row in ``results``, if any. The MDS axes
     carry no semantic meaning and are left unlabeled.
     """
-    points: list[tuple[float, float, str]] = []
-    for label, proj in projections.items():
-        for x, y in proj.coords:
-            points.append((x, y, label))
-    if not points:
+    placed = _set_points(sets, projection)
+    if not projection.coords:
         raise ValueError("at least one projection point is required")
 
-    xs = [p[0] for p in points]
-    ys = [p[1] for p in points]
+    xs = [x for x, _ in projection.coords]
+    ys = [y for _, y in projection.coords]
     x_min, y_max = min(xs), max(ys)
     span = max(max(xs) - x_min, y_max - min(ys)) or 1.0
     margin = 50.0
@@ -489,7 +502,7 @@ def emit_scatter_svg(projections: dict[str, Projection2D], results: list[Indicat
         return px, py
 
     by_label: dict[str, str] = {}
-    for label in projections:
+    for label, _ in placed:
         by_label[label] = _PALETTE[len(by_label) % len(_PALETTE)]
     indicator_by_label = {r.set_label: r for r in results}
 
@@ -498,9 +511,9 @@ def emit_scatter_svg(projections: dict[str, Projection2D], results: list[Indicat
         f'viewBox="0 0 {_SVG_WIDTH} {_SVG_HEIGHT}">',
         f'<rect width="{_SVG_WIDTH}" height="{_SVG_HEIGHT}" fill="white"/>',
     ]
-    for label, proj in projections.items():
+    for label, rows in placed:
         color = by_label[label]
-        px_points = [to_px(x, y) for x, y in proj.coords]
+        px_points = [to_px(x, y) for _, x, y in rows]
         cx, cy, r = _min_enclosing_circle(px_points)
         parts.append(
             f'<circle cx="{cx:.2f}" cy="{cy:.2f}" r="{r + 6:.2f}" fill="none" '

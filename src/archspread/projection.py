@@ -12,14 +12,15 @@ from .model import DistanceMatrix, _Record, _row_blocks
 class Projection2D(_Record):
     """2D embedding of a distance matrix with fidelity diagnostics.
 
-    ``stress`` is Kruskal stress-1 of the embedded vs. input distances;
-    ``eigenvalue_share`` is the fraction of positive eigenvalue mass captured
-    by the two retained axes. Sequence distances need not be Euclidean, so
-    both are reported for the user to judge projection fidelity.
+    ``coords`` holds one ``(x, y)`` pair per point, in the order of the index
+    given to ``mds_project``. ``stress`` is Kruskal stress-1 of the embedded
+    vs. input distances; ``eigenvalue_share`` is the fraction of positive
+    eigenvalue mass captured by the two retained axes. Sequence distances
+    need not be Euclidean, so both are reported for the user to judge
+    projection fidelity.
     """
 
-    __slots__ = __match_args__ = ("ids", "coords", "stress", "eigenvalue_share", "diagnostics")
-    ids: tuple[str, ...]
+    __slots__ = __match_args__ = ("coords", "stress", "eigenvalue_share", "diagnostics")
     coords: tuple[tuple[float, float], ...]
     stress: float
     eigenvalue_share: float
@@ -27,13 +28,12 @@ class Projection2D(_Record):
 
     def __init__(
         self,
-        ids: tuple[str, ...],
         coords: tuple[tuple[float, float], ...],
         stress: float,
         eigenvalue_share: float,
         diagnostics: tuple[str, ...] = (),
     ) -> None:
-        self._fill(ids, coords, stress, eigenvalue_share, diagnostics)
+        self._fill(coords, stress, eigenvalue_share, diagnostics)
 
 
 _EPS = 2.220446049250313e-16  # float64 machine epsilon
@@ -54,7 +54,7 @@ def _top_two_lanczos(b: np.ndarray, evals: np.ndarray) -> np.ndarray | None:
 
     Lanczos iteration with full reorthogonalisation (Gram–Schmidt, twice per
     step), from a fixed start vector with entries of both signs, since ``b``
-    maps the all-positive vector of root multiplicities to 0. It stops once
+    maps the all-positive vector of root weights to 0. It stops once
     both top Ritz vectors are exact to rounding: residual estimate / gap <=
     eps. The result is None unless ``evals`` (ascending, from ``eigvalsh``)
     has both gaps λ1 − λ2 and λ2 − λ3 clearly nonzero and the two Ritz pairs
@@ -94,18 +94,19 @@ def _top_two_lanczos(b: np.ndarray, evals: np.ndarray) -> np.ndarray | None:
     return None
 
 
-def mds_project(dm: DistanceMatrix, multiplicity: Sequence[int] | None = None) -> Projection2D:
+def mds_project(dm: DistanceMatrix, index: Sequence[int] | None = None) -> Projection2D:
     """Embed via double-centering and the top-2 non-negative eigenpairs.
 
-    Row ``a`` of ``dm`` stands for ``multiplicity[a]`` identical points
-    (default 1 each). The map is that of the matrix with every row repeated
-    that often, computed on ``dm`` alone (weighted classical MDS, Gower
-    1966): centring uses multiplicity-weighted means, the eigenpairs are
-    those of W^½ B W^½ with W the diagonal of multiplicities, and the vectors
-    are mapped back through W^-½. The repeated matrix has the same nonzero
-    eigenvalues, so the same share, and the stress weighs each pair by
-    ``w_a * w_b``. With unit multiplicities every extra operation multiplies
-    or divides by 1.0, which changes nothing.
+    Point ``i`` of the map is row ``index[i]`` of ``dm`` (default: one point
+    per row), so row ``a`` stands for as many identical points as ``index``
+    names it. The map is that of the matrix with every row repeated that
+    often, computed on ``dm`` alone (weighted classical MDS, Gower 1966):
+    centring uses weighted means, the eigenpairs are those of W^½ B W^½ with
+    W the diagonal of ``np.bincount(index)``, and the vectors are mapped back
+    through W^-½. The repeated matrix has the same nonzero eigenvalues, so
+    the same share, and the stress weighs each pair by ``w_a * w_b``. With
+    unit weights every extra operation multiplies or divides by 1.0, which
+    changes nothing.
 
     The whole spectrum comes from ``eigvalsh``; the two eigenvectors from
     Lanczos, or from ``eigh`` where Lanczos does not pin them down.
@@ -115,14 +116,26 @@ def mds_project(dm: DistanceMatrix, multiplicity: Sequence[int] | None = None) -
     is not zero up to rounding, so output is fully deterministic. Beside
     ``dm.values`` it holds one n x n array, ``b`` (and the eigenvectors while
     ``eigh`` runs), then blocks of rows.
+
+    Raises ``ValueError`` when ``dm`` is empty, or ``index`` is not a 1-D
+    integer array of rows of ``dm`` that names every row.
     """
     n = len(dm)
+    if n == 0:
+        raise ValueError("cannot project an empty distance matrix")
+    index = np.arange(n) if index is None else np.asarray(index)
+    if index.ndim != 1 or index.dtype.kind not in "iu":
+        raise ValueError(f"index must be a 1-D integer array, got {index.ndim}-D {index.dtype}")
+    if index.size and (index.min() < 0 or index.max() >= n):
+        raise ValueError(f"index must hold rows in [0, {n}), got {index.min()}..{index.max()}")
+    w = np.bincount(index.astype(np.intp), minlength=n).astype(np.float64)
+    if not w.all():
+        raise ValueError(f"index leaves row {int(np.argmin(w))} of the distance matrix unused")
     d = dm.values
-    w = np.ones(n) if multiplicity is None else np.asarray(multiplicity, dtype=np.float64)
     total = float(w.sum())
     if n == 1:
         # One distinct point; repeated, it is a degenerate map.
-        return Projection2D(dm.ids, ((0.0, 0.0),), 0.0, 1.0, _DEGENERATE if total > 1 else ())
+        return Projection2D(((0.0, 0.0),) * len(index), 0.0, 1.0, _DEGENERATE if total > 1 else ())
 
     # One n x n buffer: d*d, then b in place. Its weighted row sums give the
     # centring means and the stress denominator.
@@ -167,13 +180,8 @@ def mds_project(dm: DistanceMatrix, multiplicity: Sequence[int] | None = None) -
     share = min(share, 1.0)
     stress = float(np.sqrt(_squared_residual(coords, d, w) / denom)) if denom > 0 else 0.0
 
-    return Projection2D(
-        ids=dm.ids,
-        coords=tuple((float(x), float(y)) for x, y in coords),
-        stress=stress,
-        eigenvalue_share=share,
-        diagnostics=diagnostics,
-    )
+    points = [(float(x), float(y)) for x, y in coords]
+    return Projection2D(tuple(points[a] for a in index.tolist()), stress, share, diagnostics)
 
 
 def _squared_residual(coords: np.ndarray, d: np.ndarray, w: np.ndarray) -> float:

@@ -195,7 +195,7 @@ def test_criterion_7_paper_scale_under_60s(tmp_path):
     )
     dm = distance_matrix(merged, W)
     proj = mds_project(dm)
-    svg = emit_scatter_svg({"all": proj}, results)
+    svg = emit_scatter_svg(sets, proj, results)  # merged lists the sets' solutions in order
     elapsed = time.monotonic() - start
 
     root = ET.fromstring(svg)

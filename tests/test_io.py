@@ -15,7 +15,13 @@ from archspread.io import (
     write_bundle,
     write_report,
 )
-from archspread.model import IndicatorResult, TransformationStep
+from archspread.model import (
+    ArchitectureSolution,
+    CorrelationStats,
+    IndicatorResult,
+    SolutionSet,
+    TransformationStep,
+)
 from archspread.projection import Projection2D
 
 MINIMAL = {
@@ -422,9 +428,14 @@ def make_result(label="s", ms=1.0, mas=0.5):
     return IndicatorResult(label, ms, mas, n=3, max_d=2.0, o=1, l_pad=2)
 
 
-def make_projection(ids=("a", "b", "c")):
-    coords = tuple((float(i), float(-i)) for i in range(len(ids)))
-    return Projection2D(ids=tuple(ids), coords=coords, stress=0.0, eigenvalue_share=1.0)
+def make_set(label="s", ids=("a", "b", "c")):
+    return SolutionSet(label, ("f0",), tuple(ArchitectureSolution(i, (0.0,)) for i in ids))
+
+
+def make_map(labels, ids=("a", "b", "c")):
+    """One set per label, each with solutions ``ids``; solution k of each set sits at (k, -k)."""
+    coords = tuple((float(k), float(-k)) for k in range(len(ids))) * len(labels)
+    return [make_set(label, ids) for label in labels], Projection2D(coords, 0.0, 1.0)
 
 
 def test_report_single_set_flags_correlation_not_computable():
@@ -451,9 +462,7 @@ def test_report_identical_sets_identical_rows():
 
 
 def test_csv_report_shapes():
-    docs = write_report(
-        [make_result()], None, projections={"s": make_projection()}, format="csv"
-    )
+    docs = write_report([make_result()], None, *make_map(["s"]), format="csv")
     summary_lines = docs["summary"].strip().splitlines()
     assert summary_lines[0] == "label,n,o,ms,mas,max_d,L_pad"
     assert len(summary_lines) == 2
@@ -468,7 +477,7 @@ def test_write_report_rejects_empty_results():
 
 
 def test_svg_single_point():
-    svg = emit_scatter_svg({"only": make_projection(ids=("a",))}, [make_result("only")])
+    svg = emit_scatter_svg(*make_map(["only"], ids=("a",)), [make_result("only")])
     root = ET.fromstring(svg)
     assert root.tag == "{http://www.w3.org/2000/svg}svg"
     texts = root.findall(".//{http://www.w3.org/2000/svg}text")
@@ -477,15 +486,12 @@ def test_svg_single_point():
 
 def test_svg_two_sets_two_circles_two_colors():
     svg = emit_scatter_svg(
-        {
-            "one": make_projection(ids=("a", "b", "c")),
-            "two": Projection2D(
-                ids=("d", "e", "f"),
-                coords=((5.0, 5.0), (6.0, 5.0), (5.5, 6.0)),
-                stress=0.0,
-                eigenvalue_share=1.0,
-            ),
-        },
+        [make_set("one", ("a", "b", "c")), make_set("two", ("d", "e", "f"))],
+        Projection2D(
+            coords=((0.0, 0.0), (1.0, -1.0), (2.0, -2.0), (5.0, 5.0), (6.0, 5.0), (5.5, 6.0)),
+            stress=0.0,
+            eigenvalue_share=1.0,
+        ),
         [make_result("one"), make_result("two")],
     )
     root = ET.fromstring(svg)
@@ -508,7 +514,7 @@ def test_svg_of_labels_that_xml_admits_keeps_its_bytes():
         "tab\tnew\nline\rcr",
         "caf\u00e9 \U0001F600 \u007f\u0085\ufffd",
     ]
-    svg = emit_scatter_svg({l: make_projection() for l in labels}, [make_result(l) for l in labels])
+    svg = emit_scatter_svg(*make_map(labels), [make_result(l) for l in labels])
     digest = hashlib.sha256(svg.encode()).hexdigest()
     assert digest == "94adcd4c45a6bdce50c413da21aee4fb24100f1e080548b2802f6cf3be5506f0"
 
@@ -518,7 +524,7 @@ def test_svg_of_labels_that_xml_admits_keeps_its_bytes():
 )
 def test_svg_replaces_characters_outside_xml_with_the_replacement_character(bad):
     label = f"a{bad}b&"
-    root = ET.fromstring(emit_scatter_svg({label: make_projection()}, [make_result(label)]))
+    root = ET.fromstring(emit_scatter_svg(*make_map([label]), [make_result(label)]))
     text = root.find(".//{http://www.w3.org/2000/svg}text").text
     assert text.startswith("a\ufffdb&  MAS=")
 
@@ -537,4 +543,60 @@ def test_enclosing_circle_of_an_outward_spiral_in_time():
 
 def test_svg_requires_points():
     with pytest.raises(ValueError):
-        emit_scatter_svg({}, [])
+        emit_scatter_svg([], Projection2D((), 0.0, 1.0), [])
+
+
+@pytest.mark.parametrize("extra", [-1, 1])
+def test_writers_reject_a_map_whose_point_count_differs_from_the_solutions(extra):
+    # Both sets hold ids "a" and "b": only the solutions' order places them.
+    sets, proj = make_map(["x", "y"], ids=("a", "b"))
+    coords = (proj.coords + ((9.0, 9.0),))[: len(proj.coords) + extra]
+    wrong = Projection2D(coords, 0.0, 1.0)
+    results = [make_result("x"), make_result("y")]
+    for format in ("json", "csv"):
+        with pytest.raises(ValueError, match=f"{4 + extra} projection points for 4 solutions"):
+            write_report(results, None, sets, wrong, format=format)
+    with pytest.raises(ValueError, match=f"{4 + extra} projection points for 4 solutions"):
+        emit_scatter_svg(sets, wrong, results)
+    points = json.loads(write_report(results, None, sets, proj)["report"])["projections"]
+    assert {label: [p["id"] for p in v["points"]] for label, v in points.items()} == {
+        "x": ["a", "b"],
+        "y": ["a", "b"],
+    }
+
+
+def golden_map():
+    """Two sets by hand: id "a" in both, and "alpha"/"c" and "beta & <b>"/"a" share a point."""
+    sets = [make_set("alpha", ("a", "b", "c")), make_set("beta & <b>", ("a", "d"))]
+    shared = (-2.0 / 3, 0.30000000000000004)
+    coords = ((0.0, 0.0), (1.5, -0.25), shared, shared, (1e-17, 2.75))
+    results = [
+        IndicatorResult("alpha", 0.1 + 0.2, 2 / 3, n=3, max_d=3.0, o=2, l_pad=4),
+        IndicatorResult("beta & <b>", 1e-7, 1.0, 2, 1.5, 2, 4, ("note",)),
+    ]
+    return sets, Projection2D(coords, 0.125, 0.875, ("deg",)), results
+
+
+def test_writers_keep_their_bytes_on_a_map_built_by_hand():
+    # No BLAS involved: these digests were taken from the per-set writers
+    # that took one projection per label, on the same points.
+    sets, proj, results = golden_map()
+    csv = write_report(results, None, sets, proj, format="csv")
+    documents = {
+        "json": write_report(results, CorrelationStats(2, 1.0, None), sets, proj)["report"],
+        "summary": csv["summary"],
+        "points": csv["points"],
+        "svg": emit_scatter_svg(sets, proj, results),
+    }
+    digests = {name: hashlib.sha256(text.encode()).hexdigest() for name, text in documents.items()}
+    assert digests == {
+        "json": "e7ec204696d1f65cc80044294e353ff82fb40c3fbb26c7e8a53350e313698755",
+        "summary": "a56203521b44c369bac2a268cf07bb4c0de18f2963b1fad177621e8436de5334",
+        "points": "2c31c69c4a82bd44c5a6ce76cdb95e9ea06ccd3c8f6554dedcc7113de850b1f8",
+        "svg": "937b5db74a7fddae19844252316c7395fceeec2f9ad11527d926458e6b1ad91c",
+    }
+    assert csv["points"].splitlines()[3:] == [
+        "c,alpha,-0.6666666666666666,0.30000000000000004",
+        "a,beta & <b>,-0.6666666666666666,0.30000000000000004",
+        "d,beta & <b>,1e-17,2.75",
+    ]

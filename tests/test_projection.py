@@ -279,18 +279,17 @@ def test_lanczos_coordinates_match_the_eigh_path(branches, monkeypatch):
     assert got.eigenvalue_share == pytest.approx(want.eigenvalue_share, rel=0, abs=1e-15)
 
 
-def expanded(dm, multiplicity):
-    """``dm`` with row and column ``a`` repeated ``multiplicity[a]`` times."""
-    index = np.repeat(np.arange(len(dm)), multiplicity)
+def expanded(dm, index):
+    """``dm`` with row and column ``index[i]`` as row and column ``i``."""
     ids = tuple(f"{dm.ids[a]}.{k}" for k, a in enumerate(index))
-    return DistanceMatrix(ids, dm.values[np.ix_(index, index)], dm.l_pad), index
+    return DistanceMatrix(ids, dm.values[np.ix_(index, index)], dm.l_pad)
 
 
 def test_one_distinct_point_five_times_is_degenerate():
     dm = DistanceMatrix(("a",), ((0.0,),), l_pad=1)
-    proj = mds_project(dm, [5])
-    want = mds_project(expanded(dm, [5])[0])
-    assert proj.coords == ((0.0, 0.0),)
+    proj = mds_project(dm, [0] * 5)
+    want = mds_project(expanded(dm, [0] * 5))
+    assert proj.coords == ((0.0, 0.0),) * 5
     assert (proj.stress, proj.eigenvalue_share) == (0.0, 1.0)
     assert (want.stress, want.eigenvalue_share) == (0.0, 1.0)
     assert proj.diagnostics == want.diagnostics
@@ -303,21 +302,66 @@ def test_one_distinct_point_five_times_is_degenerate():
 
 def test_two_distinct_points_five_times_match_the_repeated_matrix():
     dm = DistanceMatrix(("a", "b"), ((0.0, 2.0), (2.0, 0.0)), l_pad=2)
-    proj = mds_project(dm, [2, 3])
+    index = [0, 0, 1, 1, 1]
+    proj = mds_project(dm, index)
+    got = np.array(proj.coords)
     # The weighted centroid sits 3/5 and 2/5 of the way from each point.
-    assert np.allclose(np.array(proj.coords), [[1.2, 0.0], [-0.8, 0.0]], rtol=0, atol=1e-12)
+    assert np.allclose(got, [[1.2, 0.0]] * 2 + [[-0.8, 0.0]] * 3, rtol=0, atol=1e-12)
+    # The same weights in another order give the same map, point by point:
+    # the computation and the axis signs follow the rows of dm.
+    a, b = proj.coords[0], proj.coords[-1]
+    shuffled = mds_project(dm, [1, 0, 1, 1, 0])
+    assert shuffled.coords == (b, a, b, b, a)
+    assert (shuffled.stress, shuffled.eigenvalue_share) == (proj.stress, proj.eigenvalue_share)
     assert proj.stress <= 1e-15
     assert (proj.eigenvalue_share, proj.diagnostics) == (1.0, ())
 
-    big, index = expanded(dm, [2, 3])
-    want = mds_project(big)
-    got = np.array(proj.coords)[index]
+    want = mds_project(expanded(dm, index))
     # The second axis belongs to a zero eigenvalue, computed as rounding noise.
     assert np.allclose(got[:, 0], np.array(want.coords)[:, 0], rtol=0, atol=1e-12)
     assert np.all(got[:, 1] == 0.0)
     assert np.all(np.array(want.coords)[:, 1] == 0.0)
     assert want.stress <= 1e-15
     assert (want.eigenvalue_share, want.diagnostics) == (1.0, ())
+
+
+@pytest.mark.parametrize(
+    "size, index, message",
+    [
+        (0, None, "empty distance matrix"),
+        (3, [0, 1, 1], "leaves row 2 of the distance matrix unused"),
+        (3, [1, 1], "leaves row 0 of the distance matrix unused"),
+        (3, np.array([], dtype=int), "leaves row 0 of the distance matrix unused"),
+        (3, [1, -1, 1, 2, 0], r"rows in \[0, 3\), got -1\.\.2"),
+        (3, [0, 1, 2, 3], r"rows in \[0, 3\), got 0\.\.3"),
+        (3, [0.0, 1.0, 2.0], "1-D integer array, got 1-D float64"),
+        (3, [True, True, True], "1-D integer array, got 1-D bool"),
+        (3, [[0, 1, 2]], "1-D integer array, got 2-D int"),
+        (3, [], "1-D integer array, got 1-D float64"),
+    ],
+    ids=[
+        "empty-matrix", "row-unused", "too-short", "empty-int-index", "negative",
+        "past-the-end", "float", "bool", "2-D", "empty-list",
+    ],
+)
+def test_index_that_does_not_name_each_row_is_rejected_before_numeric_work(
+    monkeypatch, size, index, message
+):
+    dm = DistanceMatrix(tuple("abc"[:size]), np.ones((size, size)) - np.eye(size), l_pad=1)
+
+    def numeric_work(*args, **kwargs):
+        raise AssertionError("numeric work began")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", numeric_work)
+    with pytest.raises(ValueError, match=message):
+        mds_project(dm, index)
+
+
+def test_unsigned_index_names_rows():
+    dm = DistanceMatrix(("a", "b"), ((0.0, 2.0), (2.0, 0.0)), l_pad=2)
+    want = mds_project(dm, [1, 0, 1, 0, 1])
+    # numpy 1.x's bincount refuses uint64, which does not cast safely to intp.
+    assert mds_project(dm, np.array([1, 0, 1, 0, 1], dtype=np.uint64)) == want
 
 
 def test_collinear_points_have_an_all_zero_second_axis():

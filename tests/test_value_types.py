@@ -55,8 +55,8 @@ CASES = [
     (DistanceWeights, ("w_pred", "w_args"), (0.25, 0.75), {"w_pred": 0.5, "w_args": 0.5}),
     (
         Projection2D,
-        ("ids", "coords", "stress", "eigenvalue_share", "diagnostics"),
-        (("a",), ((0.0, 0.0),), 0.0, 1.0, ("note",)),
+        ("coords", "stress", "eigenvalue_share", "diagnostics"),
+        (((0.0, 0.0), (0.0, 0.0)), 0.0, 1.0, ("note",)),
         {"diagnostics": ()},
     ),
 ]
