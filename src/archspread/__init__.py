@@ -22,11 +22,11 @@ _HOMES = {
     "AnalysisBundle": "io",
     "ArchitectureSolution": "model",
     "BundleError": "io",
-    "CorrelationStats": "model",
-    "DistanceMatrix": "model",
+    "CorrelationStats": "indicators",
+    "DistanceMatrix": "distance",
     "DistanceWeights": "distance",
     "EncodingTable": "encoding",
-    "IndicatorResult": "model",
+    "IndicatorResult": "indicators",
     "Projection2D": "projection",
     "SearchTree": "model",
     "SolutionSet": "model",

@@ -14,10 +14,11 @@ from typing import TYPE_CHECKING
 
 from . import io as bundle_io
 from ._lazy import lazy_import
-from .model import CorrelationStats, IndicatorResult, SolutionSet, validate_solution_set
+from .model import SolutionSet, validate_solution_set
 
 if TYPE_CHECKING:
     from .distance import DistanceWeights
+    from .indicators import CorrelationStats, IndicatorResult
     from .projection import Projection2D
 
 # The numeric layers run their code on first use, so validate and synth

@@ -23,15 +23,16 @@ from itertools import zip_longest
 from typing import Iterable, Iterator, Sequence
 
 from ._lazy import np
-from .model import (
-    _ROW_BLOCK,
-    ArchitectureSolution,
-    DistanceMatrix,
-    SolutionSet,
-    TransformationStep,
-    _Record,
-    _row_blocks,
-)
+from .model import ArchitectureSolution, SolutionSet, TransformationStep, _Record
+
+# Rows per block wherever the numeric layers sweep an n x n matrix: a
+# temporary then holds _ROW_BLOCK x n entries, not n x n.
+_ROW_BLOCK = 64
+
+
+def _row_blocks(n: int):
+    """Consecutive slices of at most ``_ROW_BLOCK`` rows that cover ``range(n)``."""
+    return (slice(start, min(start + _ROW_BLOCK, n)) for start in range(0, n, _ROW_BLOCK))
 
 
 class DistanceWeights(_Record):
@@ -47,6 +48,72 @@ class DistanceWeights(_Record):
             raise ValueError("weights must lie in [0, 1]")
         if abs(w_pred + w_args - 1.0) > 1e-12:
             raise ValueError("weights must sum to 1")
+
+
+class DistanceMatrix(_Record):
+    """Symmetric matrix of architectural distances between solutions.
+
+    The rows are one set's solutions, or, in the joint matrix, one solution
+    per distinct sequence of all sets. ``values`` is a read-only float64
+    array. Any other input is copied into one; a read-only float64 array is
+    kept as given. ``l_pad`` bounds every entry and is the default MAS scale.
+    """
+
+    __slots__ = __match_args__ = ("ids", "values", "l_pad")
+    ids: tuple[str, ...]
+    values: np.ndarray
+    l_pad: int
+
+    def __init__(self, ids: tuple[str, ...], values: np.ndarray, l_pad: int) -> None:
+        ids = tuple(ids)
+        if not (
+            isinstance(values, np.ndarray)
+            and values.dtype == np.float64
+            and not values.flags.writeable
+        ):
+            try:
+                values = np.array(values, dtype=np.float64)
+            except ValueError:
+                raise ValueError("distance matrix shape does not match ids") from None
+            values.flags.writeable = False
+        n = len(ids)
+        if n == 0 and values.size == 0:
+            values = values.reshape(0, 0)
+        self._fill(ids, values, l_pad)
+        if values.shape != (n, n):
+            raise ValueError("distance matrix shape does not match ids")
+        if _is_valid(values, l_pad):
+            return
+        # Report the first violation in row-major order over the upper
+        # triangle, diagonal included; NaN fails every check.
+        in_range = (values >= 0.0) & (values <= l_pad + 1e-9)
+        bad = np.triu((values != values.T) | ~in_range, 1)
+        np.fill_diagonal(bad, np.diagonal(values) != 0.0)
+        i, j = (int(k) for k in np.argwhere(bad)[0])
+        if i == j:
+            raise ValueError(f"nonzero diagonal at {ids[i]!r}")
+        if values[i, j] != values[j, i]:
+            raise ValueError(f"asymmetry at ({ids[i]!r}, {ids[j]!r})")
+        raise ValueError(f"distance out of [0, L] at ({ids[i]!r}, {ids[j]!r})")
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+
+def _is_valid(values: np.ndarray, l_pad: int) -> bool:
+    """Whether a square matrix passes every ``DistanceMatrix`` check, by reductions.
+
+    NaN makes the minimum NaN, which fails the range test. Symmetry is
+    compared one block of rows against the same block of columns at a time.
+    """
+    if values.size == 0:
+        return True
+    if not (values.min() >= 0.0 and values.max() <= l_pad + 1e-9):
+        return False
+    if np.diagonal(values).any():
+        return False
+    blocks = _row_blocks(len(values))
+    return all(np.array_equal(values[rows], values[:, rows].T) for rows in blocks)
 
 
 def _levenshtein(a: tuple[str, ...], b: tuple[str, ...]) -> int:

@@ -6,8 +6,52 @@ import math
 from typing import Sequence
 
 from ._lazy import np
-from .distance import DistanceWeights, padded_length, within_set_eccentricities
-from .model import CorrelationStats, DistanceMatrix, IndicatorResult, SolutionSet
+from .distance import DistanceMatrix, DistanceWeights, padded_length, within_set_eccentricities
+from .model import SolutionSet, _Record
+
+
+class IndicatorResult(_Record):
+    """Spread values for one solution set."""
+
+    __slots__ = __match_args__ = (
+        "set_label", "ms", "mas", "n", "max_d", "o", "l_pad", "diagnostics"
+    )
+    set_label: str
+    ms: float
+    mas: float
+    n: int
+    max_d: float
+    o: int
+    l_pad: int
+    diagnostics: tuple[str, ...]
+
+    def __init__(
+        self,
+        set_label: str,
+        ms: float,
+        mas: float,
+        n: int,
+        max_d: float,
+        o: int,
+        l_pad: int = 0,
+        diagnostics: tuple[str, ...] = (),
+    ) -> None:
+        self._fill(set_label, ms, mas, n, max_d, o, l_pad, diagnostics)
+
+
+class CorrelationStats(_Record):
+    """Descriptive correlation between the objective-space and architectural spreads.
+
+    A coefficient is ``None`` when it is not computable.
+    """
+
+    __slots__ = __match_args__ = ("n", "pearson", "spearman")
+    n: int
+    pearson: float | None
+    spearman: float | None
+
+    def __init__(self, n: int, pearson: float | None, spearman: float | None) -> None:
+        self._fill(n, pearson, spearman)
 
 
 def max_spread(solution_set: SolutionSet) -> float:

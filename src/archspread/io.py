@@ -8,17 +8,10 @@ import math
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from .encoding import PathResolver, UnknownNodeError, UnreachableNodeError
-from .model import (
-    ArchitectureSolution,
-    CorrelationStats,
-    IndicatorResult,
-    SearchTree,
-    SolutionSet,
-    TransformationStep,
-    _Record,
-)
+from .model import ArchitectureSolution, SearchTree, SolutionSet, TransformationStep, _Record
 
 if TYPE_CHECKING:
+    from .indicators import CorrelationStats, IndicatorResult
     from .projection import Projection2D
 
 

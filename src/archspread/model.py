@@ -1,20 +1,9 @@
-"""Core domain types shared by every other module."""
+"""Domain types: solution sets, the refactoring steps behind them and the search tree."""
 
 from __future__ import annotations
 
 import math
 from operator import attrgetter, itemgetter
-
-from ._lazy import np
-
-# Rows per block wherever the numeric layers sweep an n x n matrix: a
-# temporary then holds _ROW_BLOCK x n entries, not n x n.
-_ROW_BLOCK = 64
-
-
-def _row_blocks(n: int):
-    """Consecutive slices of at most ``_ROW_BLOCK`` rows that cover ``range(n)``."""
-    return (slice(start, min(start + _ROW_BLOCK, n)) for start in range(0, n, _ROW_BLOCK))
 
 
 class _Record:
@@ -153,115 +142,6 @@ class SearchTree(_Record):
         for parent, child, step in sorted(self.edges, key=itemgetter(1)):
             adj[parent].append((child, step))
         return adj
-
-
-class DistanceMatrix(_Record):
-    """Symmetric matrix of architectural distances between a set's solutions.
-
-    ``values`` is a read-only float64 array. Any other input is copied into
-    one; a read-only float64 array is kept as given. ``l_pad`` bounds every
-    entry and is the default MAS scale.
-    """
-
-    __slots__ = __match_args__ = ("ids", "values", "l_pad")
-    ids: tuple[str, ...]
-    values: np.ndarray
-    l_pad: int
-
-    def __init__(self, ids: tuple[str, ...], values: np.ndarray, l_pad: int) -> None:
-        ids = tuple(ids)
-        if not (
-            isinstance(values, np.ndarray)
-            and values.dtype == np.float64
-            and not values.flags.writeable
-        ):
-            try:
-                values = np.array(values, dtype=np.float64)
-            except ValueError:
-                raise ValueError("distance matrix shape does not match ids") from None
-            values.flags.writeable = False
-        n = len(ids)
-        if n == 0 and values.size == 0:
-            values = values.reshape(0, 0)
-        self._fill(ids, values, l_pad)
-        if values.shape != (n, n):
-            raise ValueError("distance matrix shape does not match ids")
-        if _is_valid(values, l_pad):
-            return
-        # Report the first violation in row-major order over the upper
-        # triangle, diagonal included; NaN fails every check.
-        in_range = (values >= 0.0) & (values <= l_pad + 1e-9)
-        bad = np.triu((values != values.T) | ~in_range, 1)
-        np.fill_diagonal(bad, np.diagonal(values) != 0.0)
-        i, j = (int(k) for k in np.argwhere(bad)[0])
-        if i == j:
-            raise ValueError(f"nonzero diagonal at {ids[i]!r}")
-        if values[i, j] != values[j, i]:
-            raise ValueError(f"asymmetry at ({ids[i]!r}, {ids[j]!r})")
-        raise ValueError(f"distance out of [0, L] at ({ids[i]!r}, {ids[j]!r})")
-
-    def __len__(self) -> int:
-        return len(self.ids)
-
-
-def _is_valid(values: np.ndarray, l_pad: int) -> bool:
-    """Whether a square matrix passes every ``DistanceMatrix`` check, by reductions.
-
-    NaN makes the minimum NaN, which fails the range test. Symmetry is
-    compared one block of rows against the same block of columns at a time.
-    """
-    if values.size == 0:
-        return True
-    if not (values.min() >= 0.0 and values.max() <= l_pad + 1e-9):
-        return False
-    if np.diagonal(values).any():
-        return False
-    blocks = _row_blocks(len(values))
-    return all(np.array_equal(values[rows], values[:, rows].T) for rows in blocks)
-
-
-class IndicatorResult(_Record):
-    """Spread values for one solution set."""
-
-    __slots__ = __match_args__ = (
-        "set_label", "ms", "mas", "n", "max_d", "o", "l_pad", "diagnostics"
-    )
-    set_label: str
-    ms: float
-    mas: float
-    n: int
-    max_d: float
-    o: int
-    l_pad: int
-    diagnostics: tuple[str, ...]
-
-    def __init__(
-        self,
-        set_label: str,
-        ms: float,
-        mas: float,
-        n: int,
-        max_d: float,
-        o: int,
-        l_pad: int = 0,
-        diagnostics: tuple[str, ...] = (),
-    ) -> None:
-        self._fill(set_label, ms, mas, n, max_d, o, l_pad, diagnostics)
-
-
-class CorrelationStats(_Record):
-    """Descriptive correlation between the objective-space and architectural spreads.
-
-    A coefficient is ``None`` when it is not computable.
-    """
-
-    __slots__ = __match_args__ = ("n", "pearson", "spearman")
-    n: int
-    pearson: float | None
-    spearman: float | None
-
-    def __init__(self, n: int, pearson: float | None, spearman: float | None) -> None:
-        self._fill(n, pearson, spearman)
 
 
 def validate_solution_set(solution_set: SolutionSet) -> list[str]:

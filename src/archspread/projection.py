@@ -6,7 +6,8 @@ import math
 from typing import Sequence
 
 from ._lazy import np
-from .model import DistanceMatrix, _Record, _row_blocks
+from .distance import DistanceMatrix, _row_blocks
+from .model import _Record
 
 
 class Projection2D(_Record):

@@ -12,6 +12,7 @@ import pytest
 
 from archspread.cli import main
 from archspread.distance import (
+    DistanceMatrix,
     DistanceWeights,
     distance_matrix,
     sequence_distance,
@@ -19,7 +20,7 @@ from archspread.distance import (
 )
 from archspread.encoding import build_encoding
 from archspread.indicators import max_architectural_spread, max_spread
-from archspread.model import DistanceMatrix, TransformationStep
+from archspread.model import TransformationStep
 from archspread.projection import mds_project
 from archspread.synth import generate_sets, generate_tree, oracle_mas
 

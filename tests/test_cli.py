@@ -627,12 +627,38 @@ def test_validate_and_synth_run_no_numeric_layer_code(bundle_path, tmp_path):
     assert out.strip().splitlines()[-1] == "[]"
 
 
+def test_validate_and_synth_run_only_modules_that_bind_no_numpy(bundle_path, tmp_path):
+    # A lazy module's class is ModuleType again once its code has run. Only
+    # _lazy, which makes the lazy numpy module, may hold it.
+    synth = ["synth", "--sets", "2", "--n", "5", "--seed", "1", "-o", str(tmp_path / "b.json")]
+    code = (
+        "import sys, types; "
+        "import archspread._lazy as lazy, archspread.cli as cli; "
+        f"assert cli.main({['validate', str(bundle_path)]!r}) == 0; "
+        f"assert cli.main({synth!r}) == 0; "
+        "ran = sorted(n for n, m in sys.modules.items() "
+        "if n.split('.')[0] == 'archspread' and type(m) is types.ModuleType); "
+        "print(ran); "
+        "print(sorted(n for n in ran if any(v is lazy.np for v in vars(sys.modules[n]).values())))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=child_env(), capture_output=True, text=True, check=True
+    ).stdout
+    ran, binding = out.strip().splitlines()[-2:]
+    modules = ["archspread", "archspread._lazy", "archspread.cli", "archspread.encoding"]
+    modules += ["archspread.io", "archspread.model", "archspread.synth"]
+    assert ran == repr(modules)
+    assert binding == "['archspread._lazy']"
+
+
 def test_package_names_load_their_module_on_first_access():
     code = (
         "import importlib, sys, archspread; "
         "assert 'archspread.distance' not in sys.modules; "
         "assert {'__version__', *archspread.__all__} <= set(dir(archspread)); "
         "values = {name: getattr(archspread, name) for name in archspread.__all__}; "
+        "assert all(v.__module__ == 'archspread.' + archspread._HOMES[n] "
+        "for n, v in values.items()); "
         "assert all(v is getattr(importlib.import_module(v.__module__), n) "
         "for n, v in values.items()); "
         "print(hasattr(archspread, 'no_such_name'), len(values))"

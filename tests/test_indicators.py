@@ -6,14 +6,14 @@ import numpy as np
 import pytest
 
 import archspread.indicators as indicators
-from archspread.distance import DistanceWeights
+from archspread.distance import DistanceMatrix, DistanceWeights
 from archspread.indicators import (
+    IndicatorResult,
     indicators_for,
     max_architectural_spread,
     max_spread,
     spread_correlation,
 )
-from archspread.model import DistanceMatrix, IndicatorResult
 
 from conftest import make_set, make_solution, make_step, random_set
 

@@ -15,13 +15,8 @@ from archspread.io import (
     write_bundle,
     write_report,
 )
-from archspread.model import (
-    ArchitectureSolution,
-    CorrelationStats,
-    IndicatorResult,
-    SolutionSet,
-    TransformationStep,
-)
+from archspread.indicators import CorrelationStats, IndicatorResult
+from archspread.model import ArchitectureSolution, SolutionSet, TransformationStep
 from archspread.projection import Projection2D
 
 MINIMAL = {

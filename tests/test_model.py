@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
+from archspread.distance import DistanceMatrix
 from archspread.model import (
     ArchitectureSolution,
-    DistanceMatrix,
     SearchTree,
     SolutionSet,
     TransformationStep,

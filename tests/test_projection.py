@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 import archspread.projection as projection
-from archspread.distance import DistanceWeights, distance_matrix
-from archspread.model import DistanceMatrix
+from archspread.distance import DistanceMatrix, DistanceWeights, distance_matrix
 from archspread.projection import mds_project
 
 from conftest import random_set

@@ -1,0 +1,18 @@
+"""The README's code runs as documented."""
+
+import re
+from pathlib import Path
+
+from archspread.cli import main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_library_example_runs(tmp_path, monkeypatch):
+    text = README.read_text(encoding="utf-8")
+    block = re.search(r"\n## Library\n[^#]*?```python\n(.*?)```", text, re.DOTALL)
+    # Leading newlines keep the README's line numbers in a traceback.
+    code = "\n" * text.count("\n", 0, block.start(1)) + block.group(1)
+    monkeypatch.chdir(tmp_path)
+    assert main(["synth", "--sets", "3", "--n", "5", "--seed", "1", "-o", "bundle.json"]) == 0
+    exec(compile(code, str(README), "exec"), {})

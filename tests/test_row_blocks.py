@@ -17,10 +17,16 @@ import pytest
 import archspread.distance as distance
 import archspread.projection as projection
 from archspread.cli import main
-from archspread.distance import DistanceWeights, distance_matrix, distinct_sequences
+from archspread.distance import (
+    _ROW_BLOCK,
+    DistanceMatrix,
+    DistanceWeights,
+    distance_matrix,
+    distinct_sequences,
+)
 from archspread.indicators import indicators_for
 from archspread.io import AnalysisBundle, parse_bundle, write_bundle
-from archspread.model import _ROW_BLOCK, DistanceMatrix, SolutionSet
+from archspread.model import SolutionSet
 from archspread.projection import mds_project
 from archspread.synth import generate_tree
 

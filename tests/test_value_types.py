@@ -7,14 +7,12 @@ import pickle
 import numpy as np
 import pytest
 
-from archspread.distance import DistanceWeights
+from archspread.distance import DistanceMatrix, DistanceWeights
 from archspread.encoding import EncodingTable
+from archspread.indicators import CorrelationStats, IndicatorResult
 from archspread.io import AnalysisBundle
 from archspread.model import (
     ArchitectureSolution,
-    CorrelationStats,
-    DistanceMatrix,
-    IndicatorResult,
     SearchTree,
     SolutionSet,
     TransformationStep,
