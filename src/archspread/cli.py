@@ -7,6 +7,8 @@ Subcommands: indicators, mds, compare, synth, validate. Exit codes:
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import re
 import sys
 from pathlib import Path
@@ -30,6 +32,16 @@ projection = lazy_import(f"{__package__}.projection")
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run the command in ``argv``, or in ``sys.argv`` when run as the program.
+
+    As the program, ``main`` has the interpreter freeze the heap at exit: the
+    collector's permanent generation is never scanned, so shutdown does not
+    walk everything the command built, and the OS reclaims it instead. A
+    host that passes ``argv`` keeps its process-wide state as it was.
+    """
+    if argv is None:
+        atexit.unregister(gc.freeze)  # once, however often main runs
+        atexit.register(gc.freeze)
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
@@ -222,6 +234,8 @@ def _cmd_indicators(args) -> int:
 def _cmd_projected(args) -> int:
     """mds and compare: the report with the map, and the SVG on request; compare correlates."""
     sets, results, mds = _analyze(args, project=True)
+    for diagnostic in mds.diagnostics:
+        print(f"warning: {diagnostic}", file=sys.stderr)
     correlation = _correlation(results) if args.command == "compare" else None
     _emit(bundle_io.write_report(results, correlation, sets, mds), args.output)
     if args.svg is not None:

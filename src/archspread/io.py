@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import io as _stdio
 import json
 import math
@@ -69,7 +70,21 @@ def parse_bundle(text: str) -> AnalysisBundle:
     steps, in tree edges and sequences alike, come back as one shared
     ``TransformationStep``. Unknown fields are collected as warnings on the
     returned bundle, not errors.
+
+    The cyclic garbage collector is paused for the whole parse and then left
+    as the caller had it. What the parse builds holds no reference cycle, so
+    a collection during it would only scan the objects it allocates.
     """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _parse_document(text)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _parse_document(text: str) -> AnalysisBundle:
     steps: Steps = {}
     root = _at("$")
     doc = _object(_load_json(text, steps), root, "bundle must be a JSON object")

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import math
@@ -275,6 +276,26 @@ def test_mds_command_with_svg(bundle_path, tmp_path):
     assert svg.read_text().startswith("<svg")
 
 
+def test_degenerate_map_warns_on_stderr(tmp_path, capsys):
+    # Three solutions with one sequence: every distance is 0, so no axis has mass.
+    sequence = [{"name": "m", "args": ["x"]}]
+    solutions = [{"id": i, "objectives": [float(k)], "sequence": sequence} for k, i in enumerate("abc")]
+    doc = {"name": "same", "sets": [{"label": "s", "objective_names": ["f0"], "solutions": solutions}]}
+    path = tmp_path / "same.json"
+    path.write_text(json.dumps(doc))
+    warning = "warning: degenerate matrix: no positive eigenvalue mass, all-zero coordinates\n"
+    assert main(["validate", str(path)]) == 0
+    assert capsys.readouterr().err == ""
+    for command, expected in (("indicators", ""), ("mds", warning), ("compare", warning)):
+        assert main([command, str(path), "-o", str(tmp_path / f"{command}.json")]) == 0
+        assert capsys.readouterr().err == expected, command
+    for command in ("mds", "compare"):
+        projection = json.loads((tmp_path / f"{command}.json").read_text())["projections"]["s"]
+        assert (projection["stress"], projection["eigenvalue_share"]) == (0.0, 1.0)
+        assert [(p["x"], p["y"]) for p in projection["points"]] == [(0.0, 0.0)] * 3
+        assert "diagnostics" not in projection
+
+
 def test_compare_reports_everything(bundle_path, tmp_path):
     out = tmp_path / "cmp.json"
     assert main(["compare", str(bundle_path), "-o", str(out)]) == 0
@@ -313,6 +334,65 @@ def test_compare_byte_identical_across_processes(tmp_path):
         )
         outputs.add((report.read_bytes(), svg.read_bytes()))
     assert len(outputs) == 1
+
+
+PROGRAM_COMMANDS = [
+    ["validate", "{bundle}"],
+    ["indicators", "{bundle}", "--format", "csv", "-o", "r.csv"],
+    ["compare", "{bundle}", "--svg", "m.svg", "-o", "r.json"],
+]
+
+
+@pytest.mark.parametrize("command", PROGRAM_COMMANDS, ids=lambda c: c[0])
+def test_program_writes_what_main_writes(bundle_path, tmp_path, monkeypatch, capsys, command):
+    # Run as the program, main freezes the heap at exit, so the interpreter
+    # tears down less of it; every output must still be whole once the
+    # process has ended.
+    argv = [str(bundle_path) if a == "{bundle}" else a for a in command]
+    written = {}
+    for where in ("child", "in_process"):
+        (tmp_path / where).mkdir()
+        monkeypatch.chdir(tmp_path / where)
+        if where == "child":
+            blas = {f"{k}_NUM_THREADS": "1" for k in ("OPENBLAS", "OMP", "MKL")}
+            child = subprocess.run(
+                [sys.executable, "-m", "archspread.cli", *argv],
+                env=child_env(**blas), capture_output=True, check=True,
+            )
+            stdout = child.stdout
+        else:
+            assert main(argv) == 0
+            stdout = capsys.readouterr().out.encode()
+        files = {p.name: p.read_bytes() for p in sorted(Path.cwd().iterdir())}
+        written[where] = (stdout, files)
+    assert written["child"] == written["in_process"]
+    assert written["child"][0] or written["child"][1]
+
+
+def test_main_with_argv_leaves_process_state_alone(bundle_path, tmp_path, monkeypatch):
+    registered = []
+    monkeypatch.setattr(cli.atexit, "register", registered.append)
+    state = gc.isenabled(), gc.get_freeze_count()
+    monkeypatch.chdir(tmp_path)
+    for command in PROGRAM_COMMANDS:
+        assert main([str(bundle_path) if a == "{bundle}" else a for a in command]) == 0
+        assert (gc.isenabled(), gc.get_freeze_count()) == state
+    assert registered == []
+
+
+def test_main_as_the_program_registers_the_freeze_once(bundle_path, monkeypatch):
+    class Callbacks(list):
+        register = list.append
+
+        def unregister(self, func):
+            self[:] = [f for f in self if f != func]
+
+    callbacks = Callbacks()
+    monkeypatch.setattr(cli, "atexit", callbacks)
+    monkeypatch.setattr(sys, "argv", ["archspread", "validate", str(bundle_path)])
+    assert main() == 0
+    assert main() == 0
+    assert callbacks == [gc.freeze]
 
 
 @pytest.mark.parametrize("command", ["indicators", "mds", "compare"])

@@ -4,7 +4,8 @@ Each case runs ``cli.main`` in process and checks its exit code and the
 digests of its stdout, its stderr and every file it writes against
 ``golden_manifest.json``. The bundles are built here: two ``synth`` seeds,
 and a bundle of node references into the first one's tree with parallel
-edges listed out of order.
+edges listed out of order. A hostile corpus derived from the first seed pins
+what each command says about input it must refuse or warn about.
 
 Coordinates, stress, eigenvalue share and the correlation coefficients
 depend on the host's BLAS in their last bits. They are masked out of the
@@ -20,6 +21,7 @@ and says which entries changed and why.
 """
 
 import contextlib
+import gc
 import hashlib
 import io
 import json
@@ -43,6 +45,21 @@ SYNTH = {
     "b.json": ["synth", "--sets", "4", "--n", "5", "--seed", "8", "--depth", "4"],
 }
 BUNDLES = ("a.json", "b.json", "refs.json")
+# The object places of a bundle; each ends in the shape of what belongs there.
+PLACES = ("bundle", "tree", "edge", "edge-step", "set", "solution", "sequence-step")
+STEP_SHAPED = {"name": "x", "args": []}
+HOSTILE = (
+    *(
+        f"{shape}-at-{place}.json"
+        for shape in ("step", "edge")
+        for place in PLACES
+        if not place.endswith(shape)
+    ),
+    "malformed.json",
+    "too-deep.json",
+    "surrogate.json",
+    "xml-labels.json",
+)
 W_PRED = (["--w-pred", "0"], ["--w-pred", "0.5"], ["--w-pred", "1"])
 INDICATOR_FLAGS = (*W_PRED, ["--per-set-maxd", "--mas-allpairs"])
 
@@ -71,7 +88,51 @@ def cases() -> dict[str, list[str]]:
             argvs.append(["compare", bundle, *flags, "--svg", "map.svg", "-o", "report.json"])
         for flags in W_PRED:
             argvs.append(["mds", bundle, *flags, "--svg", "map.svg"])
+    argvs += [["validate", name] for name in HOSTILE]
+    argvs.append(["mds", "xml-labels.json", "--svg", "map.svg"])
     return {" ".join(argv): argv for argv in argvs}
+
+
+def shaped_at(doc: dict, place: str, shaped: dict) -> dict:
+    """A copy of ``doc`` with ``shaped`` standing at ``place``."""
+    if place == "bundle":
+        return shaped
+    doc = json.loads(json.dumps(doc))
+    target, key = {
+        "tree": (doc, "tree"),
+        "edge": (doc["tree"]["edges"], 0),
+        "edge-step": (doc["tree"]["edges"][0], "step"),
+        "set": (doc["sets"], 0),
+        "solution": (doc["sets"][0]["solutions"], 0),
+        "sequence-step": (doc["sets"][0]["solutions"][0], "sequence"),
+    }[place]
+    target[key] = [shaped] if place == "sequence-step" else shaped
+    return doc
+
+
+def hostile_texts(source: Path) -> dict[str, str]:
+    """Hostile bundle texts derived from the bundle at ``source``, by file name.
+
+    A step- and an edge-shaped object stand at each object place where
+    another object belongs; then come malformed JSON, JSON nested past the
+    recursion limit, a lone surrogate in the bundle's name and set labels
+    that XML 1.0 forbids.
+    """
+    doc = json.loads(source.read_text(encoding="utf-8"))
+    nodes = doc["tree"]["nodes"]
+    edge_shaped = {"from": nodes[0], "to": nodes[1], "step": STEP_SHAPED}
+    texts = {}
+    for shape, shaped in (("step", STEP_SHAPED), ("edge", edge_shaped)):
+        for place in PLACES:
+            if not place.endswith(shape):
+                texts[f"{shape}-at-{place}.json"] = json.dumps(shaped_at(doc, place, shaped))
+    texts["malformed.json"] = '{"name": '
+    texts["too-deep.json"] = "[" * 100_000 + "]" * 100_000
+    texts["surrogate.json"] = json.dumps({"name": "a\ud800", "sets": []})
+    for s, label in zip(doc["sets"], ("a\u0001b", "c\uffffd", "e\u001ff")):
+        s["label"] = label
+    texts["xml-labels.json"] = json.dumps(doc)
+    return texts
 
 
 def node_reference_bundle(source: Path, target: Path) -> None:
@@ -101,6 +162,10 @@ def build_bundles(directory: Path) -> None:
         for name, argv in SYNTH.items():
             assert run([*argv, "-o", name])[0] == 0
     node_reference_bundle(directory / "a.json", directory / "refs.json")
+    texts = hostile_texts(directory / "a.json")
+    assert tuple(texts) == HOSTILE
+    for name, text in texts.items():
+        (directory / name).write_text(text, encoding="utf-8")
 
 
 @contextlib.contextmanager
@@ -158,7 +223,7 @@ def sha(text: str | bytes) -> str:
 def observe(argv: list[str], workdir: Path, bundles: Path) -> dict:
     """One case's manifest entry, from a run in ``workdir`` beside copies of the bundles."""
     if argv[0] != "synth":
-        for name in BUNDLES:
+        for name in (*BUNDLES, *HOSTILE):
             shutil.copy(bundles / name, workdir / name)
     inputs = set(workdir.iterdir())
     with chdir(workdir):
@@ -194,6 +259,7 @@ def test_manifest_names_every_case():
 def test_case_matches_golden(case, bundles, tmp_path):
     expected = json.loads(MANIFEST.read_text())[case]
     got = observe(cases()[case], tmp_path, bundles)
+    assert gc.isenabled()
     assert got["exit"] == expected["exit"]
     assert got["digests"].keys() == expected["digests"].keys()
     for name, digest in expected["digests"].items():

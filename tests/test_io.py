@@ -1,6 +1,8 @@
+import gc
 import hashlib
 import json
 import math
+import random
 import time
 import xml.etree.ElementTree as ET
 
@@ -18,6 +20,8 @@ from archspread.io import (
 from archspread.indicators import CorrelationStats, IndicatorResult
 from archspread.model import ArchitectureSolution, SolutionSet, TransformationStep
 from archspread.projection import Projection2D
+
+from conftest import random_set
 
 MINIMAL = {
     "name": "tiny",
@@ -356,39 +360,91 @@ def test_edge_end_that_is_not_a_known_node_fails_at_its_path(end, value, message
     assert str(excinfo.value) == f"$.tree.edges[2].{end}: {message}"
 
 
+# The search visits children in id order ("a" before "b") and, among parallel
+# edges, keeps the first-listed one.
+PARALLEL_EDGES = [
+    ("n0", "b", "toB1"),
+    ("b", "t", "bt"),
+    ("n0", "a", "toA1"),
+    ("n0", "b", "toB2"),
+    ("a", "t", "at1"),
+    ("n0", "a", "toA2"),
+    ("a", "t", "at2"),
+]
+PARALLEL_DOC = {
+    "name": "parallel",
+    "tree": {
+        "root": "n0",
+        "nodes": ["n0", "b", "a", "t"],
+        "edges": [{"from": p, "to": c, "step": {"name": n}} for p, c, n in PARALLEL_EDGES],
+    },
+    "sets": [
+        {
+            "label": "s",
+            "objective_names": ["f0"],
+            "solutions": [
+                {"id": node, "objectives": [0.0], "node": node} for node in ("t", "b", "a")
+            ],
+        }
+    ],
+}
+
+
 def test_parallel_edges_listed_out_of_id_order_resolve_as_documented():
-    # The search visits children in id order ("a" before "b") and, among
-    # parallel edges, keeps the first-listed one.
-    edges = [
-        ("n0", "b", "toB1"),
-        ("b", "t", "bt"),
-        ("n0", "a", "toA1"),
-        ("n0", "b", "toB2"),
-        ("a", "t", "at1"),
-        ("n0", "a", "toA2"),
-        ("a", "t", "at2"),
-    ]
-    doc = {
-        "name": "parallel",
-        "tree": {
-            "root": "n0",
-            "nodes": ["n0", "b", "a", "t"],
-            "edges": [{"from": p, "to": c, "step": {"name": n}} for p, c, n in edges],
-        },
-        "sets": [
-            {
-                "label": "s",
-                "objective_names": ["f0"],
-                "solutions": [
-                    {"id": node, "objectives": [0.0], "node": node} for node in ("t", "b", "a")
-                ],
-            }
-        ],
-    }
-    bundle = parse_bundle(json.dumps(doc))
-    assert [step.name for _, _, step in bundle.tree.edges] == [n for _, _, n in edges]
+    bundle = parse_bundle(json.dumps(PARALLEL_DOC))
+    assert [step.name for _, _, step in bundle.tree.edges] == [n for _, _, n in PARALLEL_EDGES]
     paths = {sol.id: [step.name for step in sol.sequence] for sol in bundle.sets[0].solutions}
     assert paths == {"t": ["toA1", "at1"], "b": ["toB1"], "a": ["toA1"]}
+
+
+def unknown_node_doc():
+    doc = json.loads(json.dumps(TREE_DOC))
+    doc["sets"][0]["solutions"][0]["node"] = "x9"
+    return doc
+
+
+# A bundle text, and the error parse_bundle raises on it (None: it parses).
+PARSE_OUTCOMES = {
+    "valid": (json.dumps(TREE_DOC), None),
+    "schema": (json.dumps({"name": "x"}), "$.sets: missing required field"),
+    "malformed": ('{"name": ', "$: invalid JSON: Expecting value"),
+    "too-deep": ("[" * 100_000 + "]" * 100_000, "$: invalid JSON: maximum recursion depth"),
+    "unknown-node": (json.dumps(unknown_node_doc()), "$.sets[0].solutions[0].node: unknown node"),
+}
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+@pytest.mark.parametrize("outcome", list(PARSE_OUTCOMES))
+def test_parse_leaves_the_collector_as_the_caller_had_it(outcome, enabled):
+    text, error = PARSE_OUTCOMES[outcome]
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if error is None:
+            parse_bundle(text)
+        else:
+            with pytest.raises(BundleError) as excinfo:
+                parse_bundle(text)
+            assert str(excinfo.value).startswith(error)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+
+
+def test_parse_leaves_no_cyclic_garbage():
+    # parse_bundle pauses the collector, which frees nothing only while no
+    # object the parse builds, keeps or drops is part of a reference cycle.
+    explicit = AnalysisBundle("explicit", (random_set(random.Random(3), n=30),))
+    texts = [
+        write_bundle(explicit),
+        json.dumps(PARALLEL_DOC),
+        json.dumps(repeated_step_doc({**STEP, "stray": 0})),
+    ]
+    gc.collect()
+    bundles = [parse_bundle(text) for text in texts]
+    assert bundles[2].warnings
+    del bundles
+    assert gc.collect() == 0
 
 
 def test_duplicate_set_labels_rejected():
