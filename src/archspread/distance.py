@@ -19,7 +19,7 @@ themselves.
 
 from __future__ import annotations
 
-from itertools import zip_longest
+from itertools import chain, count, zip_longest
 from typing import Iterable, Iterator, Sequence
 
 from ._lazy import np
@@ -167,14 +167,25 @@ def _step_ids(
 
     Also returns the distinct steps in first-seen order; step ``i`` of that
     list has id ``i + 1``. Equal steps get the same id.
+
+    Occurrences are told apart by object identity first, which hashes an
+    int; only each distinct step object is hashed as a step, once. The
+    ids then fill the array, row by row, in one assignment.
     """
+    sequences = [sol.sequence for sol in solutions]
+    steps = list(chain.from_iterable(sequences))
+    # Each occurrence's position among all occurrences of its first same object.
+    first: dict[int, int] = {}
+    occurrence = np.fromiter(
+        map(first.setdefault, map(id, steps), count()), dtype=np.intp, count=len(steps)
+    )
+    firsts = list(first.values())
     step_id: dict[TransformationStep, int] = {}
-    rows = [
-        [step_id.setdefault(step, len(step_id) + 1) for step in sol.sequence] for sol in solutions
-    ]
-    ids = np.zeros((len(rows), max(map(len, rows), default=0)), dtype=np.intp)
-    for i, row in enumerate(rows):
-        ids[i, : len(row)] = row
+    code = np.zeros(len(steps), dtype=np.intp)
+    code[firsts] = [step_id.setdefault(steps[k], len(step_id) + 1) for k in firsts]
+    lengths = np.fromiter(map(len, sequences), dtype=np.intp, count=len(sequences))
+    ids = np.zeros((len(sequences), lengths.max(initial=0)), dtype=np.intp)
+    ids[np.arange(ids.shape[1]) < lengths[:, None]] = code[occurrence]
     return ids, list(step_id)
 
 
@@ -182,30 +193,31 @@ def _simargs_table(args: Sequence[tuple[int, ...]]) -> np.ndarray:
     """``_simargs`` of every two of ``args``, by a batched Wagner–Fischer DP.
 
     The tuples are padded with -1, which is no symbol, to the longest arity.
-    All pairs whose first tuple has length ``la`` share one DP, run row by
-    row; a row's insertions are one running minimum. Pair ``(a, b)`` reads
-    its Levenshtein distance at ``D[la, lb]`` and divides it by the longer
-    length, as ``_simargs`` does.
+    All pairs share one DP, run row by row and held column-major, so each
+    step works on whole ``(n, n)`` planes, one per column. Pair ``(a, b)``
+    reads its Levenshtein distance at ``D[la, lb]`` once row ``la`` is done,
+    and divides it by the longer length, as ``_simargs`` does.
     """
-    lengths = np.array([len(t) for t in args], dtype=np.intp)
+    lengths = np.fromiter(map(len, args), dtype=np.intp, count=len(args))
     width = int(lengths.max())
     padded = np.full((len(args), width), -1, dtype=np.int64)
-    for i, t in enumerate(args):
-        padded[i, : len(t)] = t
-    cols = np.arange(width + 1)
+    padded[np.arange(width) < lengths[:, None]] = list(chain.from_iterable(args))
+    every = np.arange(len(args))
     lev = np.empty((len(args), len(args)), dtype=np.intp)
-    for la in np.flatnonzero(np.bincount(lengths)):  # not np.unique: it imports numpy.ma
-        rows = np.flatnonzero(lengths == la)
-        d = np.broadcast_to(cols, (len(rows), len(args), width + 1))
-        for i in range(la):
-            cur = np.empty_like(d)
-            cur[..., 0] = i + 1
-            # D[i, j] before insertions: a deletion or a (mis)match.
-            subst = padded[rows, None, i, None] != padded[None, :, :]
-            np.minimum(d[..., 1:] + 1, d[..., :-1] + subst, out=cur[..., 1:])
-            cur -= cols
-            d = np.minimum.accumulate(cur, axis=-1) + cols
-        lev[rows] = d[:, np.arange(len(args)), lengths]
+    lev[lengths == 0] = lengths  # D[0, lb] = lb
+    # d[j, a, b] is D[i, j] of pair (a, b).
+    d = np.broadcast_to(np.arange(width + 1)[:, None, None], (width + 1, len(args), len(args)))
+    for i in range(width):
+        cur = np.empty_like(d)
+        cur[0] = i + 1
+        # D[i + 1, j] before insertions: a deletion or a (mis)match.
+        subst = padded[None, :, i, None] != padded.T[:, None, :]
+        np.minimum(d[1:] + 1, d[:-1] + subst, out=cur[1:])
+        for j in range(1, width + 1):  # then insertions, left to right
+            np.minimum(cur[j], cur[j - 1] + 1, out=cur[j])
+        d = cur
+        rows = np.flatnonzero(lengths == i + 1)
+        lev[rows] = d[lengths, rows[:, None], every]
     longer = np.maximum(lengths[:, None], lengths[None, :])
     return np.divide(lev, longer, out=np.zeros(lev.shape), where=longer > 0)
 

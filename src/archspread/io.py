@@ -6,6 +6,9 @@ import gc
 import io as _stdio
 import json
 import math
+from itertools import chain, repeat
+from operator import is_, itemgetter
+from types import NoneType
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from .encoding import PathResolver, UnknownNodeError, UnreachableNodeError
@@ -114,12 +117,15 @@ def _parse_document(text: str) -> AnalysisBundle:
             _require(raw_set, "objective_names", list, where),
             lambda: f"{where()}.objective_names",
         )
-        solutions = [
-            _parse_solution(
-                raw_sol, lambda: f"{where()}.solutions[{j}]", resolve, steps, warnings
-            )
-            for j, raw_sol in enumerate(_require(raw_set, "solutions", list, where))
-        ]
+        raw_solutions = _require(raw_set, "solutions", list, where)
+        solutions = _valid_solutions(raw_solutions, resolve)
+        if solutions is None:
+            solutions = [
+                _parse_solution(
+                    raw_sol, lambda: f"{where()}.solutions[{j}]", resolve, steps, warnings
+                )
+                for j, raw_sol in enumerate(raw_solutions)
+            ]
         sets.append(SolutionSet(label, objective_names, solutions))
     return AnalysisBundle(
         name=name,
@@ -146,15 +152,35 @@ def _load_json(text: str, steps: Steps) -> object:
     are exactly ``from``, ``to`` and ``step``, with string ends and a step
     already interned, becomes the ``(from, to, step)`` triple that
     ``SearchTree.edges`` holds. JSON decodes to no other tuple.
+
+    A step with exactly a ``name`` and an ``args`` list, already interned,
+    and an edge with exactly ``from``, ``to`` and an interned ``step``, are
+    told apart by their number of keys and resolve with one lookup each,
+    whatever the order of their keys; every other object takes the general
+    path, which gives the same result.
     """
 
     def decode(obj: dict) -> object:
-        keys = obj.keys()
-        if keys == _EDGE_KEYS:
-            src, dst, step = obj["from"], obj["to"], obj["step"]
-            if type(src) is str and type(dst) is str and type(step) is TransformationStep:
-                return src, dst, step
-        if not keys <= _STEP_KEYS:
+        n = len(obj)
+        if n == 2:
+            # A key other than "name" makes the lookup key (None, ...): no step.
+            args = obj.get("args")
+            if type(args) is list:
+                try:
+                    step = steps.get((obj.get("name"), tuple(args)))
+                except TypeError:  # an unhashable arg
+                    step = None
+                if step is not None:
+                    return step
+        elif n == 3:
+            # No step has three keys: an object that is no edge stays a dict.
+            step = obj.get("step")
+            if type(step) is TransformationStep:
+                src, dst = obj.get("from"), obj.get("to")
+                if type(src) is str and type(dst) is str:
+                    return src, dst, step
+            return obj
+        if not obj.keys() <= _STEP_KEYS:
             return obj
         name, args = obj.get("name"), obj.get("args", [])
         if not (isinstance(name, str) and isinstance(args, list)):
@@ -242,9 +268,66 @@ def _node_resolver(tree: SearchTree | None) -> Resolve | None:
     return resolve
 
 
+_ID = itemgetter("id")
+_OBJECTIVES = itemgetter("objectives")
+
+
+def _valid_solutions(raws: list, resolve: Resolve | None) -> list[ArchitectureSolution] | None:
+    """The solutions of ``raws`` if every one of them passes each check of
+    ``_parse_solution`` and warns of nothing, else None.
+
+    Each check runs over the whole list at once, by type sets and ``map``:
+    decoding made every valid step of a sequence the shared step, so no
+    element of a sequence or of an objective list is visited in Python. Only
+    when a check fails does ``_parse_solution`` go through the solutions
+    again, to name the first bad one.
+    """
+    # Three known keys, two of them id and objectives: the third is either
+    # the sequence or the node.
+    if not (
+        {*map(type, raws)} <= {dict}
+        and {*map(len, raws)} <= {3}
+        and all(map(_SOLUTION_KEYS.issuperset, raws))
+    ):
+        return None
+    try:
+        ids = list(map(_ID, raws))
+        objectives = list(map(_OBJECTIVES, raws))
+    except KeyError:
+        return None
+    sequences = list(map(dict.get, raws, repeat("sequence")))
+    nodes = list(map(dict.get, raws, repeat("node")))
+    if not (
+        {*map(type, ids)} <= {str}
+        and {*map(type, objectives)} <= {list}
+        and {*map(type, chain.from_iterable(objectives))} <= {int, float}
+        and {*map(type, sequences)} <= {list, NoneType}
+        and {*map(type, nodes)} <= {str, NoneType}
+        and not any(map(is_, sequences, nodes))  # a null sequence or node
+        and {*map(type, chain.from_iterable(filter(None, sequences)))} <= {TransformationStep}
+    ):
+        return None
+    try:
+        "".join(ids).encode("utf-8")
+        if not all(map(math.isfinite, chain.from_iterable(objectives))):
+            return None
+    except (UnicodeEncodeError, OverflowError):  # a lone surrogate; an int past float range
+        return None
+    if nodes.count(None) < len(nodes):
+        if resolve is None:
+            return None
+        try:
+            sequences = [resolve(n) if s is None else s for s, n in zip(sequences, nodes)]
+        except (UnknownNodeError, UnreachableNodeError):
+            return None
+    return list(map(ArchitectureSolution, ids, objectives, sequences))
+
+
 def _parse_solution(
     raw: object, where: Where, resolve: Resolve | None, steps: Steps, warnings: list[str]
 ) -> ArchitectureSolution:
+    """The solution of ``raw``, checked field by field in document order, so
+    that the first bad field fails, or a stray one warns, at its JSON path."""
     raw = _object(raw, where)
     _unknown_keys(raw, _SOLUTION_KEYS, where, warnings)
     sol_id = _text(raw, "id", where)
@@ -328,14 +411,13 @@ def _text(obj: dict, key: str, where: Where) -> str:
 
 
 def _string_list(raw: object, where: Where) -> list[str]:
-    if not isinstance(raw, list) or any(not isinstance(x, str) for x in raw):
+    if not isinstance(raw, list) or not {*map(type, raw)} <= {str}:
         raise BundleError(f"{where()}: must be a list of strings")
     return list(raw)
 
 
 def _unknown_keys(obj: dict, known: set[str], where: Where, warnings: list[str]) -> None:
-    # Runs once per edge, solution and step that decoding left a dict: the
-    # subset test keeps the usual no-unknown-key case out of a Python-level loop.
+    # The subset test keeps the usual no-unknown-key case out of a Python-level loop.
     if not obj.keys() <= known:
         path = where()
         warnings.extend(f"ignored unknown field {path}.{k}" for k in obj if k not in known)

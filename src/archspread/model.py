@@ -83,7 +83,7 @@ class ArchitectureSolution(_Record):
     def __init__(
         self, id: str, objectives: tuple[float, ...], sequence: tuple[TransformationStep, ...] = ()
     ) -> None:
-        self._fill(id, tuple(float(v) for v in objectives), tuple(sequence))
+        self._fill(id, tuple(map(float, objectives)), tuple(sequence))
 
 
 class SolutionSet(_Record):

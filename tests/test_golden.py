@@ -5,7 +5,9 @@ digests of its stdout, its stderr and every file it writes against
 ``golden_manifest.json``. The bundles are built here: two ``synth`` seeds,
 and a bundle of node references into the first one's tree with parallel
 edges listed out of order. A hostile corpus derived from the first seed pins
-what each command says about input it must refuse or warn about.
+what each command says about input it must refuse or warn about. Three more
+bundles are scaled-down versions of the benchmark's shapes: node references
+into a tree of depth 9, many small sets and two paper-like sets.
 
 Coordinates, stress, eigenvalue share and the correlation coefficients
 depend on the host's BLAS in their last bits. They are masked out of the
@@ -43,8 +45,17 @@ MANIFEST = Path(__file__).with_name("golden_manifest.json")
 SYNTH = {
     "a.json": ["synth", "--sets", "3", "--n", "6", "--seed", "1", "--dispersion", "0.3"],
     "b.json": ["synth", "--sets", "4", "--n", "5", "--seed", "8", "--depth", "4"],
+    "deep.json": ["synth", "--sets", "2", "--n", "16", "--seed", "5", "--depth", "9"],
+    "many.json": ["synth", "--sets", "14", "--n", "5", "--seed", "6", "--dispersion", "0.5"],
+    "paper.json": [
+        "synth", "--sets", "2", "--n", "30", "--seed", "4", "--depth", "9",
+        "--name-vocab", "6", "--arg-vocab", "9", "--dispersion", "0.6",
+    ],
 }
 BUNDLES = ("a.json", "b.json", "refs.json")
+# The benchmark's shapes, scaled down: node references into a deep tree, many
+# small sets and two paper-like sets.
+SHAPES = ("deep-refs.json", "many.json", "paper.json")
 # The object places of a bundle; each ends in the shape of what belongs there.
 PLACES = ("bundle", "tree", "edge", "edge-step", "set", "solution", "sequence-step")
 STEP_SHAPED = {"name": "x", "args": []}
@@ -88,6 +99,10 @@ def cases() -> dict[str, list[str]]:
             argvs.append(["compare", bundle, *flags, "--svg", "map.svg", "-o", "report.json"])
         for flags in W_PRED:
             argvs.append(["mds", bundle, *flags, "--svg", "map.svg"])
+    for bundle in SHAPES:
+        argvs.append(["validate", bundle])
+        argvs.append(["indicators", bundle, "--format", "csv", "-o", "r.csv"])
+        argvs.append(["compare", bundle, "--svg", "map.svg", "-o", "report.json"])
     argvs += [["validate", name] for name in HOSTILE]
     argvs.append(["mds", "xml-labels.json", "--svg", "map.svg"])
     return {" ".join(argv): argv for argv in argvs}
@@ -157,11 +172,24 @@ def node_reference_bundle(source: Path, target: Path) -> None:
     target.write_text(json.dumps(doc, indent=1), encoding="utf-8")
 
 
+def deep_reference_bundle(source: Path, target: Path) -> None:
+    """``source`` with a node reference, spread over the whole tree, in place of each sequence."""
+    doc = json.loads(source.read_text(encoding="utf-8"))
+    nodes = doc["tree"]["nodes"]
+    for k, s in enumerate(doc["sets"]):
+        for j, sol in enumerate(s["solutions"]):
+            del sol["sequence"]
+            sol["node"] = nodes[(389 * j + 97 * k + 500) % len(nodes)]
+    doc["name"] = "deep-node-references"
+    target.write_text(json.dumps(doc, indent=1), encoding="utf-8")
+
+
 def build_bundles(directory: Path) -> None:
     with chdir(directory):
         for name, argv in SYNTH.items():
             assert run([*argv, "-o", name])[0] == 0
     node_reference_bundle(directory / "a.json", directory / "refs.json")
+    deep_reference_bundle(directory / "deep.json", directory / "deep-refs.json")
     texts = hostile_texts(directory / "a.json")
     assert tuple(texts) == HOSTILE
     for name, text in texts.items():
@@ -223,7 +251,7 @@ def sha(text: str | bytes) -> str:
 def observe(argv: list[str], workdir: Path, bundles: Path) -> dict:
     """One case's manifest entry, from a run in ``workdir`` beside copies of the bundles."""
     if argv[0] != "synth":
-        for name in (*BUNDLES, *HOSTILE):
+        for name in (*BUNDLES, *SHAPES, *HOSTILE):
             shutil.copy(bundles / name, workdir / name)
     inputs = set(workdir.iterdir())
     with chdir(workdir):

@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import itertools
 import json
 import math
 import random
@@ -20,6 +21,7 @@ from archspread.io import (
 from archspread.indicators import CorrelationStats, IndicatorResult
 from archspread.model import ArchitectureSolution, SolutionSet, TransformationStep
 from archspread.projection import Projection2D
+from archspread.synth import generate_sets, generate_tree
 
 from conftest import random_set
 
@@ -244,7 +246,7 @@ def test_step_shaped_object_where_another_object_belongs(step, place, message):
     assert str(excinfo.value) == message
 
 
-@pytest.mark.parametrize("where", ["edge", "sequence"])
+@pytest.mark.parametrize("where", ["edge", "sequence", "later-edge", "later-sequence"])
 @pytest.mark.parametrize(
     "step, message",
     [
@@ -257,9 +259,16 @@ def test_first_occurrence_of_an_invalid_step_fails_at_its_path(where, step, mess
     if where == "edge":
         doc["tree"]["edges"][0]["step"] = step
         path = "$.tree.edges[0].step"
-    else:
+    elif where == "later-edge":
+        doc["tree"]["edges"][3]["step"] = step
+        path = "$.tree.edges[3].step"
+    elif where == "sequence":
         doc["sets"][0]["solutions"][0] = {"id": "a", "objectives": [0.0], "sequence": [step]}
         path = "$.sets[0].solutions[0].sequence[0]"
+    else:
+        sequence = [{"name": "r1", "args": ["a"]}, {"name": "r2", "args": ["b"]}, step]
+        doc["sets"][0]["solutions"][2] = {"id": "c", "objectives": [0.0], "sequence": sequence}
+        path = "$.sets[0].solutions[2].sequence[2]"
     with pytest.raises(BundleError) as excinfo:
         parse_bundle(json.dumps(doc))
     assert str(excinfo.value) == path + message
@@ -395,6 +404,208 @@ def test_parallel_edges_listed_out_of_id_order_resolve_as_documented():
     assert [step.name for _, _, step in bundle.tree.edges] == [n for _, _, n in PARALLEL_EDGES]
     paths = {sol.id: [step.name for step in sol.sequence] for sol in bundle.sets[0].solutions}
     assert paths == {"t": ["toA1", "at1"], "b": ["toB1"], "a": ["toA1"]}
+
+
+def outcome(text: str):
+    """What ``parse_bundle`` makes of ``text``: the bundle and its warnings, or the error."""
+    try:
+        bundle = parse_bundle(text)
+    except BundleError as exc:
+        return str(exc)
+    return bundle, bundle.warnings
+
+
+def with_key_order(doc: dict, step_keys: tuple, edge_keys: tuple) -> dict:
+    """A copy of ``doc`` whose steps and edges list their keys in the given
+    orders; keys left out of an order follow in the order they had."""
+
+    def order(obj: dict, keys: tuple) -> dict:
+        return {**{k: obj[k] for k in keys if k in obj}, **obj}
+
+    doc = json.loads(json.dumps(doc))
+    doc["tree"]["edges"] = [
+        order({**edge, "step": order(edge["step"], step_keys)}, edge_keys)
+        for edge in doc["tree"]["edges"]
+    ]
+    for s in doc["sets"]:
+        for sol in s["solutions"]:
+            if "sequence" in sol:
+                sol["sequence"] = [order(step, step_keys) for step in sol["sequence"]]
+    return doc
+
+
+def steps_without_args() -> dict:
+    doc = repeated_step_doc({"name": "m"})
+    doc["tree"]["edges"][0]["step"] = {"name": "m"}
+    doc["sets"][0]["solutions"][0]["sequence"] = [{"name": "m"}, {"name": "m", "args": []}]
+    return doc
+
+
+# Each document exercises the decoder on one kind of step or edge; the
+# canonical key order is "name", "args" and "from", "to", "step".
+KEY_ORDER_DOCS = {
+    "repeated": lambda: repeated_step_doc(dict(STEP)),
+    "parallel-edges": lambda: PARALLEL_DOC,
+    "without-args": steps_without_args,
+    "stray-key": lambda: repeated_step_doc({**STEP, "stray": 0}),
+    "stray-args": lambda: repeated_step_doc({"name": "m", "stray": ["a", "b"]}),
+    "stray-name": lambda: repeated_step_doc({"stray": "m", "args": ["a", "b"]}),
+    "non-string-arg": lambda: repeated_step_doc({"name": "m", "args": ["a", 1]}),
+    "list-arg": lambda: repeated_step_doc({"name": "m", "args": [["a"], "b"]}),
+    "blank-name": lambda: repeated_step_doc({"name": " ", "args": ["a"]}),
+    "unknown-end": lambda: {**TREE_DOC, "tree": {**TREE_DOC["tree"], "nodes": ["n0", "n1"]}},
+}
+
+
+# The decoder tells an interned step or an edge by its keys, not by their
+# order, and any object it does not resolve takes the general path: every
+# key order must give the same bundle, the same warnings, the same shared
+# steps and the same errors as the order json.dumps writes.
+@pytest.mark.parametrize("edge_keys", list(itertools.permutations(("from", "to", "step"))))
+@pytest.mark.parametrize("step_keys", [("name", "args"), ("args", "name")])
+@pytest.mark.parametrize("doc", list(KEY_ORDER_DOCS))
+def test_every_key_order_decodes_as_the_canonical_one(doc, step_keys, edge_keys):
+    canonical = json.dumps(KEY_ORDER_DOCS[doc]())
+    text = json.dumps(with_key_order(json.loads(canonical), step_keys, edge_keys))
+    expected, got = outcome(canonical), outcome(text)
+    assert got == expected
+    if not isinstance(got, str):
+        bundle = got[0]
+        steps = [step for _, _, step in bundle.tree.edges]
+        steps += [step for s in bundle.sets for sol in s.solutions for step in sol.sequence]
+        assert len({id(step) for step in steps}) == len(set(steps))
+
+
+def test_a_stray_key_is_not_read_as_args_or_name():
+    # Two keys holding the name and the args of an interned step, under
+    # another key, are a stray field and not that step.
+    for later, step in (
+        ({"name": "m", "stray": ["a", "b"]}, TransformationStep("m")),
+        ({"stray": "m", "args": ["a", "b"]}, None),
+    ):
+        got = outcome(json.dumps(repeated_step_doc(later)))
+        if step is None:
+            assert got == "$.tree.edges[1].step.name: missing required field"
+            continue
+        bundle, warnings = got
+        assert warnings == (
+            "ignored unknown field $.tree.edges[1].step.stray",
+            "ignored unknown field $.sets[0].solutions[1].sequence[0].stray",
+        )
+        assert bundle.tree.edges[1][2] == step
+
+
+# A repeated key keeps its last value, as in a dict, in a step and in an edge:
+# each case replaces a fragment of a bundle's text once by the canonical text
+# and once by text with a repeated key that must decode the same.
+STEP_TEXT = json.dumps(STEP)
+EDGE_HEAD = '{"from": "n0", "to": "n1", '
+
+
+@pytest.mark.parametrize(
+    "fragment, canonical, repeated",
+    [
+        (STEP_TEXT, STEP_TEXT, '{"name": "z", "name": "m", "args": ["a", "b"]}'),
+        (STEP_TEXT, STEP_TEXT, '{"name": "m", "args": [], "args": ["a", "b"]}'),
+        (STEP_TEXT, STEP_TEXT, '{"args": 3, "name": "m", "args": ["a", "b"]}'),
+        (STEP_TEXT, '{"name": "m", "args": [1]}', '{"name": "m", "args": ["a"], "args": [1]}'),
+        (STEP_TEXT, '{"name": "m", "x": 0}', '{"x": 1, "name": "m", "x": 0}'),
+        (EDGE_HEAD, EDGE_HEAD, '{"from": "n2", "from": "n0", "to": "n1", '),
+        (EDGE_HEAD, EDGE_HEAD, '{"from": "n0", "to": "n1", "to": "n1", '),
+        (EDGE_HEAD, '{"from": "n0", "to": "zz", ', '{"from": "n0", "to": "n1", "to": "zz", '),
+        (EDGE_HEAD, EDGE_HEAD, '{"step": {"name": "x"}, "from": "n0", "to": "n1", '),
+    ],
+)
+def test_a_repeated_key_keeps_its_last_value(fragment, canonical, repeated):
+    text = json.dumps(repeated_step_doc(dict(STEP)))
+    assert fragment in text
+    assert outcome(text.replace(fragment, repeated)) == outcome(text.replace(fragment, canonical))
+
+
+def node_reference_doc(seed: int) -> dict:
+    tree = generate_tree(seed, 9, 2, 6, 9)
+    doc = json.loads(write_bundle(AnalysisBundle("refs", (), tree)))
+    rng = random.Random(seed)
+    doc["sets"] = [
+        {
+            "label": f"s{k}",
+            "objective_names": ["f0", "f1"],
+            "solutions": [
+                {"id": f"s{k}_{i}", "objectives": [rng.random(), i], "node": node}
+                for i, node in enumerate(rng.sample(tree.nodes, 30))
+            ],
+        }
+        for k in range(3)
+    ]
+    return doc
+
+
+def test_valid_input_takes_no_per_element_path(monkeypatch):
+    tree = generate_tree(4, 6, 2, 5, 8)
+    explicit = write_bundle(AnalysisBundle("explicit", tuple(generate_sets(tree, 4, 3, 20)), tree))
+    refs = json.dumps(node_reference_doc(4))
+    expected = [parse_bundle(explicit), parse_bundle(refs)]
+
+    def per_element(*args):
+        raise AssertionError("a per-element path ran on valid input")
+
+    for name in ("_is_finite_number", "_parse_step", "_parse_edge", "_parse_solution"):
+        monkeypatch.setattr(bundle_io, name, per_element)
+    assert [parse_bundle(explicit), parse_bundle(refs)] == expected
+    assert all(bundle.warnings == () for bundle in expected)
+
+
+# Whole-list checks pass valid input; a bad element after good ones still
+# fails at its own index.
+@pytest.mark.parametrize(
+    "literal", ["true", "1e999", "-1e999", "NaN", "Infinity", "1" + "0" * 400, '"1"', "null"]
+)
+def test_first_bad_objective_fails_at_its_index(literal):
+    doc = node_reference_doc(5)
+    doc["sets"][1]["solutions"][7]["objectives"][1] = "BAD"
+    text = json.dumps(doc).replace('"BAD"', literal)
+    with pytest.raises(BundleError) as excinfo:
+        parse_bundle(text)
+    assert str(excinfo.value) == "$.sets[1].solutions[7].objectives[1]: must be a finite number"
+
+
+DELETE = object()
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({"sequence": None}, ".sequence: expected list"),
+        ({"sequence": DELETE, "node": None}, ".node: expected str"),
+        ({"sequence": DELETE, "node": "zz"}, ".node: unknown node 'zz'"),
+        ({"node": "n3"}, ": solution 's1_7' has both 'sequence' and 'node'"),
+        ({"sequence": DELETE}, ": solution 's1_7' needs either 'sequence' or 'node'"),
+        ({"id": 7}, ".id: expected str"),
+        ({"id": "a\ud800"}, ".id: contains a lone surrogate"),
+        ({"objectives": {}}, ".objectives: expected list"),
+    ],
+)
+def test_first_bad_solution_field_fails_at_its_index(changes, message):
+    tree = generate_tree(8, 5, 2, 4, 6)
+    doc = json.loads(write_bundle(AnalysisBundle("x", tuple(generate_sets(tree, 8, 2, 10)), tree)))
+    solution = doc["sets"][1]["solutions"][7]
+    for field, value in changes.items():
+        if value is DELETE:
+            del solution[field]
+        else:
+            solution[field] = value
+    with pytest.raises(BundleError) as excinfo:
+        parse_bundle(json.dumps(doc))
+    assert str(excinfo.value) == "$.sets[1].solutions[7]" + message
+
+
+def test_first_edge_with_an_unknown_end_fails_at_its_index():
+    doc = node_reference_doc(6)
+    doc["tree"]["edges"][300]["to"] = "zz"
+    doc["tree"]["edges"][400]["from"] = "zz"
+    with pytest.raises(BundleError) as excinfo:
+        parse_bundle(json.dumps(doc))
+    assert str(excinfo.value) == "$.tree.edges[300].to: unknown node 'zz'"
 
 
 def unknown_node_doc():
