@@ -187,9 +187,9 @@ def _analyze(
     Each layer is computed once. MAS needs only each solution's
     eccentricity. Without a map they come from the within-set distances,
     block by block. With one, the joint matrix over one solution per
-    distinct sequence of all sets is computed and checked once; the
-    eccentricities are its row maxima gathered through each set's rows, and
-    MDS gives solution ``i`` of all sets, in order, the point of its row.
+    distinct sequence of all sets is computed and checked once; each set's
+    eccentricities are taken as its blocks are filled, and MDS gives
+    solution ``i`` of all sets, in order, the point of its row.
     """
     bundle, w = _load(args)
     sets = list(bundle.sets)
@@ -198,10 +198,7 @@ def _analyze(
     options = {"shared_max_d": args.shared_maxd, "all_pairs": args.mas_allpairs}
     if not project:
         return sets, indicators.indicators_for(sets, w, **options), None
-    representatives, index = distance.distinct_sequences([sol for s in sets for sol in s.solutions])
-    distinct = SolutionSet("__all__", sets[0].objective_names, tuple(representatives))
-    joint = distance.distance_matrix(distinct, w)
-    eccentricities = distance.gathered_eccentricities(joint, index, sets)
+    joint, index, eccentricities = distance.joint_distances(sets, w)
     results = indicators.indicators_from_eccentricities(sets, eccentricities, **options)
     return sets, results, projection.mds_project(joint, index)
 

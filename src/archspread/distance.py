@@ -189,35 +189,55 @@ def _step_ids(
     return ids, list(step_id)
 
 
-def _simargs_table(args: Sequence[tuple[int, ...]]) -> np.ndarray:
-    """``_simargs`` of every two of ``args``, by a batched Wagner–Fischer DP.
+def _levenshtein_block(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Levenshtein distance of each row of ``a`` to each row of ``b``, by one batched DP.
 
-    The tuples are padded with -1, which is no symbol, to the longest arity.
-    All pairs share one DP, run row by row and held column-major, so each
-    step works on whole ``(n, n)`` planes, one per column. Pair ``(a, b)``
-    reads its Levenshtein distance at ``D[la, lb]`` once row ``la`` is done,
-    and divides it by the longer length, as ``_simargs`` does.
+    ``a`` is ``(r, la)`` and ``b`` is ``(c, lb)``. The DP runs row by row on
+    ``lb + 1`` planes of ``r x c`` pairs. Plane ``j`` holds ``D[i, j] - i - j``:
+    it keeps 0 in column 0, and the insertions of a row are a running minimum
+    over the planes, taken by doubling in ``log2(lb + 1)`` steps.
+    """
+    d = np.zeros((b.shape[1] + 1, len(a), len(b)), dtype=np.intp)
+    rows, columns = a.T[:, None, :, None], b.T[:, None, :]
+    shifts = [2**k for k in range(b.shape[1].bit_length())]
+    for token in rows:
+        # D[i + 1, j] - i - 1 - j from a deletion, then from a (mis)match.
+        cost = d[:-1] - (token == columns)
+        cost -= 1
+        np.minimum(d[1:], cost, out=d[1:])
+        for shift in shifts:  # then insertions; overlapping views read the planes before the step
+            np.minimum(d[shift:], d[:-shift], out=d[shift:])
+    return d[-1] + (a.shape[1] + b.shape[1])
+
+
+def _simargs_table(args: Sequence[tuple[int, ...]]) -> np.ndarray:
+    """``_simargs`` of every two of ``args``, one batched DP per two arities.
+
+    The tuples are grouped by arity. Each block of ``_ROW_BLOCK`` tuples of
+    arity ``la`` meets all tuples of each arity ``lb >= la`` in one
+    ``_levenshtein_block``, so a pair costs ``la * lb`` steps, as in
+    ``_levenshtein``. Levenshtein distance is symmetric, so the other half
+    is mirrored, and a tuple alone in its arity is at distance 0 from itself.
+    Each distance is divided by the longer length, as ``_simargs`` does.
     """
     lengths = np.fromiter(map(len, args), dtype=np.intp, count=len(args))
-    width = int(lengths.max())
-    padded = np.full((len(args), width), -1, dtype=np.int64)
-    padded[np.arange(width) < lengths[:, None]] = list(chain.from_iterable(args))
-    every = np.arange(len(args))
-    lev = np.empty((len(args), len(args)), dtype=np.intp)
-    lev[lengths == 0] = lengths  # D[0, lb] = lb
-    # d[j, a, b] is D[i, j] of pair (a, b).
-    d = np.broadcast_to(np.arange(width + 1)[:, None, None], (width + 1, len(args), len(args)))
-    for i in range(width):
-        cur = np.empty_like(d)
-        cur[0] = i + 1
-        # D[i + 1, j] before insertions: a deletion or a (mis)match.
-        subst = padded[None, :, i, None] != padded.T[:, None, :]
-        np.minimum(d[1:] + 1, d[:-1] + subst, out=cur[1:])
-        for j in range(1, width + 1):  # then insertions, left to right
-            np.minimum(cur[j], cur[j - 1] + 1, out=cur[j])
-        d = cur
-        rows = np.flatnonzero(lengths == i + 1)
-        lev[rows] = d[lengths, rows[:, None], every]
+    order = np.argsort(lengths, kind="stable")
+    counts = np.bincount(lengths)
+    stops = np.cumsum(counts)
+    classes = []  # (its rows in arity order, its tuples), by arity
+    for la in np.flatnonzero(counts):
+        rows = slice(stops[la] - counts[la], stops[la])
+        tuples = np.array([args[k] for k in order[rows]], dtype=np.int64)
+        classes.append((rows, tuples.reshape(counts[la], la)))
+    lev = np.zeros((len(args), len(args)), dtype=np.intp)  # rows and columns in arity order
+    for x, (rows, a) in enumerate(classes):
+        # A tuple alone in its arity is at distance 0 from itself, as lev holds.
+        for cols, b in classes[x + (len(a) == 1) :]:
+            for blk in _row_blocks(len(a)):
+                lev[rows][blk, cols] = _levenshtein_block(a[blk], b)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    lev = np.maximum(lev, lev.T).take(rank, axis=0).take(rank, axis=1)
     longer = np.maximum(lengths[:, None], lengths[None, :])
     return np.divide(lev, longer, out=np.zeros(lev.shape), where=longer > 0)
 
@@ -274,25 +294,28 @@ def _kernel(
         out += table.take(c[blk], axis=0).take(c, axis=1)
 
 
-def _matrix(columns: Sequence[tuple[np.ndarray, np.ndarray]], rows: slice, n: int) -> np.ndarray:
-    out = np.empty((n, n))
-    for blk in _row_blocks(n):
-        _kernel(columns, rows, blk, out[blk])
-    out.flags.writeable = False
-    return out
+def _sweep(
+    columns: Sequence[tuple[np.ndarray, np.ndarray]],
+    rows: slice,
+    groups: Sequence[slice | np.ndarray],
+    out: np.ndarray | None = None,
+) -> list[np.ndarray]:
+    """Row maxima of the distances among ``rows`` within each of ``groups`` of columns.
 
-
-def _eccentricities(
-    columns: Sequence[tuple[np.ndarray, np.ndarray]], rows: slice, n: int
-) -> np.ndarray:
-    """Row maxima of ``_matrix``, one block of rows at a time."""
-    buffer = np.empty((min(n, _ROW_BLOCK), n))
-    ecc = np.empty(n)
+    ``_kernel`` fills one block of rows at a time: into the same rows of
+    ``out``, an n x n array, when the caller keeps the matrix, and otherwise
+    into one reused block buffer. Each group's maxima are taken from a block
+    before the next one is filled; an empty group's are 0.
+    """
+    n = rows.stop - rows.start
+    buffer = np.empty((min(n, _ROW_BLOCK), n)) if out is None else None
+    maxima = [np.empty(n) for _ in groups]
     for blk in _row_blocks(n):
-        out = buffer[: blk.stop - blk.start]
-        _kernel(columns, rows, blk, out)
-        out.max(axis=1, out=ecc[blk])
-    return ecc
+        block = out[blk] if buffer is None else buffer[: blk.stop - blk.start]
+        _kernel(columns, rows, blk, block)
+        for group, rowmax in zip(groups, maxima):
+            block[:, group].max(axis=1, initial=0.0, out=rowmax[blk])
+    return maxima
 
 
 def padded_length(solution_set: SolutionSet) -> int:
@@ -308,62 +331,59 @@ def _set_spans(sets: Sequence[SolutionSet]) -> Iterator[tuple[SolutionSet, slice
         start += len(s)
 
 
-def _within_sets(sets: Sequence[SolutionSet], w: DistanceWeights, reduce) -> list:
-    """``reduce(columns, rows, n)`` for each set, with one table per position for all sets."""
-    ids, steps = _step_ids(sol for s in sets for sol in s.solutions)
-    columns = _column_tables(ids, steps, w)
-    return [reduce(columns[:l_pad], rows, len(s)) for s, rows, l_pad in _set_spans(sets)]
-
-
 def distance_matrix(solution_set: SolutionSet, w: DistanceWeights) -> DistanceMatrix:
     """Full pairwise distance matrix for one set.
 
     ``l_pad`` is the longest sequence in the set and the default MAS scale.
     """
-    (values,) = _within_sets([solution_set], w, _matrix)
-    ids = tuple(sol.id for sol in solution_set.solutions)
-    return DistanceMatrix(ids, values, padded_length(solution_set))
+    ids, steps = _step_ids(solution_set.solutions)
+    values = np.empty((len(ids), len(ids)))
+    _sweep(_column_tables(ids, steps, w), slice(0, len(ids)), (), values)
+    values.flags.writeable = False
+    return DistanceMatrix(tuple(sol.id for sol in solution_set.solutions), values, ids.shape[1])
 
 
 def within_set_eccentricities(sets: Sequence[SolutionSet], w: DistanceWeights) -> list[np.ndarray]:
     """Each set's eccentricities: every solution's largest distance within its set.
 
     They are the row maxima of ``distance_matrix`` of the set, taken block by
-    block, so no set's n x n matrix is built.
+    block, so no set's n x n matrix is built. Steps are numbered once, and
+    each position has one table, for all sets.
     """
-    return _within_sets(sets, w, _eccentricities)
+    ids, steps = _step_ids(sol for s in sets for sol in s.solutions)
+    columns = _column_tables(ids, steps, w)
+    all_columns = [slice(None)]
+    return [_sweep(columns[:l_pad], rows, all_columns)[0] for _, rows, l_pad in _set_spans(sets)]
 
 
-def distinct_sequences(
-    solutions: Sequence[ArchitectureSolution],
-) -> tuple[list[ArchitectureSolution], np.ndarray]:
-    """The first solution with each distinct sequence, in order, and each solution's row among them.
+def joint_distances(
+    sets: Sequence[SolutionSet], w: DistanceWeights
+) -> tuple[DistanceMatrix, np.ndarray, list[np.ndarray]]:
+    """The joint matrix, each solution's row in it, and each set's eccentricities.
 
-    Solutions with equal sequences are at distance 0 from each other and at
-    equal distances from every other solution, so a matrix over the returned
-    representatives, gathered through the rows, is the matrix over all of
-    ``solutions``.
+    The joint matrix has one row per distinct sequence of all sets, for the
+    first solution with it. Solution ``i`` of all sets in order has row
+    ``index[i]``. Solutions with equal sequences have equal rows of step
+    ids, so the steps are numbered once and the rows are told apart by their
+    bytes. A pair's distance does not depend on the set it is computed in,
+    so a set's eccentricities are the row maxima within the columns of the
+    rows it uses, taken as each block is filled.
     """
-    first: dict[tuple[TransformationStep, ...], tuple[int, ArchitectureSolution]] = {}
-    rows = [first.setdefault(sol.sequence, (len(first), sol))[0] for sol in solutions]
-    return [sol for _, sol in first.values()], np.array(rows, dtype=np.intp)
-
-
-def gathered_eccentricities(
-    joint: DistanceMatrix, index: np.ndarray, sets: Sequence[SolutionSet]
-) -> list[np.ndarray]:
-    """Each set's eccentricities, from a matrix over the distinct sequences of all sets.
-
-    Solution ``i`` of all sets in order has row ``index[i]`` of ``joint``. A
-    pair's distance does not depend on the set it is computed in, so a set's
-    eccentricities are the row maxima of ``joint`` gathered through its
-    solutions' rows, taken one block of rows at a time.
-    """
-    out = []
-    for _, rows, _ in _set_spans(sets):
-        own = index[rows]
-        ecc = np.empty(len(own))
-        for blk in _row_blocks(len(own)):
-            joint.values[np.ix_(own[blk], own)].max(axis=1, out=ecc[blk])
-        out.append(ecc)
-    return out
+    solutions = [sol for s in sets for sol in s.solutions]
+    ids, steps = _step_ids(solutions)
+    first: dict[bytes, int] = {}
+    index = np.fromiter(
+        (first.setdefault(row.tobytes(), len(first)) for row in ids), dtype=np.intp, count=len(ids)
+    )
+    _, distinct = np.unique(index, return_index=True)
+    own = [index[rows] for _, rows, _ in _set_spans(sets)]
+    values = np.empty((len(distinct), len(distinct)))
+    maxima = _sweep(
+        _column_tables(ids[distinct], steps, w),
+        slice(0, len(distinct)),
+        [np.flatnonzero(np.bincount(rows)) for rows in own],  # not np.unique: it imports numpy.ma
+        values,
+    )
+    values.flags.writeable = False
+    joint = DistanceMatrix(tuple(solutions[k].id for k in distinct), values, ids.shape[1])
+    return joint, index, [rowmax[rows] for rowmax, rows in zip(maxima, own)]

@@ -10,8 +10,8 @@ class _Record:
     """Base of the frozen value types.
 
     A subclass names its fields, in ``__init__`` order, in ``__match_args__``
-    and in ``__slots__`` (which may end with private slots), and sets every
-    slot once in ``__init__`` by ``_fill``.
+    and in ``__slots__``, and sets every slot once in ``__init__`` by
+    ``_fill``.
     ``==`` and ``hash`` compare the fields named by ``_compared`` (all of them
     unless the class names fewer), and only between instances of one class.
     Copying and unpickling call the class with the fields again, since a
@@ -54,9 +54,7 @@ class _Record:
 class TransformationStep(_Record):
     """One refactoring: a name plus the ordered arguments it targets."""
 
-    # Steps are hashed wherever they occur, so the hash is taken once.
-    __slots__ = ("name", "args", "_hash")
-    __match_args__ = ("name", "args")
+    __slots__ = __match_args__ = ("name", "args")
     name: str
     args: tuple[str, ...]
 
@@ -66,10 +64,7 @@ class TransformationStep(_Record):
         args = tuple(args)
         if any(not a for a in args):
             raise ValueError(f"transformation {name!r} has an empty argument token")
-        self._fill(name, args, hash((name, args)))
-
-    def __hash__(self) -> int:
-        return self._hash
+        self._fill(name, args)
 
 
 class ArchitectureSolution(_Record):

@@ -20,7 +20,7 @@ from archspread.cli import main
 from archspread.distance import DistanceWeights, distance_matrix
 from archspread.indicators import indicators_from_eccentricities, spread_correlation
 from archspread.io import AnalysisBundle, parse_bundle, write_bundle, write_report
-from archspread.model import ArchitectureSolution, SolutionSet
+from archspread.model import ArchitectureSolution, SolutionSet, TransformationStep
 from archspread.projection import mds_project
 
 from conftest import one_solution_bundle, random_set
@@ -301,6 +301,20 @@ def test_compare_reports_everything(bundle_path, tmp_path):
     assert main(["compare", str(bundle_path), "-o", str(out)]) == 0
     report = json.loads(out.read_text())
     assert {"sets", "correlation", "projections"} <= set(report)
+
+
+def test_compare_hashes_each_distinct_step_at_most_once(bundle_path, tmp_path, monkeypatch):
+    sets = parse_bundle(bundle_path.read_text()).sets
+    distinct = {step for s in sets for sol in s.solutions for step in sol.sequence}
+    hashed = []
+
+    def counting(step):
+        hashed.append(step)
+        return hash((step.name, step.args))
+
+    monkeypatch.setattr(TransformationStep, "__hash__", counting)
+    assert main(["compare", str(bundle_path), "-o", str(tmp_path / "cmp.json")]) == 0
+    assert 0 < len(hashed) <= len(distinct)
 
 
 def test_compare_byte_identical_across_runs(bundle_path, tmp_path):

@@ -12,8 +12,7 @@ from archspread.cli import main
 from archspread.distance import (
     DistanceWeights,
     distance_matrix,
-    distinct_sequences,
-    gathered_eccentricities,
+    joint_distances,
     sequence_distance,
     step_distance,
     within_set_eccentricities,
@@ -324,17 +323,10 @@ def test_distance_matrix_entries_equal_sequence_distance_exactly(w_pred):
 def test_eccentricities_equal_row_maxima_of_each_sets_own_matrix():
     rng = random.Random(77)
     sets = [random_set(rng, n=rng.randint(1, 9), max_len=rng.randint(0, 6)) for _ in range(4)]
-    representatives, index = distinct_sequences([sol for s in sets for sol in s.solutions])
-    joint = distance_matrix(make_set(solutions=tuple(representatives)), W)
-    for s, sliced, blocked, shared in zip(
-        sets,
-        gathered_eccentricities(joint, index, sets),
-        within_set_eccentricities(sets, W),
-        distance._within_sets(sets, W, distance._matrix),
-    ):
+    _, _, joint_eccentricities = joint_distances(sets, W)
+    for s, joint, blocked in zip(sets, joint_eccentricities, within_set_eccentricities(sets, W)):
         own = distance_matrix(s, W)
-        assert np.array_equal(shared, own.values)
-        for ecc in (sliced, blocked):
+        for ecc in (joint, blocked):
             assert np.array_equal(ecc, own.values.max(axis=1))
 
 
@@ -381,10 +373,12 @@ def all_distinct_sets(n, length=5):
 
 def test_all_distinct_steps_entries_equal_sequence_distance():
     sets = all_distinct_sets(20)
-    for s, values in zip(sets, distance._within_sets(sets, W, distance._matrix)):
-        for i, a in enumerate(s.solutions):
-            for j, b in enumerate(s.solutions):
-                assert values[i, j] == sequence_distance(a.sequence, b.sequence, W)
+    solutions = [sol for s in sets for sol in s.solutions]
+    joint, index, _ = joint_distances(sets, W)
+    assert index.tolist() == list(range(len(solutions)))
+    for i, a in enumerate(solutions):
+        for j, b in enumerate(solutions):
+            assert joint.values[i, j] == sequence_distance(a.sequence, b.sequence, W)
 
 
 def test_all_distinct_steps_indicators_finish_in_time(tmp_path):

@@ -7,7 +7,8 @@ and a bundle of node references into the first one's tree with parallel
 edges listed out of order. A hostile corpus derived from the first seed pins
 what each command says about input it must refuse or warn about. Three more
 bundles are scaled-down versions of the benchmark's shapes: node references
-into a tree of depth 9, many small sets and two paper-like sets.
+into a tree of depth 9, many small sets and two paper-like sets. One more
+mixes argument lists of many arities, one of them long, at each position.
 
 Coordinates, stress, eigenvalue share and the correlation coefficients
 depend on the host's BLAS in their last bits. They are masked out of the
@@ -56,6 +57,7 @@ BUNDLES = ("a.json", "b.json", "refs.json")
 # The benchmark's shapes, scaled down: node references into a deep tree, many
 # small sets and two paper-like sets.
 SHAPES = ("deep-refs.json", "many.json", "paper.json")
+MIXED = "arities.json"
 # The object places of a bundle; each ends in the shape of what belongs there.
 PLACES = ("bundle", "tree", "edge", "edge-step", "set", "solution", "sequence-step")
 STEP_SHAPED = {"name": "x", "args": []}
@@ -103,6 +105,8 @@ def cases() -> dict[str, list[str]]:
         argvs.append(["validate", bundle])
         argvs.append(["indicators", bundle, "--format", "csv", "-o", "r.csv"])
         argvs.append(["compare", bundle, "--svg", "map.svg", "-o", "report.json"])
+    argvs.append(["indicators", MIXED])
+    argvs.append(["compare", MIXED, "--svg", "map.svg", "-o", "report.json"])
     argvs += [["validate", name] for name in HOSTILE]
     argvs.append(["mds", "xml-labels.json", "--svg", "map.svg"])
     return {" ".join(argv): argv for argv in argvs}
@@ -184,12 +188,26 @@ def deep_reference_bundle(source: Path, target: Path) -> None:
     target.write_text(json.dumps(doc, indent=1), encoding="utf-8")
 
 
+def mixed_arity_bundle(source: Path, target: Path) -> None:
+    """``source`` with each step's arguments replaced: 0 to 4 tokens, mixed at
+    every position, and 24 at the first step of each set's first solution."""
+    doc = json.loads(source.read_text(encoding="utf-8"))
+    for k, s in enumerate(doc["sets"]):
+        for j, sol in enumerate(s["solutions"]):
+            for p, step in enumerate(sol["sequence"]):
+                arity = 24 if j == p == 0 else (j + 2 * k + p) % 5
+                step["args"] = [f"t{(j * p + 5 * k + i) % 6}" for i in range(arity)]
+    doc["name"] = "mixed-arities"
+    target.write_text(json.dumps(doc, indent=1), encoding="utf-8")
+
+
 def build_bundles(directory: Path) -> None:
     with chdir(directory):
         for name, argv in SYNTH.items():
             assert run([*argv, "-o", name])[0] == 0
     node_reference_bundle(directory / "a.json", directory / "refs.json")
     deep_reference_bundle(directory / "deep.json", directory / "deep-refs.json")
+    mixed_arity_bundle(directory / "a.json", directory / MIXED)
     texts = hostile_texts(directory / "a.json")
     assert tuple(texts) == HOSTILE
     for name, text in texts.items():
@@ -251,7 +269,7 @@ def sha(text: str | bytes) -> str:
 def observe(argv: list[str], workdir: Path, bundles: Path) -> dict:
     """One case's manifest entry, from a run in ``workdir`` beside copies of the bundles."""
     if argv[0] != "synth":
-        for name in (*BUNDLES, *SHAPES, *HOSTILE):
+        for name in (*BUNDLES, *SHAPES, MIXED, *HOSTILE):
             shutil.copy(bundles / name, workdir / name)
     inputs = set(workdir.iterdir())
     with chdir(workdir):

@@ -2,6 +2,7 @@
 
 Results at the block boundaries must match unblocked computations, and the
 layers must hold at most one n x n work array beside the distance matrix.
+The argument DP of a position sweeps its tables by blocks of rows too.
 Parsing, before them, must peak near the size of the bundle's text: no
 decoded dict per refactoring step or tree edge.
 """
@@ -9,6 +10,7 @@ decoded dict per refactoring step or tree edge.
 import json
 import math
 import random
+import time
 import tracemalloc
 
 import numpy as np
@@ -22,7 +24,9 @@ from archspread.distance import (
     DistanceMatrix,
     DistanceWeights,
     distance_matrix,
-    distinct_sequences,
+    joint_distances,
+    step_distance,
+    within_set_eccentricities,
 )
 from archspread.indicators import indicators_for
 from archspread.io import AnalysisBundle, parse_bundle, write_bundle
@@ -30,7 +34,7 @@ from archspread.model import SolutionSet
 from archspread.projection import mds_project
 from archspread.synth import generate_tree
 
-from conftest import make_set, random_set
+from conftest import make_set, make_solution, make_step, random_set
 
 W = DistanceWeights(0.5, 0.5)
 
@@ -87,7 +91,7 @@ def test_blocked_layers_match_unblocked_oracles_at_block_boundaries(n):
         random_set(rng, n=n, max_len=9, name_vocab=5, arg_vocab=7),
     ]
     want = unblocked_matrix(sets, slice(5, 5 + n))
-    assert np.array_equal(distance._within_sets(sets, W, distance._matrix)[1], want)
+    assert np.array_equal(within_set_eccentricities(sets, W)[1], want.max(axis=1))
     got = distance_matrix(sets[1], W)
     assert np.array_equal(got.values, want)
     everything = make_set(solutions=sets[0].solutions + sets[1].solutions)
@@ -106,6 +110,47 @@ def test_blocked_layers_match_unblocked_oracles_at_block_boundaries(n):
     assert np.array_equal(np.array(proj.coords), coords)
     assert proj.eigenvalue_share == share
     assert proj.stress == pytest.approx(stress, rel=0, abs=1e-15)
+
+
+def sets_sharing_sequences(rng, m):
+    """Three sets over ``m`` distinct sequences: each set repeats some, and the last
+    two also draw sequences of the sets before them."""
+    pool = {}
+    while len(pool) < m:
+        (sol,) = random_set(rng, n=1, max_len=9, name_vocab=5, arg_vocab=7).solutions
+        pool.setdefault(sol.sequence, None)
+    pool = list(pool)
+    draws = [
+        pool[: m // 2] + rng.choices(pool[: m // 2], k=7),
+        pool[m // 2 :] + rng.choices(pool, k=11),
+        rng.choices(pool, k=m // 3),
+    ]
+    sets = []
+    for k, sequences in enumerate(draws):
+        rng.shuffle(sequences)
+        solutions = tuple(
+            make_solution(f"s{k}_{i}", (float(i),), seq) for i, seq in enumerate(sequences)
+        )
+        sets.append(make_set(label=f"s{k}", solutions=solutions))
+    return sets
+
+
+@pytest.mark.parametrize("m", [_ROW_BLOCK - 1, _ROW_BLOCK, _ROW_BLOCK + 1, 2 * _ROW_BLOCK + 1])
+def test_joint_pass_matches_the_matrix_and_each_sets_sweep_at_block_boundaries(m):
+    sets = sets_sharing_sequences(random.Random(m), m)
+    solutions = [sol for s in sets for sol in s.solutions]
+    first = {}
+    for sol in solutions:
+        first.setdefault(sol.sequence, sol)
+    joint, index, eccentricities = joint_distances(sets, W)
+
+    want = distance_matrix(make_set(solutions=tuple(first.values())), W)
+    assert len(joint) == m
+    assert joint.ids == want.ids and joint.l_pad == want.l_pad
+    assert np.array_equal(joint.values, want.values)
+    assert [list(first)[row] for row in index] == [sol.sequence for sol in solutions]
+    for got, own in zip(eccentricities, within_set_eccentricities(sets, W), strict=True):
+        assert np.array_equal(got, own)
 
 
 @pytest.mark.parametrize("i, j", [(0, 2 * _ROW_BLOCK), (_ROW_BLOCK + 1, 2 * _ROW_BLOCK)])
@@ -183,19 +228,50 @@ def test_numeric_layers_hold_one_n_by_n_work_array(tmp_path, monkeypatch):
     _, peak = extra_peak(lambda: indicators_for(sets, W))
     assert peak <= 0.15 * unit  # no set's matrix: blocks of rows only
 
-    # compare and mds measure one solution per distinct sequence.
-    representatives, index = distinct_sequences(everything.solutions)
-    m = len(representatives)
-    assert m == len({sol.sequence for sol in everything.solutions}) == 1753
+    # compare and mds measure one solution per distinct sequence, once.
+    m = len({sol.sequence for sol in everything.solutions})
+    assert m == 1753
+    (joint, index, _), peak = extra_peak(lambda: joint_distances(sets, W))
+    assert joint.values.shape == (m, m)
+    assert peak <= 1.3 * m * m * 8  # the matrix itself, then blocks of rows
     built = []
 
-    def recording(solution_set, w):
-        built.append(distance_matrix(solution_set, w))
-        return built[-1]
+    def recording(name, fn):
+        def record(*args):
+            built.append(name)
+            return fn(*args)
 
-    monkeypatch.setattr(distance, "distance_matrix", recording)
+        monkeypatch.setattr(distance, name, record)
+
+    recording("distance_matrix", distance_matrix)
+    recording("joint_distances", joint_distances)
     assert main(["mds", str(path), "-o", str(tmp_path / "report.json")]) == 0
-    assert [joint.values.shape for joint in built] == [(m, m)]
-    assert built[0].ids == tuple(sol.id for sol in representatives)
-    _, peak = extra_peak(lambda: mds_project(built[0], index))
+    assert built == ["joint_distances"]
+    _, peak = extra_peak(lambda: mds_project(joint, index))
     assert peak <= 1.3 * m * m * 8  # b over the distinct rows, then blocks of rows
+
+
+def test_one_long_argument_list_costs_its_length_not_its_square():
+    # One position holds 100 distinct 3-token argument lists and one of
+    # `width` tokens. A DP per two arities does ~3 x width steps for each
+    # short list against the long one; one DP over every pair at once did
+    # width x width steps for each pair, on (width + 1) x 101 x 101 planes.
+    width = 500
+    solutions = [
+        make_solution(f"s{i}", steps=(make_step("op", (f"t{i % 40}", f"b{i % 7}", f"t{i % 3}")),))
+        for i in range(100)
+    ]
+    long_step = make_step("op", tuple(f"t{k % 40}" for k in range(width)))
+    ids, steps = distance._step_ids([*solutions, make_solution("long", steps=(long_step,))])
+    distance._column_tables(ids, steps, W)  # load whatever the first call loads
+
+    start = time.perf_counter()
+    (_, table), = distance._column_tables(ids, steps, W)
+    # ~8 us per token here; the DP over every pair at once took ~70 ms per token.
+    assert time.perf_counter() - start < width * 0.2e-3
+    assert table[-1].tolist() == [step_distance(long_step, step, W) for step in steps]
+
+    _, peak = extra_peak(lambda: distance._column_tables(ids, steps, W))
+    # Blocks of 64 short lists against one arity: ~1 MB. One plane over every
+    # pair at once held (width + 1) x 101 x 101 ints, 41 MB.
+    assert peak <= 4 * 2**20

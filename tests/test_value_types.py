@@ -105,6 +105,7 @@ def test_step_is_not_its_field_tuple():
     assert TransformationStep("a", ("x",)) != ("a", ("x",))
     assert TransformationStep("a", ("x",)) == TransformationStep("a", ["x"])
     assert TransformationStep("a", ("x",)) != TransformationStep("a", ("y",))
+    assert hash(TransformationStep("a", ("x",))) == hash(("a", ("x",)))
 
 
 @cases
