@@ -371,16 +371,15 @@ def joint_distances(
     """
     solutions = [sol for s in sets for sol in s.solutions]
     ids, steps = _step_ids(solutions)
-    first: dict[bytes, int] = {}
-    index = np.fromiter(
-        (first.setdefault(row.tobytes(), len(first)) for row in ids), dtype=np.intp, count=len(ids)
-    )
-    _, distinct = np.unique(index, return_index=True)
+    # Each row's first occurrence: in order, they are the distinct rows.
+    firsts = np.fromiter(map({}.setdefault, map(bytes, ids), count()), np.intp, len(ids))
+    distinct, index = np.unique(firsts, return_inverse=True)
+    ids = ids[distinct]
     own = [index[rows] for _, rows, _ in _set_spans(sets)]
-    values = np.empty((len(distinct), len(distinct)))
+    values = np.empty((len(ids), len(ids)))
     maxima = _sweep(
-        _column_tables(ids[distinct], steps, w),
-        slice(0, len(distinct)),
+        _column_tables(ids, steps, w),
+        slice(0, len(ids)),
         [np.flatnonzero(np.bincount(rows)) for rows in own],  # not np.unique: it imports numpy.ma
         values,
     )
