@@ -187,9 +187,10 @@ def _analyze(
     Each layer is computed once. MAS needs only each solution's
     eccentricity. Without a map they come from the within-set distances,
     block by block. With one, the joint matrix over one solution per
-    distinct sequence of all sets is computed and checked once; each set's
-    eccentricities are taken as its blocks are filled, and MDS gives
-    solution ``i`` of all sets, in order, the point of its row.
+    distinct sequence of all sets is computed once, into squares that MDS
+    centres in place; each set's eccentricities are taken as its blocks are
+    filled, and MDS gives solution ``i`` of all sets, in order, the point of
+    its row.
     """
     bundle, w = _load(args)
     sets = list(bundle.sets)
@@ -198,9 +199,9 @@ def _analyze(
     options = {"shared_max_d": args.shared_maxd, "all_pairs": args.mas_allpairs}
     if not project:
         return sets, indicators.indicators_for(sets, w, **options), None
-    joint, index, eccentricities = distance.joint_distances(sets, w)
+    squares, index, eccentricities = distance.joint_squares(sets, w)
     results = indicators.indicators_from_eccentricities(sets, eccentricities, **options)
-    return sets, results, projection.mds_project(joint, index)
+    return sets, results, projection.mds_project(squares, index)
 
 
 def _correlation(results: list[IndicatorResult]) -> CorrelationStats | None:

@@ -20,7 +20,7 @@ themselves.
 from __future__ import annotations
 
 from itertools import chain, count, zip_longest
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from ._lazy import np
 from .model import ArchitectureSolution, SolutionSet, TransformationStep, _Record
@@ -294,27 +294,41 @@ def _kernel(
         out += table.take(c[blk], axis=0).take(c, axis=1)
 
 
+def _blocks(
+    columns: Sequence[tuple[np.ndarray, np.ndarray]], rows: slice, out: np.ndarray | None = None
+) -> Iterator[tuple[slice, np.ndarray]]:
+    """Each block of rows with its rows of the distances among ``rows``, from ``_kernel``.
+
+    A block is filled into the same rows of ``out``, an n x n array, when the
+    caller keeps the matrix, and otherwise into one reused block buffer.
+    """
+    n = rows.stop - rows.start
+    buffer = np.empty((min(n, _ROW_BLOCK), n)) if out is None else None
+    for blk in _row_blocks(n):
+        block = out[blk] if buffer is None else buffer[: blk.stop - blk.start]
+        _kernel(columns, rows, blk, block)
+        yield blk, block
+
+
 def _sweep(
     columns: Sequence[tuple[np.ndarray, np.ndarray]],
     rows: slice,
     groups: Sequence[slice | np.ndarray],
     out: np.ndarray | None = None,
+    each: Callable[[slice, np.ndarray], None] | None = None,
 ) -> list[np.ndarray]:
     """Row maxima of the distances among ``rows`` within each of ``groups`` of columns.
 
-    ``_kernel`` fills one block of rows at a time: into the same rows of
-    ``out``, an n x n array, when the caller keeps the matrix, and otherwise
-    into one reused block buffer. Each group's maxima are taken from a block
-    before the next one is filled; an empty group's are 0.
+    Each group's maxima are taken from a block of ``_blocks`` before the next
+    one is filled; an empty group's are 0. Then ``each(blk, block)``, if
+    given, sees the block.
     """
-    n = rows.stop - rows.start
-    buffer = np.empty((min(n, _ROW_BLOCK), n)) if out is None else None
-    maxima = [np.empty(n) for _ in groups]
-    for blk in _row_blocks(n):
-        block = out[blk] if buffer is None else buffer[: blk.stop - blk.start]
-        _kernel(columns, rows, blk, block)
+    maxima = [np.empty(rows.stop - rows.start) for _ in groups]
+    for blk, block in _blocks(columns, rows, out):
         for group, rowmax in zip(groups, maxima):
             block[:, group].max(axis=1, initial=0.0, out=rowmax[blk])
+        if each is not None:
+            each(blk, block)
     return maxima
 
 
@@ -356,6 +370,32 @@ def within_set_eccentricities(sets: Sequence[SolutionSet], w: DistanceWeights) -
     return [_sweep(columns[:l_pad], rows, all_columns)[0] for _, rows, l_pad in _set_spans(sets)]
 
 
+class JointSquares(_Record):
+    """The squared joint matrix, which ``mds_project`` centres in place.
+
+    ``squares`` is the writeable m x m array of squared distances among the
+    distinct rows, ``weights`` each row's number of solutions, and
+    ``row_sums`` the rows of ``squares`` summed with those weights. The
+    distances themselves are not kept: ``blocks()`` recomputes them from the
+    position tables ``columns``, one block of rows at a time.
+    """
+
+    __slots__ = __match_args__ = ("squares", "weights", "row_sums", "columns")
+    squares: np.ndarray
+    weights: np.ndarray
+    row_sums: np.ndarray
+    columns: list[tuple[np.ndarray, np.ndarray]]
+
+    def __init__(self, squares, weights, row_sums, columns) -> None:
+        self._fill(squares, weights, row_sums, columns)
+
+    def __len__(self) -> int:
+        return len(self.squares)
+
+    def blocks(self) -> Iterator[tuple[slice, np.ndarray]]:
+        return _blocks(self.columns, slice(0, len(self)))
+
+
 def joint_distances(
     sets: Sequence[SolutionSet], w: DistanceWeights
 ) -> tuple[DistanceMatrix, np.ndarray, list[np.ndarray]]:
@@ -369,6 +409,22 @@ def joint_distances(
     so a set's eccentricities are the row maxima within the columns of the
     rows it uses, taken as each block is filled.
     """
+    return _joint_pass(sets, w, square=False)
+
+
+def joint_squares(
+    sets: Sequence[SolutionSet], w: DistanceWeights
+) -> tuple[JointSquares, np.ndarray, list[np.ndarray]]:
+    """``joint_distances``, with the matrix squared block by block as it is filled.
+
+    Each block's range and diagonal are checked, and its weighted row sums
+    taken, before it is squared in place. Symmetry is not checked: every
+    position's table is symmetric, so every sum of gathers from them is.
+    """
+    return _joint_pass(sets, w, square=True)
+
+
+def _joint_pass(sets: Sequence[SolutionSet], w: DistanceWeights, square: bool) -> tuple:
     solutions = [sol for s in sets for sol in s.solutions]
     ids, steps = _step_ids(solutions)
     # Each row's first occurrence: in order, they are the distinct rows.
@@ -376,13 +432,30 @@ def joint_distances(
     distinct, index = np.unique(firsts, return_inverse=True)
     ids = ids[distinct]
     own = [index[rows] for _, rows, _ in _set_spans(sets)]
-    values = np.empty((len(ids), len(ids)))
+    columns = _column_tables(ids, steps, w)
+    m, l_pad = ids.shape
+    values = np.empty((m, m))
+    weights = np.bincount(index, minlength=m).astype(np.float64)
+    sums = np.empty(m)
+
+    def squared(blk: slice, block: np.ndarray) -> None:
+        if not (block.min() >= 0.0 and block.max() <= l_pad + 1e-9):  # NaN fails too
+            raise ValueError(f"joint distance out of [0, L] in rows {blk.start}..{blk.stop - 1}")
+        if block.diagonal(blk.start).any():
+            raise ValueError(f"nonzero joint diagonal in rows {blk.start}..{blk.stop - 1}")
+        block *= block
+        np.sum(block * weights, axis=1, out=sums[blk])
+
     maxima = _sweep(
-        _column_tables(ids, steps, w),
-        slice(0, len(ids)),
+        columns,
+        slice(0, m),
         [np.flatnonzero(np.bincount(rows)) for rows in own],  # not np.unique: it imports numpy.ma
         values,
+        squared if square else None,
     )
+    eccentricities = [rowmax[rows] for rowmax, rows in zip(maxima, own)]
+    if square:
+        return JointSquares(values, weights, sums, columns), index, eccentricities
     values.flags.writeable = False
-    joint = DistanceMatrix(tuple(solutions[k].id for k in distinct), values, ids.shape[1])
-    return joint, index, [rowmax[rows] for rowmax, rows in zip(maxima, own)]
+    joint = DistanceMatrix(tuple(solutions[k].id for k in distinct), values, l_pad)
+    return joint, index, eccentricities

@@ -7,6 +7,7 @@ import io as _stdio
 import json
 import math
 from itertools import chain, repeat
+from json.encoder import encode_basestring_ascii as _ascii
 from operator import is_, itemgetter
 from types import NoneType
 from typing import TYPE_CHECKING, Callable, Sequence
@@ -522,16 +523,40 @@ def _json_report(
             "pearson": correlation.pearson,
             "spearman": correlation.spearman,
         }
+    # Each map's points are written apart, in the place of "points": [].
+    # json.dumps escapes every quote inside a string, so that text is only
+    # ever a key named points with an empty list.
+    points = {label: _points_json(rows) for label, rows in placed}
     if placed:
         doc["projections"] = {
             label: {
                 "stress": projection.stress,
                 "eigenvalue_share": projection.eigenvalue_share,
-                "points": [{"id": i, "x": x, "y": y} for i, x, y in rows],
+                "points": [],
             }
-            for label, rows in placed
+            for label in points
         }
-    return json.dumps(doc, indent=2) + "\n"
+    pieces = json.dumps(doc, indent=2).split('"points": []')
+    return "".join(chain.from_iterable(zip(pieces, points.values()))) + pieces[-1] + "\n"
+
+
+def _points_json(rows: list[tuple[str, float, float]]) -> str:
+    """The ``"points"`` member of a map as ``json.dumps(indent=2)`` writes it in a report.
+
+    One f-string per point: string ids and finite float coordinates are
+    written as the encoder writes them, without its pure-Python indenting;
+    anything else goes through ``json.dumps``.
+    """
+
+    def number(v: object) -> str:
+        return float.__repr__(v) if v.__class__ is float and math.isfinite(v) else json.dumps(v)
+
+    items = ",\n        ".join(
+        f'{{\n          "id": {_ascii(i) if i.__class__ is str else json.dumps(i)},\n'
+        f'          "x": {number(x)},\n          "y": {number(y)}\n        }}'
+        for i, x, y in rows
+    )
+    return f'"points": [\n        {items}\n      ]' if rows else '"points": []'
 
 
 def _csv_report(

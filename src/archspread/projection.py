@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from ._lazy import np
-from .distance import DistanceMatrix, _row_blocks
+from .distance import DistanceMatrix, JointSquares, _row_blocks
 from .model import _Record
 
 
@@ -70,22 +70,23 @@ def _top_two_lanczos(b: np.ndarray, evals: np.ndarray) -> np.ndarray | None:
     if gap <= _GAP * scale:
         return None
     basis = np.empty((min(n, _STEPS), n))
-    alpha: list[float] = []
-    beta: list[float] = []
+    tridiagonal = np.zeros((len(basis), len(basis)))  # its leading j + 1 rows and columns at step j
     q = np.arange(1.0, n + 1.0) * 0.6180339887498949 % 1.0 - 0.5  # a Weyl sequence
     q /= np.linalg.norm(q)
     for j in range(len(basis)):
         basis[j] = q
         w = b @ q
-        alpha.append(float(q @ w))
+        tridiagonal[j, j] = q @ w
         done = basis[: j + 1]
         for _ in range(2):
             w -= (done @ w) @ done
-        beta.append(float(np.linalg.norm(w)))
-        theta, s = np.linalg.eigh(np.diag(alpha) + np.diag(beta[:-1], 1) + np.diag(beta[:-1], -1))
-        if np.all(np.abs(beta[-1] * s[-1, -2:]) <= _EPS * gap):
+        beta = np.linalg.norm(w)
+        theta, s = np.linalg.eigh(tridiagonal[: j + 1, : j + 1])
+        if np.all(np.abs(beta * s[-1, -2:]) <= _EPS * gap):
             break
-        q = w / beta[-1]
+        q = w / beta
+        if j + 1 < len(basis):
+            tridiagonal[j, j + 1] = tridiagonal[j + 1, j] = beta
     vectors = done.T @ s[:, :-3:-1]
     top = theta[:-3:-1]
     residual = np.linalg.norm(b @ vectors - vectors * top, axis=0)
@@ -95,7 +96,9 @@ def _top_two_lanczos(b: np.ndarray, evals: np.ndarray) -> np.ndarray | None:
     return None
 
 
-def mds_project(dm: DistanceMatrix, index: Sequence[int] | None = None) -> Projection2D:
+def mds_project(
+    dm: DistanceMatrix | JointSquares, index: Sequence[int] | None = None
+) -> Projection2D:
     """Embed via double-centering and the top-2 non-negative eigenpairs.
 
     Point ``i`` of the map is row ``index[i]`` of ``dm`` (default: one point
@@ -114,9 +117,14 @@ def mds_project(dm: DistanceMatrix, index: Sequence[int] | None = None) -> Proje
     Negative eigenvalues are clamped to zero, and a top eigenvalue within
     rounding of zero (at most n·eps·max|λ|) gives an all-zero axis. Axis
     signs are fixed by making positive the first coordinate of each axis that
-    is not zero up to rounding, so output is fully deterministic. Beside
-    ``dm.values`` it holds one n x n array, ``b`` (and the eigenvectors while
-    ``eigh`` runs), then blocks of rows.
+    is not zero up to rounding, so output is fully deterministic.
+
+    Beside ``dm.values`` it holds one n x n array, ``b``, built in a copy of
+    the squared distances (and the eigenvectors while ``eigh`` runs), then
+    blocks of rows. ``dm`` may instead be the ``JointSquares`` of
+    ``distance.joint_squares``, whose weights ``index`` must give: ``b`` is
+    then built in its squares, which are used up, and the stress recomputes
+    the distances block by block.
 
     Raises ``ValueError`` when ``dm`` is empty, or ``index`` is not a 1-D
     integer array of rows of ``dm`` that names every row.
@@ -132,18 +140,23 @@ def mds_project(dm: DistanceMatrix, index: Sequence[int] | None = None) -> Proje
     w = np.bincount(index.astype(np.intp), minlength=n).astype(np.float64)
     if not w.all():
         raise ValueError(f"index leaves row {int(np.argmin(w))} of the distance matrix unused")
-    d = dm.values
     total = float(w.sum())
     if n == 1:
         # One distinct point; repeated, it is a degenerate map.
         return Projection2D(((0.0, 0.0),) * len(index), 0.0, 1.0, _DEGENERATE if total > 1 else ())
-
-    # One n x n buffer: d*d, then b in place. Its weighted row sums give the
-    # centring means and the stress denominator.
-    b = d * d
-    sums = np.empty(n)
-    for rows in _row_blocks(n):
-        np.sum(b[rows] * w, axis=1, out=sums[rows])
+    if isinstance(dm, DistanceMatrix):
+        # One n x n buffer: d*d, then b in place. Its weighted row sums give
+        # the centring means and the stress denominator.
+        d = dm.values
+        b = d * d
+        sums = np.empty(n)
+        for rows in _row_blocks(n):
+            np.sum(b[rows] * w, axis=1, out=sums[rows])
+        blocks = ((rows, d[rows]) for rows in _row_blocks(n))
+    elif np.array_equal(dm.weights, w):
+        b, sums, blocks = dm.squares, dm.row_sums, dm.blocks()
+    else:
+        raise ValueError("index does not give the weights of the joint squares")
     denom = math.fsum(sums * w)
     mean = sums / total  # d is symmetric, so these are also the column means
     b -= mean[:, None]
@@ -158,6 +171,7 @@ def mds_project(dm: DistanceMatrix, index: Sequence[int] | None = None) -> Proje
         evals, evecs = np.linalg.eigh(b)
         top_vectors = evecs[:, :-3:-1].copy()
         del evecs
+    b.flags.writeable = False  # a JointSquares' squares are used up: projecting them again fails
     del b
     top_vectors /= root[:, None]
 
@@ -179,27 +193,29 @@ def mds_project(dm: DistanceMatrix, index: Sequence[int] | None = None) -> Proje
     positive_mass = float(np.sum(evals[evals > 0]))
     share = float(np.sum(top) / positive_mass) if positive_mass > 0 else 1.0
     share = min(share, 1.0)
-    stress = float(np.sqrt(_squared_residual(coords, d, w) / denom)) if denom > 0 else 0.0
+    stress = float(np.sqrt(_squared_residual(coords, blocks, w) / denom)) if denom > 0 else 0.0
 
     points = [(float(x), float(y)) for x, y in coords]
     return Projection2D(tuple(points[a] for a in index.tolist()), stress, share, diagnostics)
 
 
-def _squared_residual(coords: np.ndarray, d: np.ndarray, w: np.ndarray) -> float:
-    """Sum over all pairs of w_a * w_b * (2D distance - d)², one block of rows at a time.
+def _squared_residual(
+    coords: np.ndarray, blocks: Iterable[tuple[slice, np.ndarray]], w: np.ndarray
+) -> float:
+    """Sum over all pairs of w_a * w_b * (2D distance - d)², one block of rows of d at a time.
 
     The 2D distances are direct, sqrt(dx*dx + dy*dy), built in place.
     """
     x, y = coords[:, 0], coords[:, 1]
     total = []
-    for rows in _row_blocks(len(d)):
+    for rows, d in blocks:
         embedded = x[rows, None] - x
         embedded *= embedded
         dy = y[rows, None] - y
         dy *= dy
         embedded += dy
         np.sqrt(embedded, out=embedded)
-        embedded -= d[rows]
+        embedded -= d
         embedded *= embedded
         embedded *= w
         embedded *= w[rows, None]

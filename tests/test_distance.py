@@ -390,3 +390,33 @@ def test_all_distinct_steps_indicators_finish_in_time(tmp_path):
     start = time.perf_counter()
     assert main(["indicators", str(path), "-o", str(tmp_path / "report.json")]) == 0
     assert time.perf_counter() - start < 10.0
+
+
+# Steps over small vocabularies: argument lists of mixed arities that repeat
+# tokens, in sequences of mixed lengths, so most positions hold padding.
+hyp_steps = st.builds(
+    make_step, st.sampled_from("abc"), st.lists(st.sampled_from("xyz"), max_size=5)
+)
+hyp_sequences = st.lists(st.lists(hyp_steps, max_size=5), min_size=1, max_size=12)
+
+
+@given(hyp_sequences, st.floats(0.0, 1.0), st.data())
+def test_position_tables_and_kernel_blocks_are_symmetric(sequences, w_pred, data):
+    # The joint pass for mds and compare does not check symmetry: it holds
+    # because every position's table is symmetric, which this pins.
+    w = DistanceWeights(w_pred, 1.0 - w_pred)
+    solutions = [make_solution(f"s{i}", steps=seq) for i, seq in enumerate(sequences)]
+    ids, steps = distance._step_ids(solutions)
+    columns = distance._column_tables(ids, steps, w)
+    for _, table in columns:
+        assert np.array_equal(table, table.T)
+
+    n = len(solutions)
+    everything = slice(0, n)
+    full = np.empty((n, n))
+    distance._kernel(columns, everything, everything, full)
+    start = data.draw(st.integers(0, n - 1))
+    blk = slice(start, data.draw(st.integers(start + 1, n)))
+    rows = np.empty((blk.stop - blk.start, n))
+    distance._kernel(columns, everything, blk, rows)
+    assert np.array_equal(rows, full[:, blk].T)

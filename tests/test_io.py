@@ -8,6 +8,8 @@ import time
 import xml.etree.ElementTree as ET
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import archspread.io as bundle_io
 from archspread.io import (
@@ -862,3 +864,41 @@ def test_writers_keep_their_bytes_on_a_map_built_by_hand():
         "a,beta & <b>,-0.6666666666666666,0.30000000000000004",
         "d,beta & <b>,1e-17,2.75",
     ]
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.one_of(st.text(max_size=6), st.just('"points": []')),
+            st.lists(
+                st.tuples(
+                    st.text(max_size=6),
+                    st.one_of(st.floats(), st.integers()),
+                    st.one_of(st.floats(), st.integers()),
+                ),
+                max_size=4,
+            ),
+        ),
+        min_size=1,
+        max_size=3,
+    )
+)
+def test_report_points_are_written_as_json_dumps_writes_them(maps):
+    # Labels may repeat or read '"points": []'; ids may need escapes; points
+    # may be NaN, infinite, -0.0 or ints.
+    sets = [
+        SolutionSet(label, ("f0",), tuple(ArchitectureSolution(i, (0.0,)) for i, _, _ in rows))
+        for label, rows in maps
+    ]
+    proj = Projection2D(tuple((x, y) for _, rows in maps for _, x, y in rows), 0.5, 1.0)
+    doc = json.loads(write_report([make_result()], None)["report"])
+    doc["projections"] = {
+        label: {
+            "stress": 0.5,
+            "eigenvalue_share": 1.0,
+            "points": [{"id": i, "x": x, "y": y} for i, x, y in rows],
+        }
+        for label, rows in maps
+    }
+    want = json.dumps(doc, indent=2) + "\n"
+    assert write_report([make_result()], None, sets, proj)["report"] == want

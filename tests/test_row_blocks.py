@@ -7,6 +7,7 @@ Parsing, before them, must peak near the size of the bundle's text: no
 decoded dict per refactoring step or tree edge.
 """
 
+import argparse
 import json
 import math
 import random
@@ -16,6 +17,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import archspread.cli as cli
 import archspread.distance as distance
 import archspread.projection as projection
 from archspread.cli import main
@@ -25,6 +27,7 @@ from archspread.distance import (
     DistanceWeights,
     distance_matrix,
     joint_distances,
+    joint_squares,
     step_distance,
     within_set_eccentricities,
 )
@@ -152,6 +155,20 @@ def test_joint_pass_matches_the_matrix_and_each_sets_sweep_at_block_boundaries(m
     for got, own in zip(eccentricities, within_set_eccentricities(sets, W), strict=True):
         assert np.array_equal(got, own)
 
+    # mds and compare square the matrix as its blocks are filled, and MDS
+    # gets the distances back from the kernel block by block for the stress.
+    squares, squares_index, squares_eccentricities = joint_squares(sets, W)
+    assert np.array_equal(squares_index, index)
+    for got, want in zip(squares_eccentricities, eccentricities, strict=True):
+        assert np.array_equal(got, want)
+    assert np.array_equal(squares.squares, joint.values * joint.values)
+    got, want = mds_project(squares, index), mds_project(joint, index)
+    assert got.coords == want.coords
+    assert got.eigenvalue_share == want.eigenvalue_share
+    assert got.stress == want.stress
+    with pytest.raises(ValueError, match="read-only"):
+        mds_project(squares, index)  # the squares are used up
+
 
 @pytest.mark.parametrize("i, j", [(0, 2 * _ROW_BLOCK), (_ROW_BLOCK + 1, 2 * _ROW_BLOCK)])
 def test_distance_matrix_check_sees_an_asymmetry_in_any_block(i, j):
@@ -175,11 +192,17 @@ def extra_peak(fn):
         tracemalloc.stop()
 
 
-def test_parse_holds_no_decoded_dict_per_step(tmp_path):
-    path = tmp_path / "bundle.json"
+@pytest.fixture(scope="module")
+def synth_2000(tmp_path_factory):
+    """``synth --sets 2 --n 1000 --seed 3 --depth 11``: 2 000 solutions, 1 753 distinct sequences."""
+    path = tmp_path_factory.mktemp("synth") / "bundle.json"
     synth = ["synth", "--sets", "2", "--n", "1000", "--seed", "3", "--depth", "11"]
     assert main(synth + ["-o", str(path)]) == 0
-    text = path.read_text()
+    return path
+
+
+def test_parse_holds_no_decoded_dict_per_step(synth_2000):
+    text = synth_2000.read_text()
     parse_bundle(text)  # load whatever the first parse loads
     _, peak = extra_peak(lambda: parse_bundle(text))
     # Each step is interned while it is decoded; a dict per step peaks at ~3.5.
@@ -208,10 +231,8 @@ def test_parse_holds_no_decoded_dict_per_tree_edge():
     assert peak <= 3.0 * len(text)
 
 
-def test_numeric_layers_hold_one_n_by_n_work_array(tmp_path, monkeypatch):
-    path = tmp_path / "bundle.json"
-    synth = ["synth", "--sets", "2", "--n", "1000", "--seed", "3", "--depth", "11"]
-    assert main(synth + ["-o", str(path)]) == 0
+def test_numeric_layers_hold_one_n_by_n_work_array(synth_2000, tmp_path, monkeypatch):
+    path = synth_2000
     sets = list(parse_bundle(path.read_text()).sets)
     everything = SolutionSet("all", sets[0].objective_names, sets[0].solutions + sets[1].solutions)
     unit = len(everything) ** 2 * 8  # bytes of one n x n float64 array; n = 2 000
@@ -245,10 +266,30 @@ def test_numeric_layers_hold_one_n_by_n_work_array(tmp_path, monkeypatch):
 
     recording("distance_matrix", distance_matrix)
     recording("joint_distances", joint_distances)
+    recording("joint_squares", joint_squares)
     assert main(["mds", str(path), "-o", str(tmp_path / "report.json")]) == 0
-    assert built == ["joint_distances"]
+    assert built == ["joint_squares"]
     _, peak = extra_peak(lambda: mds_project(joint, index))
     assert peak <= 1.3 * m * m * 8  # b over the distinct rows, then blocks of rows
+
+
+def test_mds_and_compare_hold_one_m_by_m_array_through_the_eigen_step(synth_2000, monkeypatch):
+    bundle = parse_bundle(synth_2000.read_text())
+    small = AnalysisBundle("small", tuple(make_set(solutions=s.solutions[:3]) for s in bundle.sets))
+    loaded = [small]
+    monkeypatch.setattr(cli, "_load", lambda args: (loaded[0], W))
+    args = argparse.Namespace(shared_maxd=True, mas_allpairs=False)
+    cli._analyze(args, project=True)  # load whatever the first call loads
+
+    loaded[0] = bundle
+    (_, _, proj), peak = extra_peak(lambda: cli._analyze(args, project=True))
+    assert len(proj.coords) == 2000
+    m = 1753
+    # The squared joint matrix is centred in place, and the distances come
+    # back from the kernel by blocks for the stress; holding the distances
+    # through the eigen step as well peaks at ~2.1. eigvalsh's own copy is
+    # made by LAPACK's wrapper, outside what tracemalloc sees.
+    assert peak <= 1.4 * m * m * 8
 
 
 def test_one_long_argument_list_costs_its_length_not_its_square():
