@@ -20,7 +20,7 @@ themselves.
 from __future__ import annotations
 
 from itertools import chain, count, zip_longest
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from ._lazy import np
 from .model import ArchitectureSolution, SolutionSet, TransformationStep, _Record
@@ -53,8 +53,7 @@ class DistanceWeights(_Record):
 class DistanceMatrix(_Record):
     """Symmetric matrix of architectural distances between solutions.
 
-    The rows are one set's solutions, or, in the joint matrix, one solution
-    per distinct sequence of all sets. ``values`` is a read-only float64
+    The rows are one set's solutions. ``values`` is a read-only float64
     array. Any other input is copied into one; a read-only float64 array is
     kept as given. ``l_pad`` bounds every entry and is the default MAS scale.
     """
@@ -295,41 +294,19 @@ def _kernel(
 
 
 def _blocks(
-    columns: Sequence[tuple[np.ndarray, np.ndarray]], rows: slice, out: np.ndarray | None = None
+    columns: Sequence[tuple[np.ndarray, np.ndarray]], rows: slice
 ) -> Iterator[tuple[slice, np.ndarray]]:
     """Each block of rows with its rows of the distances among ``rows``, from ``_kernel``.
 
-    A block is filled into the same rows of ``out``, an n x n array, when the
-    caller keeps the matrix, and otherwise into one reused block buffer.
+    Every block is filled into one reused buffer, so it holds only until the
+    next block is yielded.
     """
     n = rows.stop - rows.start
-    buffer = np.empty((min(n, _ROW_BLOCK), n)) if out is None else None
+    buffer = np.empty((min(n, _ROW_BLOCK), n))
     for blk in _row_blocks(n):
-        block = out[blk] if buffer is None else buffer[: blk.stop - blk.start]
+        block = buffer[: blk.stop - blk.start]
         _kernel(columns, rows, blk, block)
         yield blk, block
-
-
-def _sweep(
-    columns: Sequence[tuple[np.ndarray, np.ndarray]],
-    rows: slice,
-    groups: Sequence[slice | np.ndarray],
-    out: np.ndarray | None = None,
-    each: Callable[[slice, np.ndarray], None] | None = None,
-) -> list[np.ndarray]:
-    """Row maxima of the distances among ``rows`` within each of ``groups`` of columns.
-
-    Each group's maxima are taken from a block of ``_blocks`` before the next
-    one is filled; an empty group's are 0. Then ``each(blk, block)``, if
-    given, sees the block.
-    """
-    maxima = [np.empty(rows.stop - rows.start) for _ in groups]
-    for blk, block in _blocks(columns, rows, out):
-        for group, rowmax in zip(groups, maxima):
-            block[:, group].max(axis=1, initial=0.0, out=rowmax[blk])
-        if each is not None:
-            each(blk, block)
-    return maxima
 
 
 def padded_length(solution_set: SolutionSet) -> int:
@@ -337,11 +314,11 @@ def padded_length(solution_set: SolutionSet) -> int:
     return max((len(sol.sequence) for sol in solution_set.solutions), default=0)
 
 
-def _set_spans(sets: Sequence[SolutionSet]) -> Iterator[tuple[SolutionSet, slice, int]]:
-    """Each set with its rows among all sets' solutions in order, and its ``l_pad``."""
+def _set_spans(sets: Sequence[SolutionSet]) -> Iterator[tuple[slice, int]]:
+    """Each set's rows among all sets' solutions in order, and its ``l_pad``."""
     start = 0
     for s in sets:
-        yield s, slice(start, start + len(s)), padded_length(s)
+        yield slice(start, start + len(s)), padded_length(s)
         start += len(s)
 
 
@@ -352,7 +329,9 @@ def distance_matrix(solution_set: SolutionSet, w: DistanceWeights) -> DistanceMa
     """
     ids, steps = _step_ids(solution_set.solutions)
     values = np.empty((len(ids), len(ids)))
-    _sweep(_column_tables(ids, steps, w), slice(0, len(ids)), (), values)
+    columns, rows = _column_tables(ids, steps, w), slice(0, len(ids))
+    for blk in _row_blocks(len(ids)):
+        _kernel(columns, rows, blk, values[blk])
     values.flags.writeable = False
     return DistanceMatrix(tuple(sol.id for sol in solution_set.solutions), values, ids.shape[1])
 
@@ -366,8 +345,13 @@ def within_set_eccentricities(sets: Sequence[SolutionSet], w: DistanceWeights) -
     """
     ids, steps = _step_ids(sol for s in sets for sol in s.solutions)
     columns = _column_tables(ids, steps, w)
-    all_columns = [slice(None)]
-    return [_sweep(columns[:l_pad], rows, all_columns)[0] for _, rows, l_pad in _set_spans(sets)]
+    eccentricities = []
+    for rows, l_pad in _set_spans(sets):
+        ecc = np.empty(rows.stop - rows.start)
+        for blk, block in _blocks(columns[:l_pad], rows):
+            block.max(axis=1, initial=0.0, out=ecc[blk])
+        eccentricities.append(ecc)
+    return eccentricities
 
 
 class JointSquares(_Record):
@@ -396,66 +380,47 @@ class JointSquares(_Record):
         return _blocks(self.columns, slice(0, len(self)))
 
 
-def joint_distances(
+def joint_squares(
     sets: Sequence[SolutionSet], w: DistanceWeights
-) -> tuple[DistanceMatrix, np.ndarray, list[np.ndarray]]:
-    """The joint matrix, each solution's row in it, and each set's eccentricities.
+) -> tuple[JointSquares, np.ndarray, list[np.ndarray]]:
+    """The squared joint matrix, each solution's row in it, and each set's eccentricities.
 
     The joint matrix has one row per distinct sequence of all sets, for the
     first solution with it. Solution ``i`` of all sets in order has row
     ``index[i]``. Solutions with equal sequences have equal rows of step
     ids, so the steps are numbered once and the rows are told apart by their
-    bytes. A pair's distance does not depend on the set it is computed in,
-    so a set's eccentricities are the row maxima within the columns of the
-    rows it uses, taken as each block is filled.
+    bytes. The matrix is filled by blocks of rows. While a block is fresh
+    its range and diagonal are checked and each set's eccentricities taken:
+    a pair's distance does not depend on the set it is computed in, so they
+    are the row maxima within the columns of the rows the set uses. Then the
+    block is squared in place and its row sums weighted by each row's number
+    of solutions. Symmetry is not checked: every position's table is
+    symmetric, so every sum of gathers from them is.
     """
-    return _joint_pass(sets, w, square=False)
-
-
-def joint_squares(
-    sets: Sequence[SolutionSet], w: DistanceWeights
-) -> tuple[JointSquares, np.ndarray, list[np.ndarray]]:
-    """``joint_distances``, with the matrix squared block by block as it is filled.
-
-    Each block's range and diagonal are checked, and its weighted row sums
-    taken, before it is squared in place. Symmetry is not checked: every
-    position's table is symmetric, so every sum of gathers from them is.
-    """
-    return _joint_pass(sets, w, square=True)
-
-
-def _joint_pass(sets: Sequence[SolutionSet], w: DistanceWeights, square: bool) -> tuple:
-    solutions = [sol for s in sets for sol in s.solutions]
-    ids, steps = _step_ids(solutions)
+    ids, steps = _step_ids(sol for s in sets for sol in s.solutions)
     # Each row's first occurrence: in order, they are the distinct rows.
     firsts = np.fromiter(map({}.setdefault, map(bytes, ids), count()), np.intp, len(ids))
     distinct, index = np.unique(firsts, return_inverse=True)
     ids = ids[distinct]
-    own = [index[rows] for _, rows, _ in _set_spans(sets)]
+    own = [index[rows] for rows, _ in _set_spans(sets)]
     columns = _column_tables(ids, steps, w)
     m, l_pad = ids.shape
-    values = np.empty((m, m))
+    squares = np.empty((m, m))
     weights = np.bincount(index, minlength=m).astype(np.float64)
     sums = np.empty(m)
-
-    def squared(blk: slice, block: np.ndarray) -> None:
+    # Each set's columns; not np.unique: it imports numpy.ma.
+    groups = [np.flatnonzero(np.bincount(rows)) for rows in own]
+    maxima = [np.empty(m) for _ in groups]
+    for blk in _row_blocks(m):
+        block = squares[blk]
+        _kernel(columns, slice(0, m), blk, block)
         if not (block.min() >= 0.0 and block.max() <= l_pad + 1e-9):  # NaN fails too
             raise ValueError(f"joint distance out of [0, L] in rows {blk.start}..{blk.stop - 1}")
         if block.diagonal(blk.start).any():
             raise ValueError(f"nonzero joint diagonal in rows {blk.start}..{blk.stop - 1}")
+        for group, rowmax in zip(groups, maxima):
+            block[:, group].max(axis=1, initial=0.0, out=rowmax[blk])
         block *= block
         np.sum(block * weights, axis=1, out=sums[blk])
-
-    maxima = _sweep(
-        columns,
-        slice(0, m),
-        [np.flatnonzero(np.bincount(rows)) for rows in own],  # not np.unique: it imports numpy.ma
-        values,
-        squared if square else None,
-    )
     eccentricities = [rowmax[rows] for rowmax, rows in zip(maxima, own)]
-    if square:
-        return JointSquares(values, weights, sums, columns), index, eccentricities
-    values.flags.writeable = False
-    joint = DistanceMatrix(tuple(solutions[k].id for k in distinct), values, l_pad)
-    return joint, index, eccentricities
+    return JointSquares(squares, weights, sums, columns), index, eccentricities

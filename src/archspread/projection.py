@@ -119,12 +119,12 @@ def mds_project(
     signs are fixed by making positive the first coordinate of each axis that
     is not zero up to rounding, so output is fully deterministic.
 
-    Beside ``dm.values`` it holds one n x n array, ``b``, built in a copy of
-    the squared distances (and the eigenvectors while ``eigh`` runs), then
-    blocks of rows. ``dm`` may instead be the ``JointSquares`` of
-    ``distance.joint_squares``, whose weights ``index`` must give: ``b`` is
-    then built in its squares, which are used up, and the stress recomputes
-    the distances block by block.
+    ``dm`` is a ``DistanceMatrix``, or the ``JointSquares`` of
+    ``distance.joint_squares``, whose weights ``index`` must give. It holds
+    one n x n array, ``b`` (and the eigenvectors while ``eigh`` runs), then
+    blocks of rows: ``b`` is a copy of ``dm.values`` squared, or the joint
+    squares themselves, which are used up and whose distances the stress
+    recomputes block by block.
 
     Raises ``ValueError`` when ``dm`` is empty, or ``index`` is not a 1-D
     integer array of rows of ``dm`` that names every row.

@@ -12,7 +12,7 @@ from archspread.cli import main
 from archspread.distance import (
     DistanceWeights,
     distance_matrix,
-    joint_distances,
+    joint_squares,
     sequence_distance,
     step_distance,
     within_set_eccentricities,
@@ -323,7 +323,7 @@ def test_distance_matrix_entries_equal_sequence_distance_exactly(w_pred):
 def test_eccentricities_equal_row_maxima_of_each_sets_own_matrix():
     rng = random.Random(77)
     sets = [random_set(rng, n=rng.randint(1, 9), max_len=rng.randint(0, 6)) for _ in range(4)]
-    _, _, joint_eccentricities = joint_distances(sets, W)
+    _, _, joint_eccentricities = joint_squares(sets, W)
     for s, joint, blocked in zip(sets, joint_eccentricities, within_set_eccentricities(sets, W)):
         own = distance_matrix(s, W)
         for ecc in (joint, blocked):
@@ -374,11 +374,17 @@ def all_distinct_sets(n, length=5):
 def test_all_distinct_steps_entries_equal_sequence_distance():
     sets = all_distinct_sets(20)
     solutions = [sol for s in sets for sol in s.solutions]
-    joint, index, _ = joint_distances(sets, W)
+    want = np.array(
+        [[sequence_distance(a.sequence, b.sequence, W) for b in solutions] for a in solutions]
+    )
+    squares, index, _ = joint_squares(sets, W)
     assert index.tolist() == list(range(len(solutions)))
-    for i, a in enumerate(solutions):
-        for j, b in enumerate(solutions):
-            assert joint.values[i, j] == sequence_distance(a.sequence, b.sequence, W)
+    # MDS takes the stress's distances from these recomputed blocks; NaN marks a row none fills.
+    got = np.full_like(want, np.nan)
+    for blk, block in squares.blocks():
+        got[blk] = block
+    assert np.array_equal(got, want)
+    assert np.array_equal(squares.squares, want * want)
 
 
 def test_all_distinct_steps_indicators_finish_in_time(tmp_path):

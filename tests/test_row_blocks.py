@@ -26,7 +26,6 @@ from archspread.distance import (
     DistanceMatrix,
     DistanceWeights,
     distance_matrix,
-    joint_distances,
     joint_squares,
     step_distance,
     within_set_eccentricities,
@@ -145,24 +144,19 @@ def test_joint_pass_matches_the_matrix_and_each_sets_sweep_at_block_boundaries(m
     first = {}
     for sol in solutions:
         first.setdefault(sol.sequence, sol)
-    joint, index, eccentricities = joint_distances(sets, W)
-
+    # The reference joint matrix: one solution per distinct sequence, in order.
     want = distance_matrix(make_set(solutions=tuple(first.values())), W)
-    assert len(joint) == m
-    assert joint.ids == want.ids and joint.l_pad == want.l_pad
-    assert np.array_equal(joint.values, want.values)
-    assert [list(first)[row] for row in index] == [sol.sequence for sol in solutions]
-    for got, own in zip(eccentricities, within_set_eccentricities(sets, W), strict=True):
-        assert np.array_equal(got, own)
+    assert len(want) == m
 
     # mds and compare square the matrix as its blocks are filled, and MDS
     # gets the distances back from the kernel block by block for the stress.
-    squares, squares_index, squares_eccentricities = joint_squares(sets, W)
-    assert np.array_equal(squares_index, index)
-    for got, want in zip(squares_eccentricities, eccentricities, strict=True):
-        assert np.array_equal(got, want)
-    assert np.array_equal(squares.squares, joint.values * joint.values)
-    got, want = mds_project(squares, index), mds_project(joint, index)
+    squares, index, eccentricities = joint_squares(sets, W)
+    assert len(squares) == m
+    assert [list(first)[row] for row in index] == [sol.sequence for sol in solutions]
+    for got, own in zip(eccentricities, within_set_eccentricities(sets, W), strict=True):
+        assert np.array_equal(got, own)
+    assert np.array_equal(squares.squares, want.values * want.values)
+    got, want = mds_project(squares, index), mds_project(want, index)
     assert got.coords == want.coords
     assert got.eigenvalue_share == want.eigenvalue_share
     assert got.stress == want.stress
@@ -252,9 +246,14 @@ def test_numeric_layers_hold_one_n_by_n_work_array(synth_2000, tmp_path, monkeyp
     # compare and mds measure one solution per distinct sequence, once.
     m = len({sol.sequence for sol in everything.solutions})
     assert m == 1753
-    (joint, index, _), peak = extra_peak(lambda: joint_distances(sets, W))
-    assert joint.values.shape == (m, m)
-    assert peak <= 1.3 * m * m * 8  # the matrix itself, then blocks of rows
+    (squares, index, _), peak = extra_peak(lambda: joint_squares(sets, W))
+    assert squares.squares.shape == (m, m)
+    assert peak <= 1.3 * m * m * 8  # the squares themselves, then blocks of rows
+    _, peak = extra_peak(lambda: mds_project(squares, index))
+    assert peak <= 1.3 * m * m * 8  # b in the squares, then blocks of rows
+
+    # No command builds a DistanceMatrix: indicators sweeps each set by
+    # blocks of rows, and mds and compare make one joint pass each.
     built = []
 
     def recording(name, fn):
@@ -262,15 +261,14 @@ def test_numeric_layers_hold_one_n_by_n_work_array(synth_2000, tmp_path, monkeyp
             built.append(name)
             return fn(*args)
 
-        monkeypatch.setattr(distance, name, record)
+        return record
 
-    recording("distance_matrix", distance_matrix)
-    recording("joint_distances", joint_distances)
-    recording("joint_squares", joint_squares)
-    assert main(["mds", str(path), "-o", str(tmp_path / "report.json")]) == 0
-    assert built == ["joint_squares"]
-    _, peak = extra_peak(lambda: mds_project(joint, index))
-    assert peak <= 1.3 * m * m * 8  # b over the distinct rows, then blocks of rows
+    init = recording("DistanceMatrix", DistanceMatrix.__init__)
+    monkeypatch.setattr(DistanceMatrix, "__init__", init)
+    monkeypatch.setattr(distance, "joint_squares", recording("joint_squares", joint_squares))
+    for command in ("indicators", "mds", "compare"):
+        assert main([command, str(path), "-o", str(tmp_path / f"{command}.json")]) == 0
+    assert built == ["joint_squares", "joint_squares"]
 
 
 def test_mds_and_compare_hold_one_m_by_m_array_through_the_eigen_step(synth_2000, monkeypatch):
