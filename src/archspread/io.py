@@ -50,9 +50,6 @@ class AnalysisBundle(_Record):
 
 
 Resolve = Callable[[str], tuple[TransformationStep, ...]]
-# The JSON path of a value, built only when an error or a warning names it,
-# so a valid edge, solution or step formats none.
-Where = Callable[[], str]
 # One TransformationStep per distinct (name, args) of a bundle, holding only
 # steps that passed every check.
 Steps = dict[tuple[str, tuple[str, ...]], TransformationStep]
@@ -90,12 +87,11 @@ def parse_bundle(text: str) -> AnalysisBundle:
 
 def _parse_document(text: str) -> AnalysisBundle:
     steps: Steps = {}
-    root = _at("$")
-    doc = _object(_load_json(text, steps), root, "bundle must be a JSON object")
+    doc = _object(_load_json(text, steps), "$", "bundle must be a JSON object")
     warnings: list[str] = []
-    _unknown_keys(doc, _BUNDLE_KEYS, root, warnings)
+    _unknown_keys(doc, _BUNDLE_KEYS, "$", warnings)
 
-    name = _text(doc, "name", root)
+    name = _text(doc, "name", "$")
     provenance = doc.get("provenance", "")
     if not isinstance(provenance, str):
         raise BundleError("$.provenance: must be a string")
@@ -103,28 +99,25 @@ def _parse_document(text: str) -> AnalysisBundle:
     tree = _parse_tree(doc["tree"], steps, warnings) if "tree" in doc else None
     resolve = _node_resolver(tree)
 
-    raw_sets = _require(doc, "sets", list, root)
+    raw_sets = _require(doc, "sets", list, "$")
     sets = []
     labels: set[str] = set()
     for i, raw_set in enumerate(raw_sets):
-        where = _at(f"$.sets[{i}]")
+        where = f"$.sets[{i}]"
         raw_set = _object(raw_set, where)
         _unknown_keys(raw_set, _SET_KEYS, where, warnings)
         label = _text(raw_set, "label", where)
         if label in labels:
-            raise BundleError(f"{where()}.label: duplicate set label {label!r}")
+            raise BundleError(f"{where}.label: duplicate set label {label!r}")
         labels.add(label)
         objective_names = _string_list(
-            _require(raw_set, "objective_names", list, where),
-            lambda: f"{where()}.objective_names",
+            _require(raw_set, "objective_names", list, where), f"{where}.objective_names"
         )
         raw_solutions = _require(raw_set, "solutions", list, where)
         solutions = _valid_solutions(raw_solutions, resolve)
         if solutions is None:
             solutions = [
-                _parse_solution(
-                    raw_sol, lambda: f"{where()}.solutions[{j}]", resolve, steps, warnings
-                )
+                _parse_solution(raw_sol, f"{where}.solutions[{j}]", resolve, steps, warnings)
                 for j, raw_sol in enumerate(raw_solutions)
             ]
         sets.append(SolutionSet(label, objective_names, solutions))
@@ -135,10 +128,6 @@ def _parse_document(text: str) -> AnalysisBundle:
         provenance=provenance,
         warnings=tuple(warnings),
     )
-
-
-def _at(path: str) -> Where:
-    return lambda: path
 
 
 def _load_json(text: str, steps: Steps) -> object:
@@ -203,7 +192,7 @@ def _load_json(text: str, steps: Steps) -> object:
         raise BundleError(f"$: invalid JSON: {exc}") from None
 
 
-def _object(raw: object, where: Where, message: str = "must be an object") -> dict:
+def _object(raw: object, where: str, message: str = "must be an object") -> dict:
     """``raw`` where an object is expected; a step or an edge that decoding
     turned into a value counts as the object it was decoded from."""
     if isinstance(raw, TransformationStep):
@@ -212,30 +201,29 @@ def _object(raw: object, where: Where, message: str = "must be an object") -> di
         src, dst, step = raw
         return {"from": src, "to": dst, "step": step}
     if not isinstance(raw, dict):
-        raise BundleError(f"{where()}: {message}")
+        raise BundleError(f"{where}: {message}")
     return raw
 
 
 def _parse_tree(raw: object, steps: Steps, warnings: list[str]) -> SearchTree:
-    at_tree = _at("$.tree")
-    raw = _object(raw, at_tree)
-    _unknown_keys(raw, _TREE_KEYS, at_tree, warnings)
-    root = _require(raw, "root", str, at_tree)
-    nodes = _string_list(_require(raw, "nodes", list, at_tree), _at("$.tree.nodes"))
+    raw = _object(raw, "$.tree")
+    _unknown_keys(raw, _TREE_KEYS, "$.tree", warnings)
+    root = _require(raw, "root", str, "$.tree")
+    nodes = _string_list(_require(raw, "nodes", list, "$.tree"), "$.tree.nodes")
     known = set(nodes)
     if root not in known:
         raise BundleError(f"$.tree.root: unknown node {root!r}")
-    edges = _require(raw, "edges", list, at_tree)
+    edges = _require(raw, "edges", list, "$.tree")
     for i, edge in enumerate(edges):
         # Decoding made each well-formed edge a triple; only its ends are left to check.
         if type(edge) is tuple and edge[0] in known and edge[1] in known:
             continue
-        edges[i] = _parse_edge(edge, lambda: f"$.tree.edges[{i}]", known, steps, warnings)
+        edges[i] = _parse_edge(edge, f"$.tree.edges[{i}]", known, steps, warnings)
     return SearchTree(nodes=nodes, root_id=root, edges=edges)
 
 
 def _parse_edge(
-    raw: object, where: Where, known: set[str], steps: Steps, warnings: list[str]
+    raw: object, where: str, known: set[str], steps: Steps, warnings: list[str]
 ) -> tuple[str, str, TransformationStep]:
     """The edge of ``raw``, one that decoding did not turn into a triple, or
     one with an unknown end."""
@@ -245,12 +233,12 @@ def _parse_edge(
     dst = _require(raw, "to", str, where)
     for end, key in ((src, "from"), (dst, "to")):
         if end not in known:
-            raise BundleError(f"{where()}.{key}: unknown node {end!r}")
+            raise BundleError(f"{where}.{key}: unknown node {end!r}")
     step = raw.get("step")
     if not isinstance(step, TransformationStep):
         if type(step) is not tuple:  # a step decoded as an edge is an object too
             _require(raw, "step", dict, where)
-        step = _parse_step(step, lambda: f"{where()}.step", steps, warnings)
+        step = _parse_step(step, f"{where}.step", steps, warnings)
     return src, dst, step
 
 
@@ -325,7 +313,7 @@ def _valid_solutions(raws: list, resolve: Resolve | None) -> list[ArchitectureSo
 
 
 def _parse_solution(
-    raw: object, where: Where, resolve: Resolve | None, steps: Steps, warnings: list[str]
+    raw: object, where: str, resolve: Resolve | None, steps: Steps, warnings: list[str]
 ) -> ArchitectureSolution:
     """The solution of ``raw``, checked field by field in document order, so
     that the first bad field fails, or a stray one warns, at its JSON path."""
@@ -335,33 +323,31 @@ def _parse_solution(
     objectives = _require(raw, "objectives", list, where)
     for k, v in enumerate(objectives):
         if not _is_finite_number(v):
-            raise BundleError(f"{where()}.objectives[{k}]: must be a finite number")
+            raise BundleError(f"{where}.objectives[{k}]: must be a finite number")
 
     has_sequence = "sequence" in raw
     has_node = "node" in raw
     if has_sequence and has_node:
-        raise BundleError(f"{where()}: solution {sol_id!r} has both 'sequence' and 'node'")
+        raise BundleError(f"{where}: solution {sol_id!r} has both 'sequence' and 'node'")
     if has_node:
         node = _require(raw, "node", str, where)
         if resolve is None:
             raise BundleError(
-                f"{where()}.node: solution {sol_id!r} references a node but the bundle has no tree"
+                f"{where}.node: solution {sol_id!r} references a node but the bundle has no tree"
             )
         try:
             sequence = resolve(node)
         except UnknownNodeError:
-            raise BundleError(f"{where()}.node: unknown node {node!r}") from None
+            raise BundleError(f"{where}.node: unknown node {node!r}") from None
         except UnreachableNodeError as exc:
-            raise BundleError(f"{where()}.node: {exc}") from None
+            raise BundleError(f"{where}.node: {exc}") from None
     elif has_sequence:
         sequence = _require(raw, "sequence", list, where)
         for k, raw_step in enumerate(sequence):
             if not isinstance(raw_step, TransformationStep):
-                sequence[k] = _parse_step(
-                    raw_step, lambda: f"{where()}.sequence[{k}]", steps, warnings
-                )
+                sequence[k] = _parse_step(raw_step, f"{where}.sequence[{k}]", steps, warnings)
     else:
-        raise BundleError(f"{where()}: solution {sol_id!r} needs either 'sequence' or 'node'")
+        raise BundleError(f"{where}: solution {sol_id!r} needs either 'sequence' or 'node'")
     return ArchitectureSolution(sol_id, objectives, sequence)
 
 
@@ -374,30 +360,30 @@ def _is_finite_number(value: object) -> bool:
         return False
 
 
-def _parse_step(raw: object, where: Where, steps: Steps, warnings: list[str]) -> TransformationStep:
+def _parse_step(raw: object, where: str, steps: Steps, warnings: list[str]) -> TransformationStep:
     """The step of ``raw``, a step that decoding did not intern: one with a
     stray field, which warns, or a malformed one, which fails."""
     raw = _object(raw, where)
     _unknown_keys(raw, _STEP_KEYS, where, warnings)
     name = _require(raw, "name", str, where)
-    args = _string_list(raw.get("args", []), lambda: f"{where()}.args")
+    args = _string_list(raw.get("args", []), f"{where}.args")
     try:
         step = TransformationStep(name, args)
     except ValueError as exc:
-        raise BundleError(f"{where()}: {exc}") from None
+        raise BundleError(f"{where}: {exc}") from None
     return steps.setdefault((step.name, step.args), step)
 
 
-def _require(obj: dict, key: str, typ: type, where: Where):
+def _require(obj: dict, key: str, typ: type, where: str):
     if key not in obj:
-        raise BundleError(f"{where()}.{key}: missing required field")
+        raise BundleError(f"{where}.{key}: missing required field")
     value = obj[key]
     if not isinstance(value, typ):
-        raise BundleError(f"{where()}.{key}: expected {typ.__name__}")
+        raise BundleError(f"{where}.{key}: expected {typ.__name__}")
     return value
 
 
-def _text(obj: dict, key: str, where: Where) -> str:
+def _text(obj: dict, key: str, where: str) -> str:
     """A required string that reports print or write: it must encode as UTF-8.
 
     JSON admits a lone surrogate escape such as ``"\\ud800"``, which no
@@ -407,21 +393,20 @@ def _text(obj: dict, key: str, where: Where) -> str:
     try:
         value.encode("utf-8")
     except UnicodeEncodeError:
-        raise BundleError(f"{where()}.{key}: contains a lone surrogate") from None
+        raise BundleError(f"{where}.{key}: contains a lone surrogate") from None
     return value
 
 
-def _string_list(raw: object, where: Where) -> list[str]:
+def _string_list(raw: object, where: str) -> list[str]:
     if not isinstance(raw, list) or not {*map(type, raw)} <= {str}:
-        raise BundleError(f"{where()}: must be a list of strings")
+        raise BundleError(f"{where}: must be a list of strings")
     return list(raw)
 
 
-def _unknown_keys(obj: dict, known: set[str], where: Where, warnings: list[str]) -> None:
+def _unknown_keys(obj: dict, known: set[str], where: str, warnings: list[str]) -> None:
     # The subset test keeps the usual no-unknown-key case out of a Python-level loop.
     if not obj.keys() <= known:
-        path = where()
-        warnings.extend(f"ignored unknown field {path}.{k}" for k in obj if k not in known)
+        warnings.extend(f"ignored unknown field {where}.{k}" for k in obj if k not in known)
 
 
 def write_bundle(bundle: AnalysisBundle) -> str:
@@ -483,12 +468,20 @@ def write_report(
 def _set_points(
     sets: Sequence[SolutionSet], projection: Projection2D | None
 ) -> list[tuple[str, list[tuple[str, float, float]]]]:
-    """Each set's label and rows ``(id, x, y)``; solution ``i`` of all sets has point ``i``."""
+    """Each set's label and rows ``(id, x, y)``; solution ``i`` of all sets has point ``i``.
+
+    A map is keyed by set label, so two sets with one label are refused.
+    """
     if projection is None:
         return []
     total = sum(len(s) for s in sets)
     if len(projection.coords) != total:
         raise ValueError(f"{len(projection.coords)} projection points for {total} solutions")
+    labels: set[str] = set()
+    for s in sets:
+        if s.label in labels:
+            raise ValueError(f"set label {s.label!r} is repeated")
+        labels.add(s.label)
     points = iter(projection.coords)
     return [(s.label, [(sol.id, *next(points)) for sol in s.solutions]) for s in sets]
 

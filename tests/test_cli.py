@@ -1,3 +1,4 @@
+import ast
 import gc
 import hashlib
 import json
@@ -743,6 +744,37 @@ def test_validate_and_synth_run_only_modules_that_bind_no_numpy(bundle_path, tmp
     modules += ["archspread.io", "archspread.model", "archspread.synth"]
     assert ran == repr(modules)
     assert binding == "['archspread._lazy']"
+
+
+def benchmark_trace_targets():
+    """``TARGETS`` of perfbench/traced.py, read without running that script."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "traced.py"
+    (targets,) = [
+        ast.literal_eval(node.value)
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, ast.Assign)
+        and [getattr(t, "id", None) for t in node.targets] == ["TARGETS"]
+    ]
+    return targets
+
+
+def test_benchmark_trace_targets_resolve_after_importing_cli_alone():
+    # perfbench/traced.py imports archspread.cli and nothing else of the
+    # package, then looks up each function it wraps in sys.modules. Looking
+    # one up runs its layer's code, and that must not load numpy: a traced
+    # validate would pay for it.
+    targets = sorted(set(benchmark_trace_targets().values()))
+    assert targets
+    code = (
+        "import sys, archspread.cli; "
+        f"targets = {targets!r}; "
+        "print(sorted(f'{m}.{a}' for m, a in targets if not hasattr(sys.modules.get(m), a))); "
+        "print(sorted(m for m in sys.modules if m.startswith('numpy.')))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=child_env(), capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip().splitlines()[-2:] == ["[]", "[]"]
 
 
 def test_package_names_load_their_module_on_first_access():

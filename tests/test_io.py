@@ -829,6 +829,19 @@ def test_writers_reject_a_map_whose_point_count_differs_from_the_solutions(extra
     }
 
 
+def test_writers_refuse_a_map_of_sets_that_share_a_label():
+    # A report keys each map by set label: the points of all but one set
+    # labelled "x" would be lost.
+    sets = [make_set("x", ("a", "b")), make_set("y", ("d",)), make_set("x", ("c",))]
+    proj = Projection2D(((0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (3.0, 0.0)), 0.0, 1.0)
+    results = [make_result("x"), make_result("y")]
+    for format in ("json", "csv"):
+        with pytest.raises(ValueError, match="set label 'x' is repeated"):
+            write_report(results, None, sets, proj, format=format)
+    with pytest.raises(ValueError, match="set label 'x' is repeated"):
+        emit_scatter_svg(sets, proj, results)
+
+
 def golden_map():
     """Two sets by hand: id "a" in both, and "alpha"/"c" and "beta & <b>"/"a" share a point."""
     sets = [make_set("alpha", ("a", "b", "c")), make_set("beta & <b>", ("a", "d"))]
@@ -881,11 +894,12 @@ def test_writers_keep_their_bytes_on_a_map_built_by_hand():
         ),
         min_size=1,
         max_size=3,
+        unique_by=lambda labelled: labelled[0],
     )
 )
 def test_report_points_are_written_as_json_dumps_writes_them(maps):
-    # Labels may repeat or read '"points": []'; ids may need escapes; points
-    # may be NaN, infinite, -0.0 or ints.
+    # Labels may read '"points": []'; ids may need escapes; points may be
+    # NaN, infinite, -0.0 or ints.
     sets = [
         SolutionSet(label, ("f0",), tuple(ArchitectureSolution(i, (0.0,)) for i, _, _ in rows))
         for label, rows in maps

@@ -314,3 +314,17 @@ def test_one_long_argument_list_costs_its_length_not_its_square():
     # Blocks of 64 short lists against one arity: ~1 MB. One plane over every
     # pair at once held (width + 1) x 101 x 101 ints, 41 MB.
     assert peak <= 4 * 2**20
+
+
+def test_mds_and_compare_draw_the_same_map_within_a_minute(synth_2000, tmp_path):
+    # The joint pass squares its m x m matrix in place, and MDS recomputes the
+    # distances by blocks for the stress; mds and compare share that one map.
+    # Each command takes ~1 s on a 2-vCPU host.
+    maps = []
+    for command in ("mds", "compare"):
+        out, svg = tmp_path / f"{command}.json", tmp_path / f"{command}.svg"
+        start = time.perf_counter()
+        assert main([command, str(synth_2000), "-o", str(out), "--svg", str(svg)]) == 0
+        assert time.perf_counter() - start < 60
+        maps.append(json.loads(out.read_text())["projections"])
+    assert maps[0] == maps[1]
