@@ -56,6 +56,7 @@ class DistanceMatrix(_Record):
     The rows are one set's solutions. ``values`` is a read-only float64
     array. Any other input is copied into one; a read-only float64 array is
     kept as given. ``l_pad`` bounds every entry and is the default MAS scale.
+    ``==`` compares ids, ``l_pad`` and values; a matrix is not hashable.
     """
 
     __slots__ = __match_args__ = ("ids", "values", "l_pad")
@@ -97,6 +98,16 @@ class DistanceMatrix(_Record):
 
     def __len__(self) -> int:
         return len(self.ids)
+
+    def __eq__(self, other: object) -> bool:
+        # Fields compared as a tuple would ask an array for its truth.
+        if other.__class__ is self.__class__:
+            return (
+                self.ids == other.ids
+                and self.l_pad == other.l_pad
+                and np.array_equal(self.values, other.values)
+            )
+        return NotImplemented
 
 
 def _is_valid(values: np.ndarray, l_pad: int) -> bool:
@@ -358,20 +369,17 @@ class JointSquares(_Record):
     """The squared joint matrix, which ``mds_project`` centres in place.
 
     ``squares`` is the writeable m x m array of squared distances among the
-    distinct rows, ``weights`` each row's number of solutions, and
-    ``row_sums`` the rows of ``squares`` summed with those weights. The
-    distances themselves are not kept: ``blocks()`` recomputes them from the
-    position tables ``columns``, one block of rows at a time.
+    distinct rows. The distances themselves are not kept: ``blocks()``
+    recomputes them from the position tables ``columns``, one block of rows
+    at a time.
     """
 
-    __slots__ = __match_args__ = ("squares", "weights", "row_sums", "columns")
+    __slots__ = __match_args__ = ("squares", "columns")
     squares: np.ndarray
-    weights: np.ndarray
-    row_sums: np.ndarray
     columns: list[tuple[np.ndarray, np.ndarray]]
 
-    def __init__(self, squares, weights, row_sums, columns) -> None:
-        self._fill(squares, weights, row_sums, columns)
+    def __init__(self, squares, columns) -> None:
+        self._fill(squares, columns)
 
     def __len__(self) -> int:
         return len(self.squares)
@@ -393,9 +401,8 @@ def joint_squares(
     its range and diagonal are checked and each set's eccentricities taken:
     a pair's distance does not depend on the set it is computed in, so they
     are the row maxima within the columns of the rows the set uses. Then the
-    block is squared in place and its row sums weighted by each row's number
-    of solutions. Symmetry is not checked: every position's table is
-    symmetric, so every sum of gathers from them is.
+    block is squared in place. Symmetry is not checked: every position's
+    table is symmetric, so every sum of gathers from them is.
     """
     ids, steps = _step_ids(sol for s in sets for sol in s.solutions)
     # Each row's first occurrence: in order, they are the distinct rows.
@@ -406,8 +413,6 @@ def joint_squares(
     columns = _column_tables(ids, steps, w)
     m, l_pad = ids.shape
     squares = np.empty((m, m))
-    weights = np.bincount(index, minlength=m).astype(np.float64)
-    sums = np.empty(m)
     # Each set's columns; not np.unique: it imports numpy.ma.
     groups = [np.flatnonzero(np.bincount(rows)) for rows in own]
     maxima = [np.empty(m) for _ in groups]
@@ -421,6 +426,5 @@ def joint_squares(
         for group, rowmax in zip(groups, maxima):
             block[:, group].max(axis=1, initial=0.0, out=rowmax[blk])
         block *= block
-        np.sum(block * weights, axis=1, out=sums[blk])
     eccentricities = [rowmax[rows] for rowmax, rows in zip(maxima, own)]
-    return JointSquares(squares, weights, sums, columns), index, eccentricities
+    return JointSquares(squares, columns), index, eccentricities

@@ -120,11 +120,11 @@ def mds_project(
     is not zero up to rounding, so output is fully deterministic.
 
     ``dm`` is a ``DistanceMatrix``, or the ``JointSquares`` of
-    ``distance.joint_squares``, whose weights ``index`` must give. It holds
-    one n x n array, ``b`` (and the eigenvectors while ``eigh`` runs), then
-    blocks of rows: ``b`` is a copy of ``dm.values`` squared, or the joint
-    squares themselves, which are used up and whose distances the stress
-    recomputes block by block.
+    ``distance.joint_squares``; for either, the weights are the counts of
+    ``index``. It holds one n x n array, ``b`` (and the eigenvectors while
+    ``eigh`` runs), then blocks of rows: ``b`` is a copy of ``dm.values``
+    squared, or the joint squares themselves, which are used up and whose
+    distances the stress recomputes block by block.
 
     Raises ``ValueError`` when ``dm`` is empty, or ``index`` is not a 1-D
     integer array of rows of ``dm`` that names every row.
@@ -145,18 +145,16 @@ def mds_project(
         # One distinct point; repeated, it is a degenerate map.
         return Projection2D(((0.0, 0.0),) * len(index), 0.0, 1.0, _DEGENERATE if total > 1 else ())
     if isinstance(dm, DistanceMatrix):
-        # One n x n buffer: d*d, then b in place. Its weighted row sums give
-        # the centring means and the stress denominator.
         d = dm.values
-        b = d * d
-        sums = np.empty(n)
-        for rows in _row_blocks(n):
-            np.sum(b[rows] * w, axis=1, out=sums[rows])
+        b = d * d  # the one n x n buffer, centred in place below
         blocks = ((rows, d[rows]) for rows in _row_blocks(n))
-    elif np.array_equal(dm.weights, w):
-        b, sums, blocks = dm.squares, dm.row_sums, dm.blocks()
     else:
-        raise ValueError("index does not give the weights of the joint squares")
+        b, blocks = dm.squares, dm.blocks()
+    # The weighted row sums of the squares give the centring means and the
+    # stress denominator.
+    sums = np.empty(n)
+    for rows in _row_blocks(n):
+        np.sum(b[rows] * w, axis=1, out=sums[rows])
     denom = math.fsum(sums * w)
     mean = sums / total  # d is symmetric, so these are also the column means
     b -= mean[:, None]

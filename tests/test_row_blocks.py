@@ -164,6 +164,23 @@ def test_joint_pass_matches_the_matrix_and_each_sets_sweep_at_block_boundaries(m
         mds_project(squares, index)  # the squares are used up
 
 
+@pytest.mark.parametrize("repeats", [None, (1, 3, 2)], ids=["unit", "mixed"])
+def test_index_alone_gives_the_weights_of_the_joint_squares(repeats):
+    m = _ROW_BLOCK + 1
+    sets = sets_sharing_sequences(random.Random(m), m)
+    first = {}
+    for sol in (sol for s in sets for sol in s.solutions):
+        first.setdefault(sol.sequence, sol)
+    # Weights other than the sets' own counts: each row once, or 1 to 3 times.
+    index = np.arange(m) if repeats is None else np.repeat(np.arange(m), np.resize(repeats, m))
+    squares, _, _ = joint_squares(sets, W)
+    got = mds_project(squares, index)
+    want = mds_project(distance_matrix(make_set(solutions=tuple(first.values())), W), index)
+    assert got.coords == want.coords
+    assert got.stress == want.stress
+    assert got.eigenvalue_share == want.eigenvalue_share
+
+
 @pytest.mark.parametrize("i, j", [(0, 2 * _ROW_BLOCK), (_ROW_BLOCK + 1, 2 * _ROW_BLOCK)])
 def test_distance_matrix_check_sees_an_asymmetry_in_any_block(i, j):
     n = 2 * _ROW_BLOCK + 1

@@ -67,7 +67,6 @@ cases = pytest.mark.parametrize(
 
 
 def _same(a, b):
-    # A 1 x 1 array compares to a one-element array, whose truth is its element.
     return type(a) is type(b) and a == b
 
 
@@ -115,6 +114,17 @@ def test_equal_values_hash_equal(cls, fields, values, defaults):
             hash(cls(*values))
     else:
         assert hash(cls(*values)) == hash(cls(*values))
+
+
+def test_distance_matrices_compare_by_ids_bound_and_values():
+    values = [[0.0, 1.0], [1.0, 0.0]]
+    dm = DistanceMatrix(("a", "b"), values, 1)
+    assert dm == DistanceMatrix(("a", "b"), np.array(values), 1)
+    assert dm != DistanceMatrix(("a", "b"), [[0.0, 0.5], [0.5, 0.0]], 1)
+    assert dm != DistanceMatrix(("a", "c"), values, 1)
+    assert dm != DistanceMatrix(("a", "b"), values, 2)
+    with pytest.raises(TypeError):
+        hash(dm)
 
 
 def test_bundle_warnings_take_no_part_in_equality_or_hash():
