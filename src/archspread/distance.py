@@ -304,22 +304,6 @@ def _kernel(
         out += table.take(c[blk], axis=0).take(c, axis=1)
 
 
-def _blocks(
-    columns: Sequence[tuple[np.ndarray, np.ndarray]], rows: slice
-) -> Iterator[tuple[slice, np.ndarray]]:
-    """Each block of rows with its rows of the distances among ``rows``, from ``_kernel``.
-
-    Every block is filled into one reused buffer, so it holds only until the
-    next block is yielded.
-    """
-    n = rows.stop - rows.start
-    buffer = np.empty((min(n, _ROW_BLOCK), n))
-    for blk in _row_blocks(n):
-        block = buffer[: blk.stop - blk.start]
-        _kernel(columns, rows, blk, block)
-        yield blk, block
-
-
 def padded_length(solution_set: SolutionSet) -> int:
     """The longest sequence in a set: its ``l_pad``, which bounds every distance in it."""
     return max((len(sol.sequence) for sol in solution_set.solutions), default=0)
@@ -352,14 +336,21 @@ def within_set_eccentricities(sets: Sequence[SolutionSet], w: DistanceWeights) -
 
     They are the row maxima of ``distance_matrix`` of the set, taken block by
     block, so no set's n x n matrix is built. Steps are numbered once, and
-    each position has one table, for all sets.
+    each position has one table, for all sets. Every block of every set is
+    filled into a view of one buffer, sized for the largest set.
     """
     ids, steps = _step_ids(sol for s in sets for sol in s.solutions)
     columns = _column_tables(ids, steps, w)
+    spans = list(_set_spans(sets))
+    widest = max((rows.stop - rows.start for rows, _ in spans), default=0)
+    buffer = np.empty((min(widest, _ROW_BLOCK), widest))
     eccentricities = []
-    for rows, l_pad in _set_spans(sets):
-        ecc = np.empty(rows.stop - rows.start)
-        for blk, block in _blocks(columns[:l_pad], rows):
+    for rows, l_pad in spans:
+        n = rows.stop - rows.start
+        ecc = np.empty(n)
+        for blk in _row_blocks(n):
+            block = buffer[: blk.stop - blk.start, :n]
+            _kernel(columns[:l_pad], rows, blk, block)
             block.max(axis=1, initial=0.0, out=ecc[blk])
         eccentricities.append(ecc)
     return eccentricities
@@ -369,23 +360,18 @@ class JointSquares(_Record):
     """The squared joint matrix, which ``mds_project`` centres in place.
 
     ``squares`` is the writeable m x m array of squared distances among the
-    distinct rows. The distances themselves are not kept: ``blocks()``
-    recomputes them from the position tables ``columns``, one block of rows
-    at a time.
+    distinct rows. The distances themselves are not kept: ``mds_project``
+    takes them back from the centred matrix for the stress.
     """
 
-    __slots__ = __match_args__ = ("squares", "columns")
+    __slots__ = __match_args__ = ("squares",)
     squares: np.ndarray
-    columns: list[tuple[np.ndarray, np.ndarray]]
 
-    def __init__(self, squares, columns) -> None:
-        self._fill(squares, columns)
+    def __init__(self, squares) -> None:
+        self._fill(squares)
 
     def __len__(self) -> int:
         return len(self.squares)
-
-    def blocks(self) -> Iterator[tuple[slice, np.ndarray]]:
-        return _blocks(self.columns, slice(0, len(self)))
 
 
 def joint_squares(
@@ -402,7 +388,9 @@ def joint_squares(
     a pair's distance does not depend on the set it is computed in, so they
     are the row maxima within the columns of the rows the set uses. Then the
     block is squared in place. Symmetry is not checked: every position's
-    table is symmetric, so every sum of gathers from them is.
+    table is symmetric, so every sum of gathers from them is. Each block is
+    filled once, and the position tables are dropped on return: the stress
+    takes its distances back from the centred squares.
     """
     ids, steps = _step_ids(sol for s in sets for sol in s.solutions)
     # Each row's first occurrence: in order, they are the distinct rows.
@@ -427,4 +415,4 @@ def joint_squares(
             block[:, group].max(axis=1, initial=0.0, out=rowmax[blk])
         block *= block
     eccentricities = [rowmax[rows] for rowmax, rows in zip(maxima, own)]
-    return JointSquares(squares, columns), index, eccentricities
+    return JointSquares(squares), index, eccentricities

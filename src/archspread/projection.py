@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from ._lazy import np
 from .distance import DistanceMatrix, JointSquares, _row_blocks
@@ -47,6 +47,11 @@ _STEPS = 128
 # Each axis takes the sign of its first coordinate above this share of its
 # largest |coordinate|, so a coordinate that is 0 up to rounding cannot flip it.
 _SIGN_FLOOR = 1e-9
+# A d² taken back from the centred matrix at or below this share of
+# |G_aa| + |G_bb| is rounding, and reads 0. Each row with itself, and two rows
+# with equal distances to every row, come back within ~5 eps of it (2 eps
+# measured), so they read exactly 0.
+_ZERO_SQUARE = 16 * _EPS
 _DEGENERATE = ("degenerate matrix: no positive eigenvalue mass, all-zero coordinates",)
 
 
@@ -123,8 +128,11 @@ def mds_project(
     ``distance.joint_squares``; for either, the weights are the counts of
     ``index``. It holds one n x n array, ``b`` (and the eigenvectors while
     ``eigh`` runs), then blocks of rows: ``b`` is a copy of ``dm.values``
-    squared, or the joint squares themselves, which are used up and whose
-    distances the stress recomputes block by block.
+    squared, or the joint squares themselves, which are used up. Either way
+    the stress takes its distances back from the centred ``b``, block by
+    block. Each d² comes back within a few ulps of the largest one, and at
+    exactly 0 where that is rounding: for each row with itself, and for two
+    rows with equal distances.
 
     Raises ``ValueError`` when ``dm`` is empty, or ``index`` is not a 1-D
     integer array of rows of ``dm`` that names every row.
@@ -144,12 +152,8 @@ def mds_project(
     if n == 1:
         # One distinct point; repeated, it is a degenerate map.
         return Projection2D(((0.0, 0.0),) * len(index), 0.0, 1.0, _DEGENERATE if total > 1 else ())
-    if isinstance(dm, DistanceMatrix):
-        d = dm.values
-        b = d * d  # the one n x n buffer, centred in place below
-        blocks = ((rows, d[rows]) for rows in _row_blocks(n))
-    else:
-        b, blocks = dm.squares, dm.blocks()
+    # The one n x n buffer, centred in place below.
+    b = dm.values * dm.values if isinstance(dm, DistanceMatrix) else dm.squares
     # The weighted row sums of the squares give the centring means and the
     # stress denominator.
     sums = np.empty(n)
@@ -170,7 +174,6 @@ def mds_project(
         top_vectors = evecs[:, :-3:-1].copy()
         del evecs
     b.flags.writeable = False  # a JointSquares' squares are used up: projecting them again fails
-    del b
     top_vectors /= root[:, None]
 
     diagnostics: tuple[str, ...] = ()
@@ -191,22 +194,31 @@ def mds_project(
     positive_mass = float(np.sum(evals[evals > 0]))
     share = float(np.sum(top) / positive_mass) if positive_mass > 0 else 1.0
     share = min(share, 1.0)
-    stress = float(np.sqrt(_squared_residual(coords, blocks, w) / denom)) if denom > 0 else 0.0
+    stress = float(np.sqrt(_squared_residual(coords, b, w) / denom)) if denom > 0 else 0.0
 
     points = [(float(x), float(y)) for x, y in coords]
     return Projection2D(tuple(points[a] for a in index.tolist()), stress, share, diagnostics)
 
 
-def _squared_residual(
-    coords: np.ndarray, blocks: Iterable[tuple[slice, np.ndarray]], w: np.ndarray
-) -> float:
+def _squared_residual(coords: np.ndarray, b: np.ndarray, w: np.ndarray) -> float:
     """Sum over all pairs of w_a * w_b * (2D distance - d)², one block of rows of d at a time.
 
-    The 2D distances are direct, sqrt(dx*dx + dy*dy), built in place.
+    d comes back from the centred matrix ``b`` = W^½ G W^½, G = -½ J D² Jᵀ
+    (Gower 1966): d²_ab = G_aa + G_bb - 2 G_ab, and 0 where that is within
+    rounding of 0 or below it. The 2D distances are direct,
+    sqrt(dx*dx + dy*dy), built in place.
     """
+    root = np.sqrt(w)
+    g = np.diagonal(b) / w
+    rounding = _ZERO_SQUARE * np.abs(g)
     x, y = coords[:, 0], coords[:, 1]
     total = []
-    for rows, d in blocks:
+    for rows in _row_blocks(len(b)):
+        d = b[rows] / (root[rows, None] * (-0.5 * root))  # -2 G, exactly
+        d += g[rows, None]
+        d += g
+        np.copyto(d, 0.0, where=d <= rounding[rows, None] + rounding)
+        np.sqrt(d, out=d)
         embedded = x[rows, None] - x
         embedded *= embedded
         dy = y[rows, None] - y

@@ -3,12 +3,20 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import archspread.projection as projection
-from archspread.distance import DistanceMatrix, DistanceWeights, distance_matrix
+from archspread.distance import (
+    DistanceMatrix,
+    DistanceWeights,
+    distance_matrix,
+    joint_squares,
+    sequence_distance,
+)
 from archspread.projection import mds_project
 
-from conftest import random_set
+from conftest import make_set, make_solution, make_step, random_set
 
 
 def dm_from_points(points):
@@ -372,3 +380,99 @@ def test_collinear_points_have_an_all_zero_second_axis():
     assert np.all(coords[:, 1] == 0.0)
     assert proj.stress <= 1e-15
     assert (proj.eigenvalue_share, proj.diagnostics) == (1.0, ())
+
+
+def double_loop_stress(proj, d):
+    """Kruskal stress-1 of the map's points against ``d``, one pair of points at a time."""
+    residuals, squares = [], []
+    for i, p in enumerate(proj.coords):
+        for j, q in enumerate(proj.coords):
+            residuals.append((math.dist(p, q) - d[i][j]) ** 2)
+            squares.append(d[i][j] ** 2)
+    denom = math.fsum(squares)
+    return math.sqrt(math.fsum(residuals) / denom) if denom > 0 else 0.0
+
+
+@st.composite
+def matrices_with_repeats(draw):
+    """A distance matrix, with copies of some rows, and an index that repeats rows.
+
+    A copy is at distance 0 from its row, or a near-duplicate at a small
+    distance h from it. The rows are random distances, 0 or at least 1e-3,
+    or the Euclidean distances of points on a grid in the plane, whose map
+    is exact. So every square is 0 or a normal float.
+    """
+    k = draw(st.integers(2, 6))
+    if draw(st.booleans()):
+        values = np.zeros((k, k))
+        for i in range(k):
+            for j in range(i + 1, k):
+                values[i, j] = values[j, i] = draw(st.just(0.0) | st.floats(1e-3, 3.0))
+    else:
+        grid = st.integers(0, 24).map(lambda x: x / 8)
+        points = np.array(draw(st.lists(st.tuples(grid, grid), min_size=k, max_size=k)))
+        values = np.hypot(*(points[:, None, axis] - points[:, axis] for axis in range(2)))
+    rows = list(range(k)) + draw(st.lists(st.integers(0, k - 1), max_size=3))
+    values = values[np.ix_(rows, rows)]
+    for copy in range(k, len(rows)):
+        h = draw(st.sampled_from([0.0, 1e-9, 1e-6, 1e-3, 0.1]))
+        values[copy, rows[copy]] = values[rows[copy], copy] = h
+    repeats = draw(st.lists(st.integers(1, 3), min_size=len(rows), max_size=len(rows)))
+    dm = DistanceMatrix(tuple(f"p{i}" for i in range(len(rows))), values, 10)
+    return dm, np.repeat(np.arange(len(rows)), repeats)
+
+
+def rounding_floor(d, index):
+    """How far the stress may stray from rounding in the d it takes back from b.
+
+    d² comes back with an absolute error of at most delta = 64 eps max d², so
+    d within min(sqrt(2 delta), delta / d); two rows with equal distances
+    come back at exactly 0. By the triangle inequality, the stress moves by
+    at most the weighted norm of those errors over its denominator's.
+    """
+    delta = 64 * np.finfo(float).eps * np.max(d) ** 2
+    same_rows = np.array([[np.array_equal(a, b) for b in d] for a in d])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        error = np.fmin(np.sqrt(2 * delta), delta / d)
+    error[same_rows] = 0.0
+    w = np.bincount(index, minlength=len(d))
+    ww = w[:, None] * w
+    denom = np.sum(ww * d**2)
+    return math.sqrt(np.sum(ww * error**2) / denom) if denom > 0 else 0.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrices_with_repeats())
+def test_stress_from_the_centred_matrix_matches_a_double_loop(case):
+    dm, index = case
+    proj = mds_project(dm, index)
+    d = dm.values[np.ix_(index, index)]
+    # Far from 0 every distance comes back to ~1e-14; only near-duplicates
+    # on a map that is nearly exact move the stress by more than 1e-12.
+    tolerance = 1e-12 + rounding_floor(dm.values, index)
+    assert abs(proj.stress - double_loop_stress(proj, d)) <= tolerance
+
+
+# Steps that differ only in their arguments: at w_pred = 1 they are at
+# distance 0, so distinct rows of the joint matrix are at distance 0.
+name_only_steps = st.builds(
+    make_step, st.sampled_from("ab"), st.lists(st.sampled_from("xyz"), max_size=2)
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.lists(name_only_steps, max_size=2), min_size=2, max_size=10), st.integers(1, 9))
+@example([[make_step("a", ("x",))], [make_step("a", ("y",))], [make_step("a", ("y",))], []], 2)
+def test_joint_stress_with_distinct_rows_at_distance_0_matches_a_double_loop(sequences, split):
+    # The example's map is exact: two rows at distance 0 with weights 1 and 2,
+    # both at distance 1 from the empty sequence.
+    split = min(split, len(sequences) - 1)
+    sets = []
+    for k, part in enumerate((sequences[:split], sequences[split:])):
+        solutions = tuple(make_solution(f"s{k}_{i}", steps=seq) for i, seq in enumerate(part))
+        sets.append(make_set(f"s{k}", solutions=solutions))
+    w = DistanceWeights(1.0, 0.0)
+    squares, index, _ = joint_squares(sets, w)
+    proj = mds_project(squares, index)
+    d = [[sequence_distance(a, b, w) for b in sequences] for a in sequences]
+    assert abs(proj.stress - double_loop_stress(proj, d)) <= 1e-12

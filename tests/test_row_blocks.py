@@ -149,7 +149,7 @@ def test_joint_pass_matches_the_matrix_and_each_sets_sweep_at_block_boundaries(m
     assert len(want) == m
 
     # mds and compare square the matrix as its blocks are filled, and MDS
-    # gets the distances back from the kernel block by block for the stress.
+    # takes the distances for the stress back from the centred matrix.
     squares, index, eccentricities = joint_squares(sets, W)
     assert len(squares) == m
     assert [list(first)[row] for row in index] == [sol.sequence for sol in solutions]
@@ -288,6 +288,36 @@ def test_numeric_layers_hold_one_n_by_n_work_array(synth_2000, tmp_path, monkeyp
     assert built == ["joint_squares", "joint_squares"]
 
 
+def test_within_set_sweep_holds_one_row_block_buffer_for_all_sets(synth_2000):
+    sets = list(parse_bundle(synth_2000.read_text()).sets)
+    assert [len(s) for s in sets] == [1000, 1000]
+    within_set_eccentricities([make_set(solutions=s.solutions[:3]) for s in sets], W)  # load
+    _, peak = extra_peak(lambda: within_set_eccentricities(sets, W))
+    # Every set's blocks are views of one 64 x 1 000 buffer: ~6.85 blocks in
+    # all. A buffer per set, the first still held while the second was made,
+    # peaked at ~7.85.
+    assert peak <= 7.35 * _ROW_BLOCK * 1000 * 8
+
+
+def test_mds_and_compare_fill_each_block_of_the_joint_matrix_once(
+    synth_2000, tmp_path, monkeypatch
+):
+    filled = []
+    kernel = distance._kernel
+
+    def recording(columns, rows, blk, out):
+        filled.append(blk.start)
+        kernel(columns, rows, blk, out)
+
+    monkeypatch.setattr(distance, "_kernel", recording)
+    m = 1753
+    for command in ("mds", "compare"):
+        filled.clear()
+        assert main([command, str(synth_2000), "-o", str(tmp_path / f"{command}.json")]) == 0
+        # One call per block of rows, 28 in all: the stress runs no kernel.
+        assert filled == list(range(0, m, _ROW_BLOCK))
+
+
 def test_mds_and_compare_hold_one_m_by_m_array_through_the_eigen_step(synth_2000, monkeypatch):
     bundle = parse_bundle(synth_2000.read_text())
     small = AnalysisBundle("small", tuple(make_set(solutions=s.solutions[:3]) for s in bundle.sets))
@@ -300,8 +330,8 @@ def test_mds_and_compare_hold_one_m_by_m_array_through_the_eigen_step(synth_2000
     (_, _, proj), peak = extra_peak(lambda: cli._analyze(args, project=True))
     assert len(proj.coords) == 2000
     m = 1753
-    # The squared joint matrix is centred in place, and the distances come
-    # back from the kernel by blocks for the stress; holding the distances
+    # The squared joint matrix is centred in place, and the stress takes the
+    # distances back from it by blocks of rows; holding the distances
     # through the eigen step as well peaks at ~2.1. eigvalsh's own copy is
     # made by LAPACK's wrapper, outside what tracemalloc sees.
     assert peak <= 1.4 * m * m * 8
@@ -334,8 +364,8 @@ def test_one_long_argument_list_costs_its_length_not_its_square():
 
 
 def test_mds_and_compare_draw_the_same_map_within_a_minute(synth_2000, tmp_path):
-    # The joint pass squares its m x m matrix in place, and MDS recomputes the
-    # distances by blocks for the stress; mds and compare share that one map.
+    # The joint pass squares its m x m matrix in place, and MDS takes the
+    # distances for the stress back from it; mds and compare share that one map.
     # Each command takes ~1 s on a 2-vCPU host.
     maps = []
     for command in ("mds", "compare"):
