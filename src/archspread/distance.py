@@ -50,12 +50,18 @@ class DistanceWeights(_Record):
             raise ValueError("weights must sum to 1")
 
 
+def _upper_bound(l_pad: int) -> float:
+    """``l_pad`` plus rounding slack: a position may add ``w_pred + w_args``, which can pass 1."""
+    return l_pad + (l_pad + 1) * 1e-9
+
+
 class DistanceMatrix(_Record):
     """Symmetric matrix of architectural distances between solutions.
 
     The rows are one set's solutions. ``values`` is a read-only float64
     array. Any other input is copied into one; a read-only float64 array is
-    kept as given. ``l_pad`` bounds every entry and is the default MAS scale.
+    kept as given. ``l_pad`` bounds every entry, up to a rounding slack
+    of 1e-9 per position, and is the default MAS scale.
     ``==`` compares ids, ``l_pad`` and values; a matrix is not hashable.
     """
 
@@ -86,7 +92,7 @@ class DistanceMatrix(_Record):
             return
         # Report the first violation in row-major order over the upper
         # triangle, diagonal included; NaN fails every check.
-        in_range = (values >= 0.0) & (values <= l_pad + 1e-9)
+        in_range = (values >= 0.0) & (values <= _upper_bound(l_pad))
         bad = np.triu((values != values.T) | ~in_range, 1)
         np.fill_diagonal(bad, np.diagonal(values) != 0.0)
         i, j = (int(k) for k in np.argwhere(bad)[0])
@@ -118,7 +124,7 @@ def _is_valid(values: np.ndarray, l_pad: int) -> bool:
     """
     if values.size == 0:
         return True
-    if not (values.min() >= 0.0 and values.max() <= l_pad + 1e-9):
+    if not (values.min() >= 0.0 and values.max() <= _upper_bound(l_pad)):
         return False
     if np.diagonal(values).any():
         return False
@@ -223,31 +229,27 @@ def _levenshtein_block(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _simargs_table(args: Sequence[tuple[int, ...]]) -> np.ndarray:
     """``_simargs`` of every two of ``args``, one batched DP per two arities.
 
-    The tuples are grouped by arity. Each block of ``_ROW_BLOCK`` tuples of
-    arity ``la`` meets all tuples of each arity ``lb >= la`` in one
-    ``_levenshtein_block``, so a pair costs ``la * lb`` steps, as in
-    ``_levenshtein``. Levenshtein distance is symmetric, so the other half
-    is mirrored, and a tuple alone in its arity is at distance 0 from itself.
-    Each distance is divided by the longer length, as ``_simargs`` does.
+    The tuples of each arity ``la`` are an index set into ``args``. Each
+    block of ``_ROW_BLOCK`` of them meets all tuples of each arity ``lb >= la``
+    in one ``_levenshtein_block``, written straight to its rows and columns,
+    so a pair costs ``la * lb`` steps, as in ``_levenshtein``. Levenshtein
+    distance is symmetric, so the other half is mirrored, and a tuple alone
+    in its arity is at distance 0 from itself. Each distance is divided by
+    the longer length, as ``_simargs`` does.
     """
     lengths = np.fromiter(map(len, args), dtype=np.intp, count=len(args))
-    order = np.argsort(lengths, kind="stable")
-    counts = np.bincount(lengths)
-    stops = np.cumsum(counts)
-    classes = []  # (its rows in arity order, its tuples), by arity
-    for la in np.flatnonzero(counts):
-        rows = slice(stops[la] - counts[la], stops[la])
-        tuples = np.array([args[k] for k in order[rows]], dtype=np.int64)
-        classes.append((rows, tuples.reshape(counts[la], la)))
-    lev = np.zeros((len(args), len(args)), dtype=np.intp)  # rows and columns in arity order
+    classes = []  # (its indices into args, its tuples), by arity
+    for la in np.flatnonzero(np.bincount(lengths)):
+        rows = np.flatnonzero(lengths == la)
+        tuples = np.array([args[k] for k in rows], dtype=np.int64)
+        classes.append((rows, tuples.reshape(len(rows), la)))
+    lev = np.zeros((len(args), len(args)), dtype=np.intp)
     for x, (rows, a) in enumerate(classes):
         # A tuple alone in its arity is at distance 0 from itself, as lev holds.
         for cols, b in classes[x + (len(a) == 1) :]:
             for blk in _row_blocks(len(a)):
-                lev[rows][blk, cols] = _levenshtein_block(a[blk], b)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    lev = np.maximum(lev, lev.T).take(rank, axis=0).take(rank, axis=1)
+                lev[rows[blk, None], cols] = _levenshtein_block(a[blk], b)
+    lev = np.maximum(lev, lev.T)
     longer = np.maximum(lengths[:, None], lengths[None, :])
     return np.divide(lev, longer, out=np.zeros(lev.shape), where=longer > 0)
 
@@ -407,7 +409,7 @@ def joint_squares(
     for blk in _row_blocks(m):
         block = squares[blk]
         _kernel(columns, slice(0, m), blk, block)
-        if not (block.min() >= 0.0 and block.max() <= l_pad + 1e-9):  # NaN fails too
+        if not (block.min() >= 0.0 and block.max() <= _upper_bound(l_pad)):  # NaN fails too
             raise ValueError(f"joint distance out of [0, L] in rows {blk.start}..{blk.stop - 1}")
         if block.diagonal(blk.start).any():
             raise ValueError(f"nonzero joint diagonal in rows {blk.start}..{blk.stop - 1}")

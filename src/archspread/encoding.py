@@ -9,6 +9,7 @@ names and argument tokens for ``synth.oracle_mas`` and
 from __future__ import annotations
 
 from collections import deque
+from functools import cached_property
 
 from .model import SearchTree, SolutionSet, TransformationStep, _Record
 
@@ -62,17 +63,23 @@ def build_encoding(sets: list[SolutionSet]) -> EncodingTable:
 class PathResolver:
     """Root paths of every node of one search tree, from a single BFS.
 
-    The BFS visits children in id order and records, for each node, the
-    parent and step through which it first reaches it. The queue then holds
-    each level in the order of the nodes' smallest paths, so following those
-    links back to the root gives the lexicographically smallest shortest
-    node-id path; among parallel edges the first-listed one wins. Memory is
-    O(V) and nothing recurses; build one resolver per tree and query it per
-    node.
+    The BFS runs on the first ``sequence`` query, so a resolver that is never
+    queried never walks its tree. It visits children in id order and
+    records, for each node, the parent and step through which it first
+    reaches it. The queue then holds each level in the order of the nodes'
+    smallest paths, so following those links back to the root gives the
+    lexicographically smallest shortest node-id path; among parallel edges
+    the first-listed one wins. Memory is O(V) and nothing recurses; build one
+    resolver per tree and query it per node.
     """
 
     def __init__(self, tree: SearchTree) -> None:
         self._tree = tree
+
+    @cached_property
+    def _via(self) -> dict[str, tuple[str, TransformationStep] | None]:
+        """Each reached node's parent and step on its chosen path; the root's is None."""
+        tree = self._tree
         adj = tree.children()
         via: dict[str, tuple[str, TransformationStep] | None] = {tree.root_id: None}
         queue = deque([tree.root_id])
@@ -82,7 +89,7 @@ class PathResolver:
                 if child not in via:
                     via[child] = (node, step)
                     queue.append(child)
-        self._via = via
+        return via
 
     def sequence(self, node_id: str) -> tuple[TransformationStep, ...]:
         """Steps along the chosen root-to-node path, root-first."""
@@ -108,6 +115,7 @@ def extract_sequence(tree: SearchTree, node_id: str) -> tuple[TransformationStep
 
     Ties between equal-length paths in a DAG are broken by choosing the
     lexicographically smallest path by child-id order. This runs a BFS over
-    the whole tree; to resolve many nodes, build one ``PathResolver``.
+    the whole tree; to resolve many nodes, query one ``PathResolver``, which
+    walks its tree once, on the first query.
     """
     return PathResolver(tree).sequence(node_id)

@@ -10,7 +10,7 @@ from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii as _ascii
 from operator import is_, itemgetter
 from types import NoneType
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .encoding import PathResolver, UnknownNodeError, UnreachableNodeError
 from .model import ArchitectureSolution, SearchTree, SolutionSet, TransformationStep, _Record
@@ -49,7 +49,6 @@ class AnalysisBundle(_Record):
         self._fill(name, sets, tree, provenance, warnings)
 
 
-Resolve = Callable[[str], tuple[TransformationStep, ...]]
 # One TransformationStep per distinct (name, args) of a bundle, holding only
 # steps that passed every check.
 Steps = dict[tuple[str, tuple[str, ...]], TransformationStep]
@@ -66,8 +65,8 @@ def parse_bundle(text: str) -> AnalysisBundle:
     """Parse the JSON bundle format into an AnalysisBundle.
 
     Each solution either carries an explicit "sequence" or references a tree
-    "node" (its sequence is then the shortest root path, see ``PathResolver``;
-    the tree is walked once per bundle, on the first node reference). Equal
+    "node" (its sequence is then the shortest root path; the bundle's one
+    ``PathResolver`` walks the tree on the first node reference). Equal
     steps, in tree edges and sequences alike, come back as one shared
     ``TransformationStep``. Unknown fields are collected as warnings on the
     returned bundle, not errors.
@@ -97,7 +96,7 @@ def _parse_document(text: str) -> AnalysisBundle:
         raise BundleError("$.provenance: must be a string")
 
     tree = _parse_tree(doc["tree"], steps, warnings) if "tree" in doc else None
-    resolve = _node_resolver(tree)
+    paths = PathResolver(tree) if tree is not None else None
 
     raw_sets = _require(doc, "sets", list, "$")
     sets = []
@@ -114,10 +113,10 @@ def _parse_document(text: str) -> AnalysisBundle:
             _require(raw_set, "objective_names", list, where), f"{where}.objective_names"
         )
         raw_solutions = _require(raw_set, "solutions", list, where)
-        solutions = _valid_solutions(raw_solutions, resolve)
+        solutions = _valid_solutions(raw_solutions, paths)
         if solutions is None:
             solutions = [
-                _parse_solution(raw_sol, f"{where}.solutions[{j}]", resolve, steps, warnings)
+                _parse_solution(raw_sol, f"{where}.solutions[{j}]", paths, steps, warnings)
                 for j, raw_sol in enumerate(raw_solutions)
             ]
         sets.append(SolutionSet(label, objective_names, solutions))
@@ -242,26 +241,11 @@ def _parse_edge(
     return src, dst, step
 
 
-def _node_resolver(tree: SearchTree | None) -> Resolve | None:
-    """Node id -> root path for ``tree``; the BFS runs on the first call."""
-    if tree is None:
-        return None
-    resolver: PathResolver | None = None
-
-    def resolve(node: str) -> tuple[TransformationStep, ...]:
-        nonlocal resolver
-        if resolver is None:
-            resolver = PathResolver(tree)
-        return resolver.sequence(node)
-
-    return resolve
-
-
 _ID = itemgetter("id")
 _OBJECTIVES = itemgetter("objectives")
 
 
-def _valid_solutions(raws: list, resolve: Resolve | None) -> list[ArchitectureSolution] | None:
+def _valid_solutions(raws: list, paths: PathResolver | None) -> list[ArchitectureSolution] | None:
     """The solutions of ``raws`` if every one of them passes each check of
     ``_parse_solution`` and warns of nothing, else None.
 
@@ -303,17 +287,17 @@ def _valid_solutions(raws: list, resolve: Resolve | None) -> list[ArchitectureSo
     except (UnicodeEncodeError, OverflowError):  # a lone surrogate; an int past float range
         return None
     if nodes.count(None) < len(nodes):
-        if resolve is None:
+        if paths is None:
             return None
         try:
-            sequences = [resolve(n) if s is None else s for s, n in zip(sequences, nodes)]
+            sequences = [paths.sequence(n) if s is None else s for s, n in zip(sequences, nodes)]
         except (UnknownNodeError, UnreachableNodeError):
             return None
     return list(map(ArchitectureSolution, ids, objectives, sequences))
 
 
 def _parse_solution(
-    raw: object, where: str, resolve: Resolve | None, steps: Steps, warnings: list[str]
+    raw: object, where: str, paths: PathResolver | None, steps: Steps, warnings: list[str]
 ) -> ArchitectureSolution:
     """The solution of ``raw``, checked field by field in document order, so
     that the first bad field fails, or a stray one warns, at its JSON path."""
@@ -331,12 +315,12 @@ def _parse_solution(
         raise BundleError(f"{where}: solution {sol_id!r} has both 'sequence' and 'node'")
     if has_node:
         node = _require(raw, "node", str, where)
-        if resolve is None:
+        if paths is None:
             raise BundleError(
                 f"{where}.node: solution {sol_id!r} references a node but the bundle has no tree"
             )
         try:
-            sequence = resolve(node)
+            sequence = paths.sequence(node)
         except UnknownNodeError:
             raise BundleError(f"{where}.node: unknown node {node!r}") from None
         except UnreachableNodeError as exc:

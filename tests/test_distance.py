@@ -350,6 +350,35 @@ def test_simargs_table_matches_full_dp_oracle(args):
     assert table.tolist() == [[simargs(a, b) for b in args] for a in args]
 
 
+def test_simargs_table_matches_simargs_across_row_blocks():
+    # Arity classes of 63, 64, 65 and 129 tuples span one to three row
+    # blocks; the empty tuple and a lone arity-5 tuple take the skip for a
+    # tuple alone in its arity. Tokens from three values repeat tuples.
+    rng = random.Random(29)
+    arities = [1] * 63 + [2] * 64 + [3] * 65 + [4] * 129
+    args = [tuple(rng.randrange(3) for _ in range(la)) for la in arities]
+    args += [(), (0, 1, 2, 0, 1), (0, 1), (2, 2, 2, 2)]
+    rng.shuffle(args)
+    table = distance._simargs_table(args)
+    for a, row in zip(args, table.tolist()):
+        for b, entry in zip(args, row):
+            assert entry == distance._simargs(a, b)
+
+
+def test_distance_bound_covers_every_accepted_weight_pair():
+    # These weights sum to 1 + 9.8e-13, which DistanceWeights accepts; over
+    # 3 000 positions that all differ, the distance passes 3 000 + 1e-9.
+    w = DistanceWeights(0.5 + 4.9e-13, 0.5 + 4.9e-13)
+    a = make_solution("a", steps=[make_step("x", ("p",))] * 3000)
+    b = make_solution("b", steps=[make_step("y", ("q",))] * 3000)
+    want = sequence_distance(a.sequence, b.sequence, w)
+    assert want > 3000 + 1e-9
+    s = make_set(solutions=(a, b))
+    assert distance_matrix(s, w).values[0, 1] == want
+    squares, _, _ = joint_squares([s], w)
+    assert squares.squares[0, 1] == want * want
+
+
 def all_distinct_sets(n, length=5):
     """Two sets of ``n`` solutions in which every step has its own first argument."""
     return [

@@ -21,7 +21,7 @@ from archspread.io import (
     write_report,
 )
 from archspread.indicators import CorrelationStats, IndicatorResult
-from archspread.model import ArchitectureSolution, SolutionSet, TransformationStep
+from archspread.model import ArchitectureSolution, SearchTree, SolutionSet, TransformationStep
 from archspread.projection import Projection2D
 from archspread.synth import generate_sets, generate_tree
 
@@ -108,20 +108,28 @@ def test_unreachable_node_reference_names_json_path():
 
 
 def test_tree_is_walked_once_and_only_for_node_references(monkeypatch):
-    built = []
+    # Each BFS over the tree starts from its adjacency map, so count those.
+    walks = []
+    children = SearchTree.children
 
-    class CountingResolver(bundle_io.PathResolver):
-        def __init__(self, tree):
-            built.append(tree)
-            super().__init__(tree)
+    def counting_children(tree):
+        walks.append(tree)
+        return children(tree)
 
-    monkeypatch.setattr(bundle_io, "PathResolver", CountingResolver)
+    monkeypatch.setattr(SearchTree, "children", counting_children)
     parse_bundle(json.dumps(TREE_DOC))
-    assert len(built) == 1
+    assert len(walks) == 1
+    # A second set that warns is parsed solution by solution, by the same walk.
+    doc = json.loads(json.dumps(TREE_DOC))
+    doc["sets"].append(json.loads(json.dumps(doc["sets"][0])))
+    doc["sets"][1]["label"] = "t"
+    doc["sets"][1]["solutions"][0]["note"] = "stray"
+    assert parse_bundle(json.dumps(doc)).warnings
+    assert len(walks) == 2
     explicit = json.loads(json.dumps(MINIMAL))
     explicit["tree"] = TREE_DOC["tree"]
     parse_bundle(json.dumps(explicit))
-    assert len(built) == 1
+    assert len(walks) == 2
 
 
 def test_both_sequence_and_node_is_error():
