@@ -187,10 +187,10 @@ def _analyze(
     Each layer is computed once. MAS needs only each solution's
     eccentricity. Without a map they come from the within-set distances,
     block by block. With one, the joint matrix over one solution per
-    distinct sequence of all sets is computed once, into squares that MDS
-    centres in place; each set's eccentricities are taken as its blocks are
-    filled, and MDS gives solution ``i`` of all sets, in order, the point of
-    its row.
+    distinct sequence of all sets is computed once and squared, and MDS
+    centres the squared matrix in place; each set's eccentricities are taken
+    as its blocks are filled, and MDS gives solution ``i`` of all sets, in
+    order, the point of its row.
     """
     bundle, w = _load(args)
     sets = list(bundle.sets)

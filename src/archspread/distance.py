@@ -358,27 +358,9 @@ def within_set_eccentricities(sets: Sequence[SolutionSet], w: DistanceWeights) -
     return eccentricities
 
 
-class JointSquares(_Record):
-    """The squared joint matrix, which ``mds_project`` centres in place.
-
-    ``squares`` is the writeable m x m array of squared distances among the
-    distinct rows. The distances themselves are not kept: ``mds_project``
-    takes them back from the centred matrix for the stress.
-    """
-
-    __slots__ = __match_args__ = ("squares",)
-    squares: np.ndarray
-
-    def __init__(self, squares) -> None:
-        self._fill(squares)
-
-    def __len__(self) -> int:
-        return len(self.squares)
-
-
 def joint_squares(
     sets: Sequence[SolutionSet], w: DistanceWeights
-) -> tuple[JointSquares, np.ndarray, list[np.ndarray]]:
+) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
     """The squared joint matrix, each solution's row in it, and each set's eccentricities.
 
     The joint matrix has one row per distinct sequence of all sets, for the
@@ -391,8 +373,10 @@ def joint_squares(
     are the row maxima within the columns of the rows the set uses. Then the
     block is squared in place. Symmetry is not checked: every position's
     table is symmetric, so every sum of gathers from them is. Each block is
-    filled once, and the position tables are dropped on return: the stress
-    takes its distances back from the centred squares.
+    filled once, and the position tables are dropped on return. The squared
+    matrix is returned as the writeable m x m float64 array it was filled
+    in, for ``mds_project`` to centre in place and take the stress's
+    distances back from.
     """
     ids, steps = _step_ids(sol for s in sets for sol in s.solutions)
     # Each row's first occurrence: in order, they are the distinct rows.
@@ -417,4 +401,4 @@ def joint_squares(
             block[:, group].max(axis=1, initial=0.0, out=rowmax[blk])
         block *= block
     eccentricities = [rowmax[rows] for rowmax, rows in zip(maxima, own)]
-    return JointSquares(squares), index, eccentricities
+    return squares, index, eccentricities

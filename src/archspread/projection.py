@@ -6,7 +6,7 @@ import math
 from typing import Sequence
 
 from ._lazy import np
-from .distance import DistanceMatrix, JointSquares, _row_blocks
+from .distance import DistanceMatrix, _row_blocks
 from .model import _Record
 
 
@@ -102,7 +102,7 @@ def _top_two_lanczos(b: np.ndarray, evals: np.ndarray) -> np.ndarray | None:
 
 
 def mds_project(
-    dm: DistanceMatrix | JointSquares, index: Sequence[int] | None = None
+    dm: DistanceMatrix | np.ndarray, index: Sequence[int] | None = None
 ) -> Projection2D:
     """Embed via double-centering and the top-2 non-negative eigenpairs.
 
@@ -124,19 +124,24 @@ def mds_project(
     signs are fixed by making positive the first coordinate of each axis that
     is not zero up to rounding, so output is fully deterministic.
 
-    ``dm`` is a ``DistanceMatrix``, or the ``JointSquares`` of
-    ``distance.joint_squares``; for either, the weights are the counts of
-    ``index``. It holds one n x n array, ``b`` (and the eigenvectors while
-    ``eigh`` runs), then blocks of rows: ``b`` is a copy of ``dm.values``
-    squared, or the joint squares themselves, which are used up. Either way
-    the stress takes its distances back from the centred ``b``, block by
-    block. Each d² comes back within a few ulps of the largest one, and at
-    exactly 0 where that is rounding: for each row with itself, and for two
-    rows with equal distances.
+    ``dm`` is a ``DistanceMatrix``, or the squared matrix of
+    ``distance.joint_squares``: a writeable square float64 array of squared
+    distances. For either, the weights are the counts of ``index``. It holds
+    one n x n array, ``b`` (and the eigenvectors while ``eigh`` runs), then
+    blocks of rows: ``b`` is a copy of ``dm.values`` squared, or the squared
+    matrix itself, which is used up. Either way the stress takes its
+    distances back from the centred ``b``, block by block. Each d² comes
+    back within a few ulps of the largest one, and at exactly 0 where that
+    is rounding: for each row with itself, and for two rows with equal
+    distances.
 
-    Raises ``ValueError`` when ``dm`` is empty, or ``index`` is not a 1-D
-    integer array of rows of ``dm`` that names every row.
+    Raises ``ValueError`` when ``dm`` is neither, or empty, or ``index`` is
+    not a 1-D integer array of rows of ``dm`` that names every row.
     """
+    square = isinstance(dm, np.ndarray) and dm.ndim == 2 and dm.shape[0] == dm.shape[1]
+    if not (isinstance(dm, DistanceMatrix) or square and dm.dtype == np.float64):
+        got = f"{dm.dtype} array of shape {dm.shape}" if isinstance(dm, np.ndarray) else type(dm).__name__
+        raise ValueError(f"dm must be a DistanceMatrix or a square float64 array, got {got}")
     n = len(dm)
     if n == 0:
         raise ValueError("cannot project an empty distance matrix")
@@ -153,7 +158,7 @@ def mds_project(
         # One distinct point; repeated, it is a degenerate map.
         return Projection2D(((0.0, 0.0),) * len(index), 0.0, 1.0, _DEGENERATE if total > 1 else ())
     # The one n x n buffer, centred in place below.
-    b = dm.values * dm.values if isinstance(dm, DistanceMatrix) else dm.squares
+    b = dm.values * dm.values if isinstance(dm, DistanceMatrix) else dm
     # The weighted row sums of the squares give the centring means and the
     # stress denominator.
     sums = np.empty(n)
@@ -173,7 +178,7 @@ def mds_project(
         evals, evecs = np.linalg.eigh(b)
         top_vectors = evecs[:, :-3:-1].copy()
         del evecs
-    b.flags.writeable = False  # a JointSquares' squares are used up: projecting them again fails
+    b.flags.writeable = False  # a squared matrix is used up: projecting it again fails
     top_vectors /= root[:, None]
 
     diagnostics: tuple[str, ...] = ()

@@ -91,6 +91,28 @@ def test_validate_rejects_broken_bundle(tmp_path, capsys):
     assert main(["validate", str(path)]) == 1
 
 
+def test_solution_with_three_known_keys_but_no_id_fails_at_its_id(tmp_path, capsys):
+    # Three keys, all known: the fast check passes them, then finds no id.
+    solution = {"objectives": [0.0], "sequence": [], "node": "n1"}
+    doc = {
+        "name": "x",
+        "tree": {
+            "root": "n0",
+            "nodes": ["n0", "n1"],
+            "edges": [{"from": "n0", "to": "n1", "step": {"name": "r", "args": []}}],
+        },
+        "sets": [{"label": "s", "objective_names": ["f0"], "solutions": [solution]}],
+    }
+    message = "$.sets[0].solutions[0].id: missing required field"
+    with pytest.raises(ValueError) as excinfo:
+        parse_bundle(json.dumps(doc))
+    assert str(excinfo.value) == message
+    path = tmp_path / "no_id.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 INVARIANT_VIOLATIONS = (
     "solution 'a': duplicate id",
     "solution 'b': 2 objectives, expected 1",

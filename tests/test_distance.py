@@ -376,7 +376,7 @@ def test_distance_bound_covers_every_accepted_weight_pair():
     s = make_set(solutions=(a, b))
     assert distance_matrix(s, w).values[0, 1] == want
     squares, _, _ = joint_squares([s], w)
-    assert squares.squares[0, 1] == want * want
+    assert squares[0, 1] == want * want
 
 
 def all_distinct_sets(n, length=5):
@@ -408,7 +408,7 @@ def test_all_distinct_steps_entries_equal_sequence_distance():
     )
     squares, index, _ = joint_squares(sets, W)
     assert index.tolist() == list(range(len(solutions)))
-    assert np.array_equal(squares.squares, want**2)
+    assert np.array_equal(squares, want**2)
 
 
 def test_all_distinct_steps_indicators_finish_in_time(tmp_path):

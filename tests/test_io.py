@@ -813,6 +813,18 @@ def test_enclosing_circle_of_an_outward_spiral_in_time():
     assert all(math.hypot(x - cx, y - cy) <= r * (1 + 1e-12) for x, y in points)
 
 
+def test_circumcircle_of_collinear_points_is_the_widest_two_point_circle():
+    assert bundle_io._circumcircle((0.0, 0.0), (1.0, 0.0), (3.0, 0.0)) == (1.5, 0.0, 1.5)
+
+
+@given(st.lists(st.floats(-1e3, 1e3), min_size=3, max_size=30), st.floats(-1e3, 1e3))
+def test_enclosing_circle_of_points_on_a_horizontal_line_spans_them(xs, y):
+    points = [(x, y) for x in xs]
+    cx, cy, r = bundle_io._min_enclosing_circle(points)
+    assert math.isclose(r, (max(xs) - min(xs)) / 2, rel_tol=1e-12, abs_tol=1e-9)
+    assert all(math.hypot(x - cx, y - cy) <= r + 1e-9 for x, y in points)
+
+
 def test_svg_requires_points():
     with pytest.raises(ValueError):
         emit_scatter_svg([], Projection2D((), 0.0, 1.0), [])

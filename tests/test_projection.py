@@ -333,6 +333,22 @@ def test_two_distinct_points_five_times_match_the_repeated_matrix():
 
 
 @pytest.mark.parametrize(
+    "dm, message",
+    [
+        ([[0.0, 1.0], [1.0, 0.0]], "float64 array, got list$"),
+        (np.zeros(3), r"float64 array, got float64 array of shape \(3,\)$"),
+        (np.zeros((3, 4)), r"float64 array, got float64 array of shape \(3, 4\)$"),
+        (np.zeros((3, 3), dtype=np.int64), r"float64 array, got int64 array of shape \(3, 3\)$"),
+        (np.zeros((0, 0)), "^cannot project an empty distance matrix$"),
+    ],
+    ids=["list", "1-D", "3x4", "int64", "empty"],
+)
+def test_anything_but_a_distance_matrix_or_a_square_float64_array_is_rejected(dm, message):
+    with pytest.raises(ValueError, match=message):
+        mds_project(dm)
+
+
+@pytest.mark.parametrize(
     "size, index, message",
     [
         (0, None, "empty distance matrix"),

@@ -155,7 +155,7 @@ def test_joint_pass_matches_the_matrix_and_each_sets_sweep_at_block_boundaries(m
     assert [list(first)[row] for row in index] == [sol.sequence for sol in solutions]
     for got, own in zip(eccentricities, within_set_eccentricities(sets, W), strict=True):
         assert np.array_equal(got, own)
-    assert np.array_equal(squares.squares, want.values * want.values)
+    assert np.array_equal(squares, want.values * want.values)
     got, want = mds_project(squares, index), mds_project(want, index)
     assert got.coords == want.coords
     assert got.eigenvalue_share == want.eigenvalue_share
@@ -189,6 +189,32 @@ def test_distance_matrix_check_sees_an_asymmetry_in_any_block(i, j):
     ids = tuple(f"p{k}" for k in range(n))
     with pytest.raises(ValueError, match=rf"^asymmetry at \('p{i}', 'p{j}'\)$"):
         DistanceMatrix(ids, values, 1)
+
+
+@pytest.mark.parametrize(
+    "column, value, message",
+    [
+        (0, math.nan, r"joint distance out of \[0, L\]"),
+        (0, -1.0, r"joint distance out of \[0, L\]"),
+        (_ROW_BLOCK, 0.5, "nonzero joint diagonal"),
+    ],
+    ids=["nan", "negative", "diagonal"],
+)
+def test_joint_pass_names_the_row_block_of_a_bad_entry(monkeypatch, column, value, message):
+    m = 2 * _ROW_BLOCK + 1
+    solutions = tuple(
+        make_solution(f"p{k}", steps=[make_step(args=(f"a{k}",))]) for k in range(m)
+    )
+    kernel = distance._kernel
+
+    def planted(columns, rows, blk, out):
+        kernel(columns, rows, blk, out)
+        if blk.start == _ROW_BLOCK:
+            out[0, column] = value  # row 64; column 64 is its diagonal
+
+    monkeypatch.setattr(distance, "_kernel", planted)
+    with pytest.raises(ValueError, match=rf"^{message} in rows 64\.\.127$"):
+        joint_squares([make_set(solutions=solutions)], W)
 
 
 def extra_peak(fn):
@@ -264,7 +290,7 @@ def test_numeric_layers_hold_one_n_by_n_work_array(synth_2000, tmp_path, monkeyp
     m = len({sol.sequence for sol in everything.solutions})
     assert m == 1753
     (squares, index, _), peak = extra_peak(lambda: joint_squares(sets, W))
-    assert squares.squares.shape == (m, m)
+    assert squares.shape == (m, m)
     assert peak <= 1.3 * m * m * 8  # the squares themselves, then blocks of rows
     _, peak = extra_peak(lambda: mds_project(squares, index))
     assert peak <= 1.3 * m * m * 8  # b in the squares, then blocks of rows

@@ -3,6 +3,7 @@ import statistics
 
 import pytest
 
+import archspread.synth as synth
 from archspread.distance import DistanceWeights, distance_matrix
 from archspread.encoding import build_encoding
 from archspread.indicators import max_architectural_spread
@@ -43,6 +44,27 @@ def test_generate_sets_determinism():
     a = generate_sets(tree, seed=5, k_sets=2, n_per_set=6)
     b = generate_sets(tree, seed=5, k_sets=2, n_per_set=6)
     assert a == b
+
+
+def test_clustered_sets_fall_back_to_all_nodes_once_their_cluster_is_exhausted(monkeypatch):
+    tree = generate_tree(seed=3, depth=3, branching=2, name_vocab=3, arg_vocab=4)
+    adj = tree.children()
+    clusters = [set(synth._subtree_nodes(root, adj)) for root, _ in adj[tree.root_id]]
+    assert max(map(len, clusters)) == 7  # fewer than a set asks for
+    asked = []
+
+    class Recording(synth.PathResolver):
+        def sequence(self, node):
+            asked.append(node)
+            return super().sequence(node)
+
+    monkeypatch.setattr(synth, "PathResolver", Recording)
+    a = generate_sets(tree, seed=5, k_sets=2, n_per_set=10, dispersion=0.0)
+    assert [len(s.solutions) for s in a] == [10, 10]
+    for nodes in (set(asked[:10]), set(asked[10:20])):
+        assert len(nodes) == 10
+        assert not any(nodes <= cluster for cluster in clusters)
+    assert generate_sets(tree, seed=5, k_sets=2, n_per_set=10, dispersion=0.0) == a
 
 
 def test_generate_sets_insufficient_nodes():
