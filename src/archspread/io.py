@@ -424,7 +424,7 @@ def write_bundle(bundle: AnalysisBundle) -> str:
     ]
     if bundle.provenance:
         doc["provenance"] = bundle.provenance
-    return json.dumps(doc, indent=2, sort_keys=False) + "\n"
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
 def write_report(
@@ -437,7 +437,8 @@ def write_report(
     """Serialize indicator results, and the map of ``sets`` if any, to named documents.
 
     Returns a mapping from logical document name to text: {"report": json}
-    for JSON, or {"summary": csv, "points": csv} for CSV.
+    for JSON, or {"summary": csv, "points": csv} for CSV. A NaN or infinite
+    number raises ``ValueError``: JSON has no literal for it.
     """
     if not results:
         raise ValueError("results must be non-empty")
@@ -513,7 +514,7 @@ def _json_report(
             }
             for label in points
         }
-    pieces = json.dumps(doc, indent=2).split('"points": []')
+    pieces = json.dumps(doc, indent=2, allow_nan=False).split('"points": []')
     return "".join(chain.from_iterable(zip(pieces, points.values()))) + pieces[-1] + "\n"
 
 
@@ -522,15 +523,16 @@ def _points_json(rows: list[tuple[str, float, float]]) -> str:
 
     One f-string per point: string ids and finite float coordinates are
     written as the encoder writes them, without its pure-Python indenting;
-    anything else goes through ``json.dumps``.
+    anything else goes through ``json.dumps``, which refuses NaN and infinity.
     """
 
-    def number(v: object) -> str:
-        return float.__repr__(v) if v.__class__ is float and math.isfinite(v) else json.dumps(v)
+    def value(v: object) -> str:
+        finite = v.__class__ is float and math.isfinite(v)
+        return float.__repr__(v) if finite else json.dumps(v, allow_nan=False)
 
     items = ",\n        ".join(
-        f'{{\n          "id": {_ascii(i) if i.__class__ is str else json.dumps(i)},\n'
-        f'          "x": {number(x)},\n          "y": {number(y)}\n        }}'
+        f'{{\n          "id": {_ascii(i) if i.__class__ is str else value(i)},\n'
+        f'          "x": {value(x)},\n          "y": {value(y)}\n        }}'
         for i, x, y in rows
     )
     return f'"points": [\n        {items}\n      ]' if rows else '"points": []'

@@ -17,6 +17,7 @@ import pytest
 
 import archspread.cli as cli
 import archspread.indicators as indicators
+from archspread._lazy import lazy_import
 from archspread.cli import main
 from archspread.distance import DistanceWeights, distance_matrix
 from archspread.indicators import indicators_from_eccentricities, spread_correlation
@@ -465,6 +466,15 @@ def test_synth_flag_out_of_range_is_usage_error(tmp_path, capsys, flag, value):
     assert not out.exists()
 
 
+def test_synth_count_that_is_not_an_integer_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "b.json"
+    with pytest.raises(SystemExit) as excinfo:
+        main(["synth", "--sets", "x", "--n", "3", "--seed", "1", "-o", str(out)])
+    assert excinfo.value.code == 2
+    assert "argument --sets: not an integer: 'x'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "command",
     [
@@ -722,6 +732,32 @@ def test_validate_and_synth_load_no_numpy(bundle_path, tmp_path):
     assert out.strip().splitlines()[-2:] == ["[]", "True"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compare", "--svg", "m.svg", "-o", "r.json"],
+        ["indicators", "--format", "csv", "-o", "r.csv"],
+    ],
+    ids=["compare", "indicators-csv"],
+)
+def test_numeric_commands_load_numpy_but_not_numpy_ma(tmp_path, argv):
+    # numpy.ma takes 11-17 ms to import, and np.unique without return_inverse
+    # imports it. A lazy module's class is ModuleType again once its code has run.
+    bundle = tmp_path / "b.json"
+    assert main(["synth", "--sets", "2", "--n", "20", "--seed", "3", "-o", str(bundle)]) == 0
+    command, *flags = argv
+    code = (
+        "import sys, types; from archspread.cli import main; "
+        f"assert main({[command, str(bundle), *flags]!r}) == 0; "
+        "print(type(sys.modules['numpy']) is types.ModuleType, 'numpy.ma' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=child_env(), cwd=tmp_path, capture_output=True, text=True, check=True,
+    ).stdout
+    assert out.strip().splitlines()[-1] == "True False"
+
+
 def test_validate_and_synth_run_no_numeric_layer_code(bundle_path, tmp_path):
     # The layer modules are registered at import, for tools that look them up
     # in sys.modules, but no frame of their code runs.
@@ -766,6 +802,14 @@ def test_validate_and_synth_run_only_modules_that_bind_no_numpy(bundle_path, tmp
     modules += ["archspread.io", "archspread.model", "archspread.synth"]
     assert ran == repr(modules)
     assert binding == "['archspread._lazy']"
+
+
+def test_lazy_import_keeps_a_loaded_module_and_fails_on_a_missing_one():
+    assert lazy_import("json") is json
+    with pytest.raises(ModuleNotFoundError, match="'archspread_no_such_module'") as excinfo:
+        lazy_import("archspread_no_such_module")
+    assert excinfo.value.name == "archspread_no_such_module"
+    assert "archspread_no_such_module" not in sys.modules
 
 
 def benchmark_trace_targets():

@@ -432,13 +432,17 @@ hyp_sequences = st.lists(st.lists(hyp_steps, max_size=5), min_size=1, max_size=1
 
 @given(hyp_sequences, st.floats(0.0, 1.0), st.data())
 def test_position_tables_and_kernel_blocks_are_symmetric(sequences, w_pred, data):
-    # The joint pass for mds and compare does not check symmetry: it holds
-    # because every position's table is symmetric, which this pins.
+    # The joint pass for mds and compare checks no range, diagonal or
+    # symmetry: each holds for every sum of gathers because it holds for
+    # every position's table, which this pins.
     w = DistanceWeights(w_pred, 1.0 - w_pred)
     solutions = [make_solution(f"s{i}", steps=seq) for i, seq in enumerate(sequences)]
     ids, steps = distance._step_ids(solutions)
     columns = distance._column_tables(ids, steps, w)
     for _, table in columns:
+        assert table.min() >= 0.0
+        assert table.max() <= max(1.0, w.w_pred + w.w_args)
+        assert not table.diagonal().any()
         assert np.array_equal(table, table.T)
 
     n = len(solutions)

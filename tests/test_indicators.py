@@ -34,6 +34,11 @@ def test_ms_singleton_is_zero():
     assert max_spread(make_set(solutions=(make_solution("a", objectives=(3.0,)),))) == 0.0
 
 
+def test_ms_of_an_empty_set_is_refused():
+    with pytest.raises(ValueError, match=r"^empty solution set$"):
+        max_spread(make_set())
+
+
 def test_ms_three_four_five():
     s = make_set(
         objective_names=("f0", "f1"),

@@ -20,7 +20,8 @@ from archspread.io import (
     write_bundle,
     write_report,
 )
-from archspread.indicators import CorrelationStats, IndicatorResult
+from archspread.distance import DistanceWeights
+from archspread.indicators import CorrelationStats, IndicatorResult, indicators_for
 from archspread.model import ArchitectureSolution, SearchTree, SolutionSet, TransformationStep
 from archspread.projection import Projection2D
 from archspread.synth import generate_sets, generate_tree
@@ -748,6 +749,36 @@ def test_write_report_rejects_empty_results():
         write_report([], None)
 
 
+def test_write_report_rejects_an_unknown_format():
+    with pytest.raises(ValueError, match=r"^unknown format 'xml'$"):
+        write_report([make_result()], None, format="xml")
+
+
+@pytest.mark.parametrize(
+    "objectives", [((math.nan,), (0.0,)), ((-1e308,), (1e308,))], ids=["nan", "past-max-float"]
+)
+def test_report_refuses_numbers_that_json_cannot_hold(objectives):
+    # A library caller that skips validate_solution_set can get a NaN MS, or
+    # an infinite one from a range past the largest float. JSON has no
+    # literal for either, so the writer raises rather than emit invalid JSON.
+    solutions = tuple(ArchitectureSolution(f"a{k}", o) for k, o in enumerate(objectives))
+    solution_set = SolutionSet("s", ("f0",), solutions)
+    (result,) = indicators_for([solution_set], DistanceWeights())
+    assert not math.isfinite(result.ms)
+    with pytest.raises(ValueError, match="JSON compliant"):
+        write_report([result], None, format="json")
+    placed = Projection2D(((result.ms, 0.0), (0.0, 0.0)), 0.0, 1.0)
+    with pytest.raises(ValueError, match="JSON compliant"):
+        write_report([make_result()], None, [solution_set], placed, format="json")
+
+
+@pytest.mark.parametrize("objective", [math.nan, math.inf])
+def test_bundle_writer_refuses_numbers_that_json_cannot_hold(objective):
+    solution_set = SolutionSet("s", ("f0",), (ArchitectureSolution("a", (objective,)),))
+    with pytest.raises(ValueError, match="JSON compliant"):
+        write_bundle(AnalysisBundle("x", (solution_set,)))
+
+
 def test_svg_single_point():
     svg = emit_scatter_svg(*make_map(["only"], ids=("a",)), [make_result("only")])
     root = ET.fromstring(svg)
@@ -811,6 +842,10 @@ def test_enclosing_circle_of_an_outward_spiral_in_time():
     assert time.perf_counter() - start < n * 0.05e-3
     assert r <= n
     assert all(math.hypot(x - cx, y - cy) <= r * (1 + 1e-12) for x, y in points)
+
+
+def test_enclosing_circle_of_no_points_is_the_zero_circle():
+    assert bundle_io._min_enclosing_circle([]) == (0.0, 0.0, 0.0)
 
 
 def test_circumcircle_of_collinear_points_is_the_widest_two_point_circle():
@@ -919,7 +954,7 @@ def test_writers_keep_their_bytes_on_a_map_built_by_hand():
 )
 def test_report_points_are_written_as_json_dumps_writes_them(maps):
     # Labels may read '"points": []'; ids may need escapes; points may be
-    # NaN, infinite, -0.0 or ints.
+    # -0.0 or ints, or NaN or infinite, which JSON cannot hold.
     sets = [
         SolutionSet(label, ("f0",), tuple(ArchitectureSolution(i, (0.0,)) for i, _, _ in rows))
         for label, rows in maps
@@ -934,5 +969,10 @@ def test_report_points_are_written_as_json_dumps_writes_them(maps):
         }
         for label, rows in maps
     }
-    want = json.dumps(doc, indent=2) + "\n"
+    try:
+        want = json.dumps(doc, indent=2, allow_nan=False) + "\n"
+    except ValueError:
+        with pytest.raises(ValueError, match="JSON compliant"):
+            write_report([make_result()], None, sets, proj)
+        return
     assert write_report([make_result()], None, sets, proj)["report"] == want

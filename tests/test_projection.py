@@ -286,6 +286,28 @@ def test_lanczos_coordinates_match_the_eigh_path(branches, monkeypatch):
     assert got.eigenvalue_share == pytest.approx(want.eigenvalue_share, rel=0, abs=1e-15)
 
 
+def test_lanczos_that_does_not_converge_falls_back_to_eigh(branches):
+    # A centred B = Q diag(lam) Q^T whose top gaps clear the gate, with the
+    # rest of the spectrum packed just below them: Lanczos does not pin the
+    # top two pairs down within its steps, so it is rejected, not trusted.
+    n = 300
+    g = np.random.default_rng(0).standard_normal((n, n - 1))
+    q, _ = np.linalg.qr(g - g.mean(axis=0))  # Q^T 1 = 0
+    lam = np.concatenate([[1.0, 1 - 1.5e-3, 1 - 3e-3], np.linspace(1 - 3.1e-3, 0.5, n - 4)])
+    b = (q * lam) @ q.T
+    b = (b + b.T) / 2
+    diag = np.diagonal(b)
+    d = np.sqrt(np.clip(diag[:, None] + diag[None, :] - 2 * b, 0.0, None))
+    evals, evecs = np.linalg.eigh(b)
+    assert min(evals[-1] - evals[-2], evals[-2] - evals[-3]) > projection._GAP * evals[-1]
+
+    proj = mds_project(DistanceMatrix(tuple(f"p{i}" for i in range(n)), d, math.ceil(d.max())))
+    assert branches == {"lanczos": 0, "eigh": 1}
+    want = evecs[:, :-3:-1] * np.sqrt(evals[:-3:-1])
+    want *= np.sign(want[0])  # the sign rule: each axis's first coordinate is far from 0
+    assert np.max(np.abs(np.array(proj.coords) - want)) <= 1e-10
+
+
 def expanded(dm, index):
     """``dm`` with row and column ``index[i]`` as row and column ``i``."""
     ids = tuple(f"{dm.ids[a]}.{k}" for k, a in enumerate(index))

@@ -191,32 +191,6 @@ def test_distance_matrix_check_sees_an_asymmetry_in_any_block(i, j):
         DistanceMatrix(ids, values, 1)
 
 
-@pytest.mark.parametrize(
-    "column, value, message",
-    [
-        (0, math.nan, r"joint distance out of \[0, L\]"),
-        (0, -1.0, r"joint distance out of \[0, L\]"),
-        (_ROW_BLOCK, 0.5, "nonzero joint diagonal"),
-    ],
-    ids=["nan", "negative", "diagonal"],
-)
-def test_joint_pass_names_the_row_block_of_a_bad_entry(monkeypatch, column, value, message):
-    m = 2 * _ROW_BLOCK + 1
-    solutions = tuple(
-        make_solution(f"p{k}", steps=[make_step(args=(f"a{k}",))]) for k in range(m)
-    )
-    kernel = distance._kernel
-
-    def planted(columns, rows, blk, out):
-        kernel(columns, rows, blk, out)
-        if blk.start == _ROW_BLOCK:
-            out[0, column] = value  # row 64; column 64 is its diagonal
-
-    monkeypatch.setattr(distance, "_kernel", planted)
-    with pytest.raises(ValueError, match=rf"^{message} in rows 64\.\.127$"):
-        joint_squares([make_set(solutions=solutions)], W)
-
-
 def extra_peak(fn):
     """``fn()`` and the most memory it held at once beyond what was allocated before it."""
     tracemalloc.start()

@@ -73,6 +73,13 @@ def test_generate_sets_insufficient_nodes():
         generate_sets(tree, seed=1, k_sets=1, n_per_set=10)
 
 
+@pytest.mark.parametrize("dispersion", [-0.1, 1.5, math.nan])
+def test_generate_sets_rejects_dispersion_outside_unit_interval(dispersion):
+    tree = generate_tree(seed=1, depth=2, branching=2, name_vocab=2, arg_vocab=2)
+    with pytest.raises(ValueError, match=r"^dispersion must lie in \[0, 1\]$"):
+        generate_sets(tree, seed=1, k_sets=1, n_per_set=2, dispersion=dispersion)
+
+
 def test_singleton_set_has_zero_mas():
     tree = generate_tree(seed=2, depth=3, branching=2, name_vocab=3, arg_vocab=3)
     (s,) = generate_sets(tree, seed=2, k_sets=1, n_per_set=1)
