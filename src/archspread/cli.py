@@ -46,8 +46,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (bundle_io.BundleError, ValueError, KeyError, OSError) as exc:
+    except (ValueError, KeyError, OSError) as exc:  # BundleError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # numpy's message names the size and shape
+        print("error: not enough memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
         return 1
 
 

@@ -76,21 +76,16 @@ def max_spread(solution_set: SolutionSet) -> float:
     return math.hypot(*ranges.tolist())
 
 
-def max_architectural_spread(
-    dm: DistanceMatrix,
-    max_d_override: float | None = None,
-    all_pairs: bool = False,
-) -> float:
+def max_architectural_spread(dm: DistanceMatrix, all_pairs: bool = False) -> float:
     """Normalized root-mean-square of per-solution eccentricities, in [0, 1].
 
     The eccentricity of a solution is its maximum distance to any other
     solution in the set. With ``all_pairs=True`` every solution's summand is
     replaced by the global maximum pairwise distance (compatibility reading;
     it saturates at 1 as soon as any single pair attains ``max_d``). The scale
-    ``max_d`` is ``dm.l_pad`` unless ``max_d_override`` is given.
+    ``max_d`` is ``dm.l_pad``.
     """
-    max_d = float(dm.l_pad if max_d_override is None else max_d_override)
-    return mas_from_eccentricities(dm.values.max(axis=1, initial=0.0), max_d, all_pairs)
+    return mas_from_eccentricities(dm.values.max(axis=1, initial=0.0), float(dm.l_pad), all_pairs)
 
 
 def mas_from_eccentricities(ecc: np.ndarray, max_d: float, all_pairs: bool = False) -> float:

@@ -6,7 +6,7 @@ import math
 from typing import Sequence
 
 from ._lazy import np
-from .distance import DistanceMatrix, _row_blocks
+from .distance import _row_blocks
 from .model import _Record
 
 
@@ -101,21 +101,28 @@ def _top_two_lanczos(b: np.ndarray, evals: np.ndarray) -> np.ndarray | None:
     return None
 
 
-def mds_project(
-    dm: DistanceMatrix | np.ndarray, index: Sequence[int] | None = None
-) -> Projection2D:
+def mds_project(squares: np.ndarray, index: Sequence[int] | None = None) -> Projection2D:
     """Embed via double-centering and the top-2 non-negative eigenpairs.
 
-    Point ``i`` of the map is row ``index[i]`` of ``dm`` (default: one point
-    per row), so row ``a`` stands for as many identical points as ``index``
-    names it. The map is that of the matrix with every row repeated that
-    often, computed on ``dm`` alone (weighted classical MDS, Gower 1966):
-    centring uses weighted means, the eigenpairs are those of W^½ B W^½ with
-    W the diagonal of ``np.bincount(index)``, and the vectors are mapped back
-    through W^-½. The repeated matrix has the same nonzero eigenvalues, so
-    the same share, and the stress weighs each pair by ``w_a * w_b``. With
-    unit weights every extra operation multiplies or divides by 1.0, which
-    changes nothing.
+    ``squares`` is a writeable square float64 array of squared distances:
+    the one ``distance.joint_squares`` returns, or ``dm.values * dm.values``
+    of a ``DistanceMatrix``. It is the one n x n array held (beside the
+    eigenvectors while ``eigh`` runs), then blocks of rows: it is centred in
+    place and so used up, and the stress takes its distances back from it,
+    block by block. Each d² comes back within a few ulps of the largest one,
+    and at exactly 0 where that is rounding: for each row with itself, and
+    for two rows with equal distances.
+
+    Point ``i`` of the map is row ``index[i]`` of ``squares`` (default: one
+    point per row), so row ``a`` stands for as many identical points as
+    ``index`` names it. The map is that of the matrix with every row
+    repeated that often, computed on ``squares`` alone (weighted classical
+    MDS, Gower 1966): centring uses weighted means, the eigenpairs are those
+    of W^½ B W^½ with W the diagonal of ``np.bincount(index)``, and the
+    vectors are mapped back through W^-½. The repeated matrix has the same
+    nonzero eigenvalues, so the same share, and the stress weighs each pair
+    by ``w_a * w_b``. With unit weights every extra operation multiplies or
+    divides by 1.0, which changes nothing.
 
     The whole spectrum comes from ``eigvalsh``; the two eigenvectors from
     Lanczos, or from ``eigh`` where Lanczos does not pin them down.
@@ -124,25 +131,16 @@ def mds_project(
     signs are fixed by making positive the first coordinate of each axis that
     is not zero up to rounding, so output is fully deterministic.
 
-    ``dm`` is a ``DistanceMatrix``, or the squared matrix of
-    ``distance.joint_squares``: a writeable square float64 array of squared
-    distances. For either, the weights are the counts of ``index``. It holds
-    one n x n array, ``b`` (and the eigenvectors while ``eigh`` runs), then
-    blocks of rows: ``b`` is a copy of ``dm.values`` squared, or the squared
-    matrix itself, which is used up. Either way the stress takes its
-    distances back from the centred ``b``, block by block. Each d² comes
-    back within a few ulps of the largest one, and at exactly 0 where that
-    is rounding: for each row with itself, and for two rows with equal
-    distances.
-
-    Raises ``ValueError`` when ``dm`` is neither, or empty, or ``index`` is
-    not a 1-D integer array of rows of ``dm`` that names every row.
+    Raises ``ValueError`` when ``squares`` is not a square float64 array, or
+    is empty, or ``index`` is not a 1-D integer array of rows of ``squares``
+    that names every row.
     """
-    square = isinstance(dm, np.ndarray) and dm.ndim == 2 and dm.shape[0] == dm.shape[1]
-    if not (isinstance(dm, DistanceMatrix) or square and dm.dtype == np.float64):
-        got = f"{dm.dtype} array of shape {dm.shape}" if isinstance(dm, np.ndarray) else type(dm).__name__
-        raise ValueError(f"dm must be a DistanceMatrix or a square float64 array, got {got}")
-    n = len(dm)
+    b = squares  # the one n x n buffer, centred in place below
+    square = isinstance(b, np.ndarray) and b.ndim == 2 and b.shape[0] == b.shape[1]
+    if not (square and b.dtype == np.float64):
+        got = f"{b.dtype} array of shape {b.shape}" if isinstance(b, np.ndarray) else type(b).__name__
+        raise ValueError(f"squares must be a square float64 array, got {got}")
+    n = len(b)
     if n == 0:
         raise ValueError("cannot project an empty distance matrix")
     index = np.arange(n) if index is None else np.asarray(index)
@@ -157,8 +155,6 @@ def mds_project(
     if n == 1:
         # One distinct point; repeated, it is a degenerate map.
         return Projection2D(((0.0, 0.0),) * len(index), 0.0, 1.0, _DEGENERATE if total > 1 else ())
-    # The one n x n buffer, centred in place below.
-    b = dm.values * dm.values if isinstance(dm, DistanceMatrix) else dm
     # The weighted row sums of the squares give the centring means and the
     # stress denominator.
     sums = np.empty(n)

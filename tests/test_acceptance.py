@@ -158,7 +158,7 @@ def test_criterion_6_mds_fidelity():
     dm = DistanceMatrix(
         ids=tuple(f"p{i}" for i in range(n)), values=values, l_pad=20
     )
-    proj = mds_project(dm)
+    proj = mds_project(dm.values * dm.values)
     worst_rel = 0.0
     for i in range(n):
         for j in range(n):
@@ -195,7 +195,7 @@ def test_criterion_7_paper_scale_under_60s(tmp_path):
         ),
     )
     dm = distance_matrix(merged, W)
-    proj = mds_project(dm)
+    proj = mds_project(dm.values * dm.values)
     svg = emit_scatter_svg(sets, proj, results)  # merged lists the sets' solutions in order
     elapsed = time.monotonic() - start
 

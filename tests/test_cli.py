@@ -241,6 +241,38 @@ def test_missing_file_is_data_error(tmp_path):
     assert main(["indicators", str(tmp_path / "nope.json")]) == 1
 
 
+@pytest.mark.parametrize("stage", ["json.loads", "joint matrix", "eigvalsh"])
+def test_out_of_memory_is_data_error(bundle_path, tmp_path, monkeypatch, capsys, stage):
+    sets = parse_bundle(bundle_path.read_text()).sets
+    m = len({sol.sequence for s in sets for sol in s.solutions})
+    # numpy's error names the size and shape it could not allocate; a bare
+    # MemoryError has no message.
+    message = "Unable to allocate 456. MiB for an array with shape (7731, 7731)"
+    error = MemoryError() if stage == "json.loads" else MemoryError(message)
+
+    def exhausted(*args, **kwargs):
+        raise error
+
+    if stage == "json.loads":
+        monkeypatch.setattr("archspread.io.json.loads", exhausted)
+    elif stage == "joint matrix":
+        empty = np.empty
+
+        def allocate(shape, *args, **kwargs):
+            return exhausted() if shape == (m, m) else empty(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, "empty", allocate)
+    else:
+        monkeypatch.setattr(np.linalg, "eigvalsh", exhausted)
+    out = tmp_path / "report.json"
+    assert main(["compare", str(bundle_path), "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    suffix = "" if stage == "json.loads" else f": {message}"
+    assert err == f"error: not enough memory{suffix}\n"  # one error line and no traceback
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as excinfo:
         main(["indicators", "x.json", "--format", "yaml"])
@@ -523,7 +555,8 @@ def test_joint_projection_keeps_ids_that_join_to_the_same_string_apart(tmp_path)
     everything = SolutionSet(
         "all", ("f0",), tuple(sol for s in bundle.sets for sol in s.solutions)
     )
-    joint = mds_project(distance_matrix(everything, DistanceWeights()))
+    dm = distance_matrix(everything, DistanceWeights())
+    joint = mds_project(dm.values * dm.values)
     assert points["a/b"]["c"] == joint.coords[0]
     assert points["a"]["b/c"] == joint.coords[2]
     assert points["a/b"]["c"] != points["a"]["b/c"]
@@ -924,7 +957,8 @@ def expanded_matrix_report(bundle):
     correlation = spread_correlation(results) if len(results) >= 3 else None
     report = json.loads(write_report(results, correlation)["report"])
     m = len({sol.sequence for sol in everything.solutions})
-    return report, mds_project(joint), distinct_spectrum(joint.values, m), spans
+    proj = mds_project(joint.values * joint.values)
+    return report, proj, distinct_spectrum(joint.values, m), spans
 
 
 # On seed 224 an axis's first coordinate is 0 up to rounding, of either sign

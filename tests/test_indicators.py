@@ -10,6 +10,7 @@ from archspread.distance import DistanceMatrix, DistanceWeights
 from archspread.indicators import (
     IndicatorResult,
     indicators_for,
+    mas_from_eccentricities,
     max_architectural_spread,
     max_spread,
     spread_correlation,
@@ -130,8 +131,8 @@ def test_mas_hand_matrices():
 
 
 def test_mas_negative_max_d_rejected():
-    with pytest.raises(ValueError):
-        max_architectural_spread(dm_from([[0.0]]), max_d_override=-1.0)
+    with pytest.raises(ValueError, match="max_d must be non-negative"):
+        mas_from_eccentricities(np.zeros(1), -1.0)
 
 
 def test_mas_degenerate_scale_returns_zero():

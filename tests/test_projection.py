@@ -43,7 +43,7 @@ def embedded_distances(proj):
 
 def test_single_point():
     dm = DistanceMatrix(ids=("a",), values=((0.0,),), l_pad=1)
-    proj = mds_project(dm)
+    proj = mds_project(dm.values * dm.values)
     assert proj.coords == ((0.0, 0.0),)
     assert proj.stress == 0.0
 
@@ -52,7 +52,7 @@ def test_two_points_exact():
     dm = DistanceMatrix(
         ids=("a", "b"), values=((0.0, 2.0), (2.0, 0.0)), l_pad=2
     )
-    proj = mds_project(dm)
+    proj = mds_project(dm.values * dm.values)
     assert proj.stress < 1e-12
     assert embedded_distances(proj)[0][1] == pytest.approx(2.0, abs=1e-12)
 
@@ -60,7 +60,7 @@ def test_two_points_exact():
 def test_unit_square_recovered():
     square = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
     dm = dm_from_points(square)
-    proj = mds_project(dm)
+    proj = mds_project(dm.values * dm.values)
     got = embedded_distances(proj)
     want = np.array(dm.values)
     assert np.allclose(got, want, rtol=1e-9, atol=1e-12)
@@ -71,7 +71,7 @@ def test_random_2d_cloud_is_exactly_embeddable():
     rng = random.Random(42)
     points = [(rng.uniform(-3, 3), rng.uniform(-3, 3)) for _ in range(50)]
     dm = dm_from_points(points)
-    proj = mds_project(dm)
+    proj = mds_project(dm.values * dm.values)
     got = embedded_distances(proj)
     want = np.array(dm.values)
     mask = want > 0
@@ -83,8 +83,8 @@ def test_random_2d_cloud_is_exactly_embeddable():
 def test_sign_convention_is_deterministic():
     square = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
     dm = dm_from_points(square)
-    a = mds_project(dm)
-    b = mds_project(dm)
+    a = mds_project(dm.values * dm.values)
+    b = mds_project(dm.values * dm.values)
     assert a.coords == b.coords
     for axis in range(2):
         col = [c[axis] for c in a.coords]
@@ -105,8 +105,9 @@ def test_stress_invariant_under_rigid_motion_of_input_configuration():
         for x, y in points
     ]
     # Rigid motion leaves distances, hence the projection's stress, unchanged.
-    assert mds_project(dm_from_points(points)).stress == pytest.approx(
-        mds_project(dm_from_points(moved)).stress, abs=1e-9
+    a, b = dm_from_points(points), dm_from_points(moved)
+    assert mds_project(a.values * a.values).stress == pytest.approx(
+        mds_project(b.values * b.values).stress, abs=1e-9
     )
 
 
@@ -124,7 +125,7 @@ def test_eigenvalue_share_never_exceeds_one():
             values=tuple(tuple(r) for r in values),
             l_pad=3,
         )
-        proj = mds_project(dm)
+        proj = mds_project(dm.values * dm.values)
         assert 0.0 <= proj.eigenvalue_share <= 1.0
         assert proj.stress >= 0.0
 
@@ -136,7 +137,7 @@ def test_degenerate_all_zero_matrix():
         values=tuple(tuple(0.0 for _ in range(n)) for _ in range(n)),
         l_pad=1,
     )
-    proj = mds_project(dm)
+    proj = mds_project(dm.values * dm.values)
     assert all(c == (0.0, 0.0) for c in proj.coords)
     assert proj.diagnostics
 
@@ -203,7 +204,7 @@ def compare_with_centring_matrix_oracle(matrices):
     """Check ``mds_project`` against the oracle; returns how many axes were compared."""
     compared = 0
     for dm in matrices:
-        proj = mds_project(dm)
+        proj = mds_project(dm.values * dm.values)
         want_coords, want_embedded, want_stress, want_share, evals = centring_matrix_mds(
             dm.values
         )
@@ -270,17 +271,17 @@ def test_equidistant_points_take_the_eigh_path_bit_for_bit(branches):
     # Every pair at distance 1: lambda_1 = lambda_2, so no top-two axis is unique.
     n = 40
     values = np.ones((n, n)) - np.eye(n)
-    proj = mds_project(DistanceMatrix(tuple(f"p{i}" for i in range(n)), values, 1))
+    proj = mds_project(values * values)
     assert branches == {"lanczos": 0, "eigh": 1}
     assert np.array_equal(np.array(proj.coords), eigh_coords(values))
 
 
 def test_lanczos_coordinates_match_the_eigh_path(branches, monkeypatch):
     dm = next(paper_scale_sequence_distance_matrices(random.Random(3)))
-    got = mds_project(dm)
+    got = mds_project(dm.values * dm.values)
     assert branches == {"lanczos": 1, "eigh": 0}
     monkeypatch.setattr(projection, "_top_two_lanczos", lambda b, evals: None)
-    want = mds_project(dm)
+    want = mds_project(dm.values * dm.values)
     assert np.max(np.abs(np.array(got.coords) - np.array(want.coords))) <= 1e-13
     assert got.stress == pytest.approx(want.stress, rel=0, abs=1e-15)
     assert got.eigenvalue_share == pytest.approx(want.eigenvalue_share, rel=0, abs=1e-15)
@@ -301,7 +302,7 @@ def test_lanczos_that_does_not_converge_falls_back_to_eigh(branches):
     evals, evecs = np.linalg.eigh(b)
     assert min(evals[-1] - evals[-2], evals[-2] - evals[-3]) > projection._GAP * evals[-1]
 
-    proj = mds_project(DistanceMatrix(tuple(f"p{i}" for i in range(n)), d, math.ceil(d.max())))
+    proj = mds_project(d * d)
     assert branches == {"lanczos": 0, "eigh": 1}
     want = evecs[:, :-3:-1] * np.sqrt(evals[:-3:-1])
     want *= np.sign(want[0])  # the sign rule: each axis's first coordinate is far from 0
@@ -316,8 +317,9 @@ def expanded(dm, index):
 
 def test_one_distinct_point_five_times_is_degenerate():
     dm = DistanceMatrix(("a",), ((0.0,),), l_pad=1)
-    proj = mds_project(dm, [0] * 5)
-    want = mds_project(expanded(dm, [0] * 5))
+    proj = mds_project(dm.values * dm.values, [0] * 5)
+    repeated = expanded(dm, [0] * 5)
+    want = mds_project(repeated.values * repeated.values)
     assert proj.coords == ((0.0, 0.0),) * 5
     assert (proj.stress, proj.eigenvalue_share) == (0.0, 1.0)
     assert (want.stress, want.eigenvalue_share) == (0.0, 1.0)
@@ -326,26 +328,27 @@ def test_one_distinct_point_five_times_is_degenerate():
         "degenerate matrix: no positive eigenvalue mass, all-zero coordinates",
     )
     # A single solution is no repeated point.
-    assert mds_project(dm).diagnostics == ()
+    assert mds_project(dm.values * dm.values).diagnostics == ()
 
 
 def test_two_distinct_points_five_times_match_the_repeated_matrix():
     dm = DistanceMatrix(("a", "b"), ((0.0, 2.0), (2.0, 0.0)), l_pad=2)
     index = [0, 0, 1, 1, 1]
-    proj = mds_project(dm, index)
+    proj = mds_project(dm.values * dm.values, index)
     got = np.array(proj.coords)
     # The weighted centroid sits 3/5 and 2/5 of the way from each point.
     assert np.allclose(got, [[1.2, 0.0]] * 2 + [[-0.8, 0.0]] * 3, rtol=0, atol=1e-12)
     # The same weights in another order give the same map, point by point:
     # the computation and the axis signs follow the rows of dm.
     a, b = proj.coords[0], proj.coords[-1]
-    shuffled = mds_project(dm, [1, 0, 1, 1, 0])
+    shuffled = mds_project(dm.values * dm.values, [1, 0, 1, 1, 0])
     assert shuffled.coords == (b, a, b, b, a)
     assert (shuffled.stress, shuffled.eigenvalue_share) == (proj.stress, proj.eigenvalue_share)
     assert proj.stress <= 1e-15
     assert (proj.eigenvalue_share, proj.diagnostics) == (1.0, ())
 
-    want = mds_project(expanded(dm, index))
+    repeated = expanded(dm, index)
+    want = mds_project(repeated.values * repeated.values)
     # The second axis belongs to a zero eigenvalue, computed as rounding noise.
     assert np.allclose(got[:, 0], np.array(want.coords)[:, 0], rtol=0, atol=1e-12)
     assert np.all(got[:, 1] == 0.0)
@@ -355,19 +358,20 @@ def test_two_distinct_points_five_times_match_the_repeated_matrix():
 
 
 @pytest.mark.parametrize(
-    "dm, message",
+    "squares, message",
     [
         ([[0.0, 1.0], [1.0, 0.0]], "float64 array, got list$"),
         (np.zeros(3), r"float64 array, got float64 array of shape \(3,\)$"),
         (np.zeros((3, 4)), r"float64 array, got float64 array of shape \(3, 4\)$"),
         (np.zeros((3, 3), dtype=np.int64), r"float64 array, got int64 array of shape \(3, 3\)$"),
         (np.zeros((0, 0)), "^cannot project an empty distance matrix$"),
+        (DistanceMatrix(("a",), ((0.0,),), l_pad=1), "float64 array, got DistanceMatrix$"),
     ],
-    ids=["list", "1-D", "3x4", "int64", "empty"],
+    ids=["list", "1-D", "3x4", "int64", "empty", "DistanceMatrix"],
 )
-def test_anything_but_a_distance_matrix_or_a_square_float64_array_is_rejected(dm, message):
+def test_anything_but_a_square_float64_array_is_rejected(squares, message):
     with pytest.raises(ValueError, match=message):
-        mds_project(dm)
+        mds_project(squares)
 
 
 @pytest.mark.parametrize(
@@ -399,20 +403,20 @@ def test_index_that_does_not_name_each_row_is_rejected_before_numeric_work(
 
     monkeypatch.setattr(np.linalg, "eigvalsh", numeric_work)
     with pytest.raises(ValueError, match=message):
-        mds_project(dm, index)
+        mds_project(dm.values * dm.values, index)
 
 
 def test_unsigned_index_names_rows():
     dm = DistanceMatrix(("a", "b"), ((0.0, 2.0), (2.0, 0.0)), l_pad=2)
-    want = mds_project(dm, [1, 0, 1, 0, 1])
+    want = mds_project(dm.values * dm.values, [1, 0, 1, 0, 1])
     # numpy 1.x's bincount refuses uint64, which does not cast safely to intp.
-    assert mds_project(dm, np.array([1, 0, 1, 0, 1], dtype=np.uint64)) == want
+    assert mds_project(dm.values * dm.values, np.array([1, 0, 1, 0, 1], dtype=np.uint64)) == want
 
 
 def test_collinear_points_have_an_all_zero_second_axis():
     x = np.array([0.0, 1.0, 3.0, 4.5])
     dm = DistanceMatrix(tuple("abcd"), np.abs(x[:, None] - x), l_pad=5)
-    proj = mds_project(dm)
+    proj = mds_project(dm.values * dm.values)
     coords = np.array(proj.coords)
     assert np.allclose(coords[:, 0], 2.125 - x, rtol=0, atol=1e-12)
     assert np.all(coords[:, 1] == 0.0)
@@ -483,7 +487,7 @@ def rounding_floor(d, index):
 @given(matrices_with_repeats())
 def test_stress_from_the_centred_matrix_matches_a_double_loop(case):
     dm, index = case
-    proj = mds_project(dm, index)
+    proj = mds_project(dm.values * dm.values, index)
     d = dm.values[np.ix_(index, index)]
     # Far from 0 every distance comes back to ~1e-14; only near-duplicates
     # on a map that is nearly exact move the stress by more than 1e-12.

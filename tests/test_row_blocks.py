@@ -107,7 +107,7 @@ def test_blocked_layers_match_unblocked_oracles_at_block_boundaries(n):
         mas = math.sqrt(math.fsum(float(e) ** 2 for e in ecc) / (n * max_d**2))
         assert indicators_for(sets, W, all_pairs=all_pairs)[1].mas == mas
 
-    proj = mds_project(got)
+    proj = mds_project(got.values * got.values)
     coords, share, stress = unblocked_mds(want)
     assert np.array_equal(np.array(proj.coords), coords)
     assert proj.eigenvalue_share == share
@@ -156,7 +156,7 @@ def test_joint_pass_matches_the_matrix_and_each_sets_sweep_at_block_boundaries(m
     for got, own in zip(eccentricities, within_set_eccentricities(sets, W), strict=True):
         assert np.array_equal(got, own)
     assert np.array_equal(squares, want.values * want.values)
-    got, want = mds_project(squares, index), mds_project(want, index)
+    got, want = mds_project(squares, index), mds_project(want.values * want.values, index)
     assert got.coords == want.coords
     assert got.eigenvalue_share == want.eigenvalue_share
     assert got.stress == want.stress
@@ -175,7 +175,8 @@ def test_index_alone_gives_the_weights_of_the_joint_squares(repeats):
     index = np.arange(m) if repeats is None else np.repeat(np.arange(m), np.resize(repeats, m))
     squares, _, _ = joint_squares(sets, W)
     got = mds_project(squares, index)
-    want = mds_project(distance_matrix(make_set(solutions=tuple(first.values())), W), index)
+    dm = distance_matrix(make_set(solutions=tuple(first.values())), W)
+    want = mds_project(dm.values * dm.values, index)
     assert got.coords == want.coords
     assert got.stress == want.stress
     assert got.eigenvalue_share == want.eigenvalue_share
@@ -250,12 +251,13 @@ def test_numeric_layers_hold_one_n_by_n_work_array(synth_2000, tmp_path, monkeyp
 
     # Load whatever the first call of each layer loads, outside the traced calls.
     small = [make_set(solutions=s.solutions[:3]) for s in sets]
-    mds_project(distance_matrix(small[0], W))
+    first = distance_matrix(small[0], W)
+    mds_project(first.values * first.values)
     indicators_for(small, W)
 
     dm, peak = extra_peak(lambda: distance_matrix(everything, W))
     assert peak <= 1.3 * unit  # the matrix itself, then blocks of rows
-    _, peak = extra_peak(lambda: mds_project(dm))
+    _, peak = extra_peak(lambda: mds_project(dm.values * dm.values))
     assert peak <= 1.3 * unit  # b, then blocks of rows
     _, peak = extra_peak(lambda: indicators_for(sets, W))
     assert peak <= 0.15 * unit  # no set's matrix: blocks of rows only
