@@ -35,7 +35,7 @@ _HOMES = {
     "UnreachableNodeError": "encoding",
     "build_encoding": "encoding",
     "distance_matrix": "distance",
-    "emit_scatter_svg": "io",
+    "emit_scatter_svg": "report",
     "extract_sequence": "encoding",
     "indicators_for": "indicators",
     "max_architectural_spread": "indicators",
@@ -47,7 +47,7 @@ _HOMES = {
     "step_distance": "distance",
     "validate_solution_set": "model",
     "write_bundle": "io",
-    "write_report": "io",
+    "write_report": "report",
 }
 
 __all__ = list(_HOMES)

@@ -42,7 +42,8 @@ def main(argv: list[str] | None = None) -> int:
     if argv is None:
         atexit.unregister(gc.freeze)  # once, however often main runs
         atexit.register(gc.freeze)
-    parser = _build_parser()
+        argv = sys.argv[1:]
+    parser = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     args = parser.parse_args(argv)
     try:
         return args.func(args)
@@ -54,35 +55,53 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, or of ``command`` alone.
+
+    ``main`` builds the one command that ``argv`` names, and all of them
+    only for help, a missing command or an unknown one; either parser prints
+    the same text for what it parses.
+    """
     parser = argparse.ArgumentParser(
         prog="archspread",
         description="Spread indicators for sets of architecture design alternatives",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    # Built alone, a command would be the only choice that the top-level
+    # usage lists. The full parser keeps argparse's default, because a
+    # metavar also renames the argument in its errors ("argument command").
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, (summary, add_arguments) in _COMMANDS.items():
+        if command is None or name == command:
+            add_arguments(sub.add_parser(name, help=summary))
+    return parser
 
-    p = sub.add_parser("indicators", help="compute MS and MAS per set")
+
+def _indicators_arguments(p: argparse.ArgumentParser) -> None:
     _add_bundle_arg(p)
     _add_indicator_flags(p)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("-o", "--output", type=Path, help="output path (default: stdout)")
     p.set_defaults(func=_cmd_indicators)
 
-    p = sub.add_parser("mds", help="project the architectural space to 2D")
+
+def _mds_arguments(p: argparse.ArgumentParser) -> None:
     _add_bundle_arg(p)
     _add_w_pred_arg(p)
     p.add_argument("--svg", type=Path, help="write a scatter SVG to this path")
     p.add_argument("-o", "--output", type=Path, help="output path (default: stdout)")
     p.set_defaults(func=_cmd_projected, shared_maxd=True, mas_allpairs=False)
 
-    p = sub.add_parser("compare", help="indicators + correlation + projection in one report")
+
+def _compare_arguments(p: argparse.ArgumentParser) -> None:
     _add_bundle_arg(p)
     _add_indicator_flags(p)
     p.add_argument("--svg", type=Path, help="write a scatter SVG to this path")
     p.add_argument("-o", "--output", type=Path, help="output path (default: stdout)")
     p.set_defaults(func=_cmd_projected)
 
-    p = sub.add_parser("synth", help="generate a seeded synthetic bundle")
+
+def _synth_arguments(p: argparse.ArgumentParser) -> None:
     positive = _bounded(int, 1)
     p.add_argument("--sets", type=positive, required=True, metavar="K")
     p.add_argument("--n", type=positive, required=True, metavar="N", help="solutions per set")
@@ -95,10 +114,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", type=Path, required=True)
     p.set_defaults(func=_cmd_synth)
 
-    p = sub.add_parser("validate", help="check a bundle against the schema and invariants")
+
+def _validate_arguments(p: argparse.ArgumentParser) -> None:
     _add_bundle_arg(p)
     p.set_defaults(func=_cmd_validate)
-    return parser
+
+
+# Command -> (its line in the top-level help, what adds its arguments), in help order.
+_COMMANDS = {
+    "indicators": ("compute MS and MAS per set", _indicators_arguments),
+    "mds": ("project the architectural space to 2D", _mds_arguments),
+    "compare": ("indicators + correlation + projection in one report", _compare_arguments),
+    "synth": ("generate a seeded synthetic bundle", _synth_arguments),
+    "validate": ("check a bundle against the schema and invariants", _validate_arguments),
+}
 
 
 def _add_bundle_arg(p: argparse.ArgumentParser) -> None:
@@ -225,22 +254,26 @@ def _emit(documents: dict[str, str], output: Path | None) -> None:
 
 
 def _cmd_indicators(args) -> int:
+    from . import report  # before the parse: compiled after the numeric work, it adds to the peak
+
     _, results, _ = _analyze(args, project=False)
     # The CSV summary has no correlation column, so only JSON computes it.
     correlation = _correlation(results) if args.format == "json" else None
-    _emit(bundle_io.write_report(results, correlation, format=args.format), args.output)
+    _emit(report.write_report(results, correlation, format=args.format), args.output)
     return 0
 
 
 def _cmd_projected(args) -> int:
     """mds and compare: the report with the map, and the SVG on request; compare correlates."""
+    from . import report  # before the parse, as in _cmd_indicators
+
     sets, results, mds = _analyze(args, project=True)
     for diagnostic in mds.diagnostics:
         print(f"warning: {diagnostic}", file=sys.stderr)
     correlation = _correlation(results) if args.command == "compare" else None
-    _emit(bundle_io.write_report(results, correlation, sets, mds), args.output)
+    _emit(report.write_report(results, correlation, sets, mds), args.output)
     if args.svg is not None:
-        args.svg.write_text(bundle_io.emit_scatter_svg(sets, mds, results), encoding="utf-8")
+        args.svg.write_text(report.emit_scatter_svg(sets, mds, results), encoding="utf-8")
     return 0
 
 

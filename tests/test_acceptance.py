@@ -181,7 +181,7 @@ def test_criterion_7_paper_scale_under_60s(tmp_path):
     sets = generate_sets(tree, seed=77, k_sets=2, n_per_set=277)  # 554 total
     assert sum(len(s) for s in sets) == 554
     from archspread.indicators import indicators_for
-    from archspread.io import emit_scatter_svg
+    from archspread.report import emit_scatter_svg
     from archspread.model import ArchitectureSolution, SolutionSet
 
     results = indicators_for(sets, W)

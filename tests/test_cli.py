@@ -21,9 +21,10 @@ from archspread._lazy import lazy_import
 from archspread.cli import main
 from archspread.distance import DistanceWeights, distance_matrix
 from archspread.indicators import indicators_from_eccentricities, spread_correlation
-from archspread.io import AnalysisBundle, parse_bundle, write_bundle, write_report
+from archspread.io import AnalysisBundle, parse_bundle, write_bundle
 from archspread.model import ArchitectureSolution, SolutionSet, TransformationStep
 from archspread.projection import mds_project
+from archspread.report import write_report
 
 from conftest import one_solution_bundle, random_set
 
@@ -277,6 +278,63 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as excinfo:
         main(["indicators", "x.json", "--format", "yaml"])
     assert excinfo.value.code == 2
+
+
+# For each command: its help, no bundle, a --w-pred out of range (an unknown
+# option to synth and validate) and an extra positional; then the runs that
+# name no command.
+PARSER_CASES = [
+    argv
+    for command in cli._COMMANDS
+    for argv in (
+        [command, "--help"],
+        [command],
+        [command, "b.json", "--w-pred", "2"],
+        [command, "b.json", "extra"],
+    )
+] + [[], ["--help"], ["nope"]]
+
+
+def exit_with_output(parse, argv, capsys) -> tuple[int, str, str]:
+    with pytest.raises(SystemExit) as excinfo:
+        parse(argv)
+    out, err = capsys.readouterr()
+    return excinfo.value.code, out, err
+
+
+@pytest.mark.parametrize("argv", PARSER_CASES, ids=lambda argv: " ".join(argv) or "none")
+def test_one_command_parser_prints_what_the_full_parser_prints(argv, capsys):
+    full = exit_with_output(cli._build_parser().parse_args, argv, capsys)
+    assert full[0] in (0, 2)
+    assert exit_with_output(main, argv, capsys) == full
+
+
+def test_top_level_usage_lists_every_command_and_errors_name_the_argument(capsys):
+    usage = "usage: archspread [-h] {indicators,mds,compare,synth,validate} ...\n"
+    usage += "archspread: error: "
+    required = usage + "the following arguments are required: command\n"
+    assert exit_with_output(main, [], capsys) == (2, "", required)
+    code, _, err = exit_with_output(main, ["nope"], capsys)
+    assert (code, err.startswith(usage + "argument command: invalid choice: 'nope'")) == (2, True)
+    extra = usage + "unrecognized arguments: extra\n"
+    assert exit_with_output(main, ["validate", "b.json", "extra"], capsys) == (2, "", extra)
+
+
+def test_main_builds_the_parser_of_the_named_command_alone(bundle_path, monkeypatch, capsys):
+    built = []
+    build = cli._build_parser
+
+    def record(command=None):
+        built.append(command)
+        return build(command)
+
+    monkeypatch.setattr(cli, "_build_parser", record)
+    assert main(["validate", str(bundle_path)]) == 0
+    for argv in ([], ["--help"], ["nope"], ["-h", "validate"]):
+        with pytest.raises(SystemExit):
+            main(argv)
+    capsys.readouterr()
+    assert built == ["validate", None, None, None, None]
 
 
 def test_indicators_json_report(bundle_path, tmp_path):
@@ -835,6 +893,36 @@ def test_validate_and_synth_run_only_modules_that_bind_no_numpy(bundle_path, tmp
     modules += ["archspread.io", "archspread.model", "archspread.synth"]
     assert ran == repr(modules)
     assert binding == "['archspread._lazy']"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["indicators", "--format", "csv", "-o", "r.csv"],
+        ["compare", "--svg", "m.svg", "-o", "r.json"],
+    ],
+    ids=["indicators-csv", "compare-svg"],
+)
+def test_numeric_commands_run_the_report_writers_before_numpy(tmp_path, argv):
+    # Compiled after the numeric work, the writers would add to the peak memory.
+    # The trace records each module's code as it starts to run.
+    bundle = tmp_path / "b.json"
+    assert main(["synth", "--sets", "2", "--n", "20", "--seed", "3", "-o", str(bundle)]) == 0
+    command, *flags = argv
+    code = (
+        "import sys; from archspread.cli import main; ran = []; "
+        "sys.settrace(lambda frame, event, arg: ran.append(frame.f_globals['__name__']) "
+        "if frame.f_code.co_name == '<module>' else None); "
+        f"assert main({[command, str(bundle), *flags]!r}) == 0; "
+        "sys.settrace(None); "
+        "numpy = [i for i, name in enumerate(ran) if name.startswith('numpy.')]; "
+        "print(ran.count('archspread.report'), ran.index('archspread.report') < numpy[0])"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=child_env(), cwd=tmp_path, capture_output=True, text=True, check=True,
+    ).stdout
+    assert out.strip().splitlines()[-1] == "1 True"
 
 
 def test_lazy_import_keeps_a_loaded_module_and_fails_on_a_missing_one():

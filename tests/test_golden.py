@@ -38,7 +38,7 @@ from unittest import mock
 
 import pytest
 
-import archspread.io as bundle_io
+import archspread.report as report
 from archspread.cli import main
 
 MANIFEST = Path(__file__).with_name("golden_manifest.json")
@@ -229,7 +229,7 @@ def run(argv: list[str]) -> tuple[int, str, str, list]:
     """``main(argv)``, its stdout and stderr, and the arguments and result of every
     minimum-enclosing-circle call the SVG writer made."""
     circles = []
-    find = bundle_io._min_enclosing_circle
+    find = report._min_enclosing_circle
 
     def recorded(points):
         circle = find(points)
@@ -238,7 +238,7 @@ def run(argv: list[str]) -> tuple[int, str, str, list]:
 
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        with mock.patch.object(bundle_io, "_min_enclosing_circle", recorded):
+        with mock.patch.object(report, "_min_enclosing_circle", recorded):
             code = main(argv)
     return code, out.getvalue(), err.getvalue(), circles
 
