@@ -126,23 +126,19 @@ def _parse_document(text: str) -> AnalysisBundle:
 
 
 def _load_json(text: str, steps: Steps) -> object:
-    """The decoded ``text``, each step and tree edge in it decoded straight
-    into what the bundle holds.
+    """The decoded ``text``, each step in it decoded straight into what the
+    bundle holds.
 
     An object whose keys are ``name`` and, optionally, ``args``, with a string
     name and a list of string args, becomes the shared ``TransformationStep``,
     so no step's dict outlives its own decoding. One that
     ``TransformationStep`` rejects stays a dict, for the parse pass to report
-    at its JSON path. Objects decode innermost first, so an object whose keys
-    are exactly ``from``, ``to`` and ``step``, with string ends and a step
-    already interned, becomes the ``(from, to, step)`` triple that
-    ``SearchTree.edges`` holds. JSON decodes to no other tuple.
+    at its JSON path. Every other object stays the dict it is.
 
-    A step with exactly a ``name`` and an ``args`` list, already interned,
-    and an edge with exactly ``from``, ``to`` and an interned ``step``, are
-    told apart by their number of keys and resolve with one lookup each,
-    whatever the order of their keys; every other object takes the general
-    path, which gives the same result.
+    A step with exactly a ``name`` and an ``args`` list, already interned, is
+    told by its number of keys and resolves with one lookup, whatever the
+    order of its keys; every other object takes the general path, which
+    gives the same result.
     """
 
     def decode(obj: dict) -> object:
@@ -157,13 +153,7 @@ def _load_json(text: str, steps: Steps) -> object:
                     step = None
                 if step is not None:
                     return step
-        elif n == 3:
-            # No step has three keys: an object that is no edge stays a dict.
-            step = obj.get("step")
-            if type(step) is TransformationStep:
-                src, dst = obj.get("from"), obj.get("to")
-                if type(src) is str and type(dst) is str:
-                    return src, dst, step
+        elif n == 3:  # no step has three keys
             return obj
         if not obj.keys() <= _STEP_KEYS:
             return obj
@@ -188,13 +178,10 @@ def _load_json(text: str, steps: Steps) -> object:
 
 
 def _object(raw: object, where: str, message: str = "must be an object") -> dict:
-    """``raw`` where an object is expected; a step or an edge that decoding
-    turned into a value counts as the object it was decoded from."""
+    """``raw`` where an object is expected; a step that decoding interned
+    counts as the object it was decoded from."""
     if isinstance(raw, TransformationStep):
         return {"name": raw.name, "args": list(raw.args)}
-    if type(raw) is tuple:
-        src, dst, step = raw
-        return {"from": src, "to": dst, "step": step}
     if not isinstance(raw, dict):
         raise BundleError(f"{where}: {message}")
     return raw
@@ -206,13 +193,24 @@ def _parse_tree(raw: object, steps: Steps, warnings: list[str]) -> SearchTree:
     root = _require(raw, "root", str, "$.tree")
     nodes = _string_list(_require(raw, "nodes", list, "$.tree"), "$.tree.nodes")
     known = set(nodes)
+    if len(known) < len(nodes):
+        seen: set[str] = set()
+        for i, node in enumerate(nodes):
+            if node in seen:
+                raise BundleError(f"$.tree.nodes[{i}]: duplicate node id {node!r}")
+            seen.add(node)
     if root not in known:
         raise BundleError(f"$.tree.root: unknown node {root!r}")
     edges = _require(raw, "edges", list, "$.tree")
     for i, edge in enumerate(edges):
-        # Decoding made each well-formed edge a triple; only its ends are left to check.
-        if type(edge) is tuple and edge[0] in known and edge[1] in known:
-            continue
+        # An edge of exactly "from", "to" and a "step" that decoding interned,
+        # both ends known nodes, becomes its triple here; any other is parsed.
+        if type(edge) is dict and len(edge) == 3:
+            src, dst, step = edge.get("from"), edge.get("to"), edge.get("step")
+            if type(step) is TransformationStep and type(src) is type(dst) is str:
+                if src in known and dst in known:
+                    edges[i] = src, dst, step
+                    continue
         edges[i] = _parse_edge(edge, f"$.tree.edges[{i}]", known, steps, warnings)
     return SearchTree(nodes=nodes, root_id=root, edges=edges)
 
@@ -220,8 +218,8 @@ def _parse_tree(raw: object, steps: Steps, warnings: list[str]) -> SearchTree:
 def _parse_edge(
     raw: object, where: str, known: set[str], steps: Steps, warnings: list[str]
 ) -> tuple[str, str, TransformationStep]:
-    """The edge of ``raw``, one that decoding did not turn into a triple, or
-    one with an unknown end."""
+    """The edge of ``raw``, checked field by field: a stray field warns, and
+    the first bad one fails at its JSON path."""
     raw = _object(raw, where)
     _unknown_keys(raw, _EDGE_KEYS, where, warnings)
     src = _require(raw, "from", str, where)
@@ -231,8 +229,7 @@ def _parse_edge(
             raise BundleError(f"{where}.{key}: unknown node {end!r}")
     step = raw.get("step")
     if not isinstance(step, TransformationStep):
-        if type(step) is not tuple:  # a step decoded as an edge is an object too
-            _require(raw, "step", dict, where)
+        _require(raw, "step", dict, where)
         step = _parse_step(step, f"{where}.step", steps, warnings)
     return src, dst, step
 

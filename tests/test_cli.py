@@ -93,6 +93,31 @@ def test_validate_rejects_broken_bundle(tmp_path, capsys):
     assert main(["validate", str(path)]) == 1
 
 
+def test_repeated_node_id_is_data_error(tmp_path, capsys):
+    step = {"name": "r", "args": []}
+    doc = {
+        "name": "x",
+        "tree": {
+            "root": "n0",
+            "nodes": ["n0", "n1", "n1"],
+            "edges": [{"from": "n0", "to": "n1", "step": step}],
+        },
+        "sets": [
+            {
+                "label": "s",
+                "objective_names": ["f0"],
+                "solutions": [{"id": "a", "objectives": [0.0], "node": "n1"}],
+            }
+        ],
+    }
+    path = tmp_path / "repeated.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: $.tree.nodes[2]: duplicate node id 'n1'\n"  # no traceback
+
+
 def test_solution_with_three_known_keys_but_no_id_fails_at_its_id(tmp_path, capsys):
     # Three keys, all known: the fast check passes them, then finds no id.
     solution = {"objectives": [0.0], "sequence": [], "node": "n1"}

@@ -308,8 +308,8 @@ def test_repeated_step_with_stray_key_warns_at_its_own_path():
 EDGE = {"from": "n0", "to": "n1", "step": {"name": "x"}}
 
 
-# Decoding turns every edge-shaped object into a tree edge, wherever it stands;
-# where the bundle expects another object, it must fail as that object would have.
+# An edge-shaped object is a tree edge only in $.tree.edges; where the bundle
+# expects another object, it must fail as that object would have.
 @pytest.mark.parametrize(
     "place, message",
     [
@@ -453,10 +453,10 @@ KEY_ORDER_DOCS = {
 }
 
 
-# The decoder tells an interned step or an edge by its keys, not by their
-# order, and any object it does not resolve takes the general path: every
-# key order must give the same bundle, the same warnings, the same shared
-# steps and the same errors as the order json.dumps writes.
+# The decoder tells an interned step, and the tree parse a well-formed edge,
+# by its keys, not by their order, and every other object takes the general
+# path: every key order must give the same bundle, the same warnings, the
+# same shared steps and the same errors as the order json.dumps writes.
 @pytest.mark.parametrize("edge_keys", list(itertools.permutations(("from", "to", "step"))))
 @pytest.mark.parametrize("step_keys", [("name", "args"), ("args", "name")])
 @pytest.mark.parametrize("doc", list(KEY_ORDER_DOCS))
@@ -595,13 +595,33 @@ def test_first_bad_solution_field_fails_at_its_index(changes, message):
     assert str(excinfo.value) == "$.sets[1].solutions[7]" + message
 
 
-def test_first_edge_with_an_unknown_end_fails_at_its_index():
+# Edges that become triples as they stand and edges parsed field by field go
+# through one loop: the first bad edge in document order fails, whatever its kind.
+UNKNOWN_TO = ("to", "zz")
+UNKNOWN_FROM = ("from", "zz")
+NO_STEP = ("step", DELETE)
+
+
+@pytest.mark.parametrize(
+    "at_300, at_400, message",
+    [
+        (UNKNOWN_TO, UNKNOWN_FROM, "$.tree.edges[300].to: unknown node 'zz'"),
+        (UNKNOWN_TO, NO_STEP, "$.tree.edges[300].to: unknown node 'zz'"),
+        (NO_STEP, UNKNOWN_TO, "$.tree.edges[300].step: missing required field"),
+    ],
+    ids=["unknown-then-unknown", "unknown-then-no-step", "no-step-then-unknown"],
+)
+def test_first_edge_with_an_unknown_end_fails_at_its_index(at_300, at_400, message):
     doc = node_reference_doc(6)
-    doc["tree"]["edges"][300]["to"] = "zz"
-    doc["tree"]["edges"][400]["from"] = "zz"
+    for index, (field, value) in ((300, at_300), (400, at_400)):
+        edge = doc["tree"]["edges"][index]
+        if value is DELETE:
+            del edge[field]
+        else:
+            edge[field] = value
     with pytest.raises(BundleError) as excinfo:
         parse_bundle(json.dumps(doc))
-    assert str(excinfo.value) == "$.tree.edges[300].to: unknown node 'zz'"
+    assert str(excinfo.value) == message
 
 
 def unknown_node_doc():
@@ -652,6 +672,23 @@ def test_parse_leaves_no_cyclic_garbage():
     assert bundles[2].warnings
     del bundles
     assert gc.collect() == 0
+
+
+@pytest.mark.parametrize(
+    "nodes, message",
+    [
+        (["n0", "n1", "n1"], "$.tree.nodes[2]: duplicate node id 'n1'"),
+        (["n0", "n1", "n2", "n0", "n2"], "$.tree.nodes[3]: duplicate node id 'n0'"),
+    ],
+)
+def test_repeated_node_id_fails_at_its_first_repeat(nodes, message):
+    doc = json.loads(json.dumps(TREE_DOC))
+    doc["tree"]["nodes"] = nodes
+    doc["tree"]["edges"] = doc["tree"]["edges"][:1]
+    doc["sets"][0]["solutions"] = doc["sets"][0]["solutions"][:1]
+    with pytest.raises(BundleError) as excinfo:
+        parse_bundle(json.dumps(doc))
+    assert str(excinfo.value) == message
 
 
 def test_duplicate_set_labels_rejected():
