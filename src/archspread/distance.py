@@ -10,11 +10,17 @@ integer id (padding is 0) and each solution becomes a row of ids. Each
 position has a small table of step distances over the steps that occur there,
 and the matrix is the position-by-position sum of gathers from those tables,
 so memory grows with the sum of their squared sizes, not with the square of
-all distinct steps. The tables apply the same floating-point operations as
-``step_distance`` and the sum runs in position order from 0.0, so every entry
-equals ``sequence_distance`` of its pair exactly. The tables compare only
-step names and argument tokens for equality, so they number those
-themselves.
+all distinct steps. A caller's tables cover the rows it compares: one set for
+``distance_matrix``, the distinct rows of all sets for the joint pass, and
+one group of consecutive sets at a time for the within-set eccentricities,
+so ``indicators`` holds tables over one group's steps, not all sets'. The
+argument similarities come from one table over the call's distinct argument
+tuples while it holds no more entries than the distances the caller fills,
+and from each position's own DP above that. The tables apply the same
+floating-point operations as ``step_distance`` and the sum runs in position
+order from 0.0, so every entry equals ``sequence_distance`` of its pair
+exactly. The tables compare only step names and argument tokens for
+equality, so they number those themselves.
 """
 
 from __future__ import annotations
@@ -254,39 +260,112 @@ def _simargs_table(args: Sequence[tuple[int, ...]]) -> np.ndarray:
     return np.divide(lev, longer, out=np.zeros(lev.shape), where=longer > 0)
 
 
+class _StepCodes:
+    """The distinct steps of one call as ints, numbered once for all its position tables.
+
+    Step id ``i`` has name ``names[i]`` and argument tuple ``args[i]``;
+    padding, id 0, has -1 for both. ``tuples`` holds each argument tuple's
+    tokens. Names, argument tuples and tokens are numbered in first-seen
+    order, so equal ints mean equal strings.
+
+    ``simargs`` holds ``w_args * _simargs`` of every two argument tuples
+    that meet at some position of ``ids``, the call's rows of step ids. It
+    is kept only while it holds no more entries than ``pairs``, the
+    distances the caller fills; above that it is None, and each position
+    table computes the pairs of its own tuples.
+    """
+
+    __slots__ = ("w", "names", "args", "tuples", "simargs")
+
+    def __init__(
+        self, ids: np.ndarray, steps: Sequence[TransformationStep], w: DistanceWeights, pairs: int
+    ) -> None:
+        name_id: dict[str, int] = {}
+        arg_id: dict[tuple[str, ...], int] = {}
+        token_id: dict[str, int] = {}
+        self.w = w
+        self.names = np.array([-1] + [name_id.setdefault(s.name, len(name_id)) for s in steps])
+        self.args = np.array([-1] + [arg_id.setdefault(s.args, len(arg_id)) for s in steps])
+        self.tuples = [tuple(token_id.setdefault(t, len(token_id)) for t in a) for a in arg_id]
+        self.simargs = self._meeting_pairs(ids) if len(arg_id) ** 2 <= pairs else None
+
+    def _table(self, args: np.ndarray) -> np.ndarray:
+        """``w_args * _simargs`` of every two of the distinct argument tuples ``args``."""
+        table = _simargs_table([self.tuples[a] for a in args])
+        table *= self.w.w_args
+        return table
+
+    def _meeting_pairs(self, ids: np.ndarray) -> np.ndarray:
+        """The argument table over every pair of tuples that meets at some position of ``ids``.
+
+        Position by position, a DP runs over the tuples there that meet one
+        not yet met, so no position runs more DP than its own table would.
+        Pairs that never meet stay NaN; no position table reads them.
+        """
+        base = len(self.tuples) + 1  # argument ids shifted by one: padding is 0
+        offsets = np.arange(ids.shape[1]) * base
+        # Not np.unique: it imports numpy.ma. (base - 1)² <= pairs <= n² for
+        # the n rows of ids, so this holds about as many bools as ids ints.
+        seen = np.zeros(ids.shape[1] * base, dtype=bool)
+        seen[self.args[ids] + (offsets + 1)] = True
+        present = np.flatnonzero(seen)
+        starts = np.searchsorted(present, offsets).tolist() + [len(present)]
+        present %= base
+        present -= 1
+        simargs = np.full((base - 1, base - 1), np.nan)
+        for p in range(ids.shape[1]):
+            args = present[starts[p] : starts[p + 1]]
+            args = args[args >= 0]
+            args = args[np.isnan(simargs[args[:, None], args]).any(axis=1)]
+            if len(args):
+                simargs[args[:, None], args] = self._table(args)
+        return simargs
+
+    def simargs_of(self, args: np.ndarray) -> np.ndarray:
+        """``w_args * _simargs`` of every two of the argument tuples ``args``, repeats included."""
+        if self.simargs is None:
+            args, index = np.unique(args, return_inverse=True)
+            return self._table(args).take(index, axis=0).take(index, axis=1)
+        return self.simargs.take(args, axis=0).take(args, axis=1)
+
+
+def _position_tables(ids: np.ndarray, codes: _StepCodes) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per position of ``ids``: each row's index into a table, and that table of step distances.
+
+    A position's table covers only the distinct steps at that position, in
+    id order, so padding comes first when present; every position holds at
+    least one real step. One ``np.unique`` numbers the (position, step)
+    pairs of all positions at once. Each entry applies the operations of
+    ``step_distance``, so it is bit-identical to it.
+    """
+    n, length = ids.shape
+    base = len(codes.names)
+    # Position-major, so each position's index into its table is one row.
+    present, index = np.unique((ids + np.arange(length) * base).T, return_inverse=True)
+    starts = np.searchsorted(present, np.arange(length) * base)
+    index = index.reshape(length, n)
+    index -= starts[:, None]
+    present %= base
+    pads = (present[starts] == 0).tolist()
+    out = []
+    for p, start, stop in zip(range(length), starts.tolist(), [*starts[1:].tolist(), len(present)]):
+        table = np.ones((stop - start, stop - start))
+        if pads[p]:
+            table[0, 0] = 0.0
+        inner = table[pads[p] :, pads[p] :]
+        real = present[start + pads[p] : stop]
+        names = codes.names[real]
+        np.multiply(names[:, None] != names, codes.w.w_pred, out=inner)
+        inner += codes.simargs_of(codes.args[real])
+        out.append((index[p], table))
+    return out
+
+
 def _column_tables(
     ids: np.ndarray, steps: Sequence[TransformationStep], w: DistanceWeights
 ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per position: each row's index into a table, and that table of step distances.
-
-    A position's table covers only the distinct steps at that position, with
-    padding first when present; every position holds at least one real step.
-    Names, argument tuples and argument tokens are numbered in first-seen
-    order, so equal ints mean equal strings. Each entry applies the
-    operations of ``step_distance``, so it is bit-identical to it.
-    """
-    name_id: dict[str, int] = {}
-    arg_id: dict[tuple[str, ...], int] = {}
-    token_id: dict[str, int] = {}
-    names = np.array([-1] + [name_id.setdefault(s.name, len(name_id)) for s in steps])
-    step_args = np.array([-1] + [arg_id.setdefault(s.args, len(arg_id)) for s in steps])
-    arg_tuples = [tuple(token_id.setdefault(t, len(token_id)) for t in args) for args in arg_id]
-    out = []
-    for column in ids.T:
-        present, index = np.unique(column, return_inverse=True)
-        pad = int(present[0] == 0)
-        real = present[pad:]
-        args, arg_index = np.unique(step_args[real], return_inverse=True)
-        simargs = _simargs_table([arg_tuples[a] for a in args])
-        simargs *= w.w_args
-        table = np.ones((len(present), len(present)))
-        if pad:
-            table[0, 0] = 0.0
-        inner = table[pad:, pad:]
-        np.multiply(names[real, None] != names[None, real], w.w_pred, out=inner)
-        inner += simargs.take(arg_index, axis=0).take(arg_index, axis=1)
-        out.append((index, table))
-    return out
+    """Position tables over all rows of ``ids``; their n² distances bound the argument table."""
+    return _position_tables(ids, _StepCodes(ids, steps, w, len(ids) ** 2))
 
 
 def _kernel(
@@ -333,28 +412,50 @@ def distance_matrix(solution_set: SolutionSet, w: DistanceWeights) -> DistanceMa
     return DistanceMatrix(tuple(sol.id for sol in solution_set.solutions), values, ids.shape[1])
 
 
+def _set_groups(spans: Sequence[tuple[slice, int]]) -> Iterator[list[tuple[slice, int]]]:
+    """Consecutive sets' spans, gathered until a group holds two blocks of rows or more."""
+    group: list[tuple[slice, int]] = []
+    for span in spans:
+        group.append(span)
+        if span[0].stop - group[0][0].start >= 2 * _ROW_BLOCK:
+            yield group
+            group = []
+    if group:
+        yield group
+
+
 def within_set_eccentricities(sets: Sequence[SolutionSet], w: DistanceWeights) -> list[np.ndarray]:
     """Each set's eccentricities: every solution's largest distance within its set.
 
     They are the row maxima of ``distance_matrix`` of the set, taken block by
-    block, so no set's n x n matrix is built. Steps are numbered once, and
-    each position has one table, for all sets. Every block of every set is
-    filled into a view of one buffer, sized for the largest set.
+    block, so no set's n x n matrix is built. Steps are numbered once. The
+    position tables cover one group of consecutive sets at a time, about two
+    blocks of rows, so they grow with the group's steps, not all sets'; a
+    group's tables go before the next group's are built. The argument table
+    is shared by all groups while it holds no more entries than the sum of
+    the sets' n². Every block of every set is filled into a view of one
+    buffer, sized for the largest set.
     """
     ids, steps = _step_ids(sol for s in sets for sol in s.solutions)
-    columns = _column_tables(ids, steps, w)
     spans = list(_set_spans(sets))
+    codes = _StepCodes(ids, steps, w, sum((rows.stop - rows.start) ** 2 for rows, _ in spans))
     widest = max((rows.stop - rows.start for rows, _ in spans), default=0)
     buffer = np.empty((min(widest, _ROW_BLOCK), widest))
     eccentricities = []
-    for rows, l_pad in spans:
-        n = rows.stop - rows.start
-        ecc = np.empty(n)
-        for blk in _row_blocks(n):
-            block = buffer[: blk.stop - blk.start, :n]
-            _kernel(columns[:l_pad], rows, blk, block)
-            block.max(axis=1, initial=0.0, out=ecc[blk])
-        eccentricities.append(ecc)
+    for group in _set_groups(spans):
+        first = group[0][0].start
+        columns = _position_tables(
+            ids[first : group[-1][0].stop, : max(l_pad for _, l_pad in group)], codes
+        )
+        for rows, l_pad in group:
+            n = rows.stop - rows.start
+            ecc = np.empty(n)
+            for blk in _row_blocks(n):
+                block = buffer[: blk.stop - blk.start, :n]
+                _kernel(columns[:l_pad], slice(rows.start - first, rows.stop - first), blk, block)
+                block.max(axis=1, initial=0.0, out=ecc[blk])
+            eccentricities.append(ecc)
+        del columns  # before the next group's tables are built
     return eccentricities
 
 

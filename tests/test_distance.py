@@ -379,8 +379,18 @@ def test_distance_bound_covers_every_accepted_weight_pair():
     assert squares[0, 1] == want * want
 
 
-def all_distinct_sets(n, length=5):
-    """Two sets of ``n`` solutions in which every step has its own first argument."""
+def all_distinct_sets(n, length=5, shared_args=False):
+    """Two sets of ``n`` solutions in which every step is distinct.
+
+    Each step has its own first argument, or, with ``shared_args``, its own
+    name and one of six argument lists.
+    """
+
+    def step(k, i, p):
+        if shared_args:
+            return make_step(f"op{k}_{i}_{p}", (f"u{(i + p) % 3}", f"e{p % 2}"))
+        return make_step(f"op{(i + p) % 3}", (f"u{k}_{i}_{p}", f"e{p % 2}"))
+
     return [
         make_set(
             label=f"s{k}",
@@ -388,10 +398,7 @@ def all_distinct_sets(n, length=5):
                 make_solution(
                     f"s{k}_{i}",
                     objectives=(float(i),),
-                    steps=tuple(
-                        make_step(f"op{(i + p) % 3}", (f"u{k}_{i}_{p}", f"e{p % 2}"))
-                        for p in range(length)
-                    ),
+                    steps=tuple(step(k, i, p) for p in range(length)),
                 )
                 for i in range(n)
             ),
@@ -400,15 +407,49 @@ def all_distinct_sets(n, length=5):
     ]
 
 
-def test_all_distinct_steps_entries_equal_sequence_distance():
-    sets = all_distinct_sets(20)
+@pytest.mark.parametrize("shared_args", [False, True], ids=["own-args", "shared-args"])
+def test_all_distinct_steps_entries_equal_sequence_distance(shared_args):
+    sets = all_distinct_sets(20, shared_args=shared_args)
     solutions = [sol for s in sets for sol in s.solutions]
+    # Own argument lists: 200² pairs of them pass the 40² distances, so each
+    # position computes its own; six shared lists fit one table for all.
+    ids, steps = distance._step_ids(solutions)
+    codes = distance._StepCodes(ids, steps, W, len(ids) ** 2)
+    assert (codes.simargs is None) is not shared_args
     want = np.array(
         [[sequence_distance(a.sequence, b.sequence, W) for b in solutions] for a in solutions]
     )
-    squares, index, _ = joint_squares(sets, W)
+    squares, index, eccentricities = joint_squares(sets, W)
     assert index.tolist() == list(range(len(solutions)))
     assert np.array_equal(squares, want**2)
+    own = slice(0, 20), slice(20, 40)
+    for rows, joint, within in zip(own, eccentricities, within_set_eccentricities(sets, W)):
+        assert np.array_equal(within, want[rows, rows].max(axis=1))
+        assert np.array_equal(joint, within)
+
+
+def test_arity_ramp_eccentricities_finish_in_time():
+    # 300 solutions of 120 steps; position p holds two argument lists of
+    # p + 1 tokens, which share none. Filling the argument table for every
+    # two of the 240 lists runs a DP for each two of the 120 arities, cubic
+    # in all (~8.5 s); filling only lists that meet runs one small DP per
+    # position.
+    steps = {}
+
+    def step(i, p):
+        bit = (i >> (p % 8)) & 1
+        return steps.setdefault((p, bit), make_step("op", [f"t{bit}_{q}" for q in range(p + 1)]))
+
+    solutions = tuple(
+        make_solution(f"s{i}", steps=tuple(step(i, p) for p in range(120))) for i in range(300)
+    )
+    within_set_eccentricities([make_set(solutions=solutions[:2])], W)  # load
+    start = time.perf_counter()
+    (ecc,) = within_set_eccentricities([make_set(solutions=solutions)], W)
+    assert time.perf_counter() - start < 1.0
+    # Two solutions differ, by 0.5, at the 15 positions of each of the 8
+    # bits in which their low bytes differ; every byte meets its complement.
+    assert ecc.tolist() == [8 * 15 * 0.5] * 300
 
 
 def test_all_distinct_steps_indicators_finish_in_time(tmp_path):
@@ -430,25 +471,33 @@ hyp_steps = st.builds(
 hyp_sequences = st.lists(st.lists(hyp_steps, max_size=5), min_size=1, max_size=12)
 
 
-@given(hyp_sequences, st.floats(0.0, 1.0), st.data())
-def test_position_tables_and_kernel_blocks_are_symmetric(sequences, w_pred, data):
+@given(hyp_sequences, st.floats(0.0, 1.0), st.booleans(), st.data())
+def test_position_tables_and_kernel_blocks_are_symmetric(sequences, w_pred, fits, data):
     # The joint pass for mds and compare checks no range, diagonal or
     # symmetry: each holds for every sum of gathers because it holds for
-    # every position's table, which this pins.
+    # every position's table, which this pins. Argument similarities come
+    # from one table for all positions when it fits the pairs the caller
+    # fills, from each position's own DP otherwise; both are exact.
     w = DistanceWeights(w_pred, 1.0 - w_pred)
     solutions = [make_solution(f"s{i}", steps=seq) for i, seq in enumerate(sequences)]
     ids, steps = distance._step_ids(solutions)
-    columns = distance._column_tables(ids, steps, w)
-    for _, table in columns:
+    codes = distance._StepCodes(ids, steps, w, 10**9 if fits else 0)
+    assert (codes.simargs is None) is not fits or not steps
+    columns = distance._position_tables(ids, codes)
+    padded = [list(seq) + [None] * (ids.shape[1] - len(seq)) for seq in sequences]
+    for p, (index, table) in enumerate(columns):
         assert table.min() >= 0.0
         assert table.max() <= max(1.0, w.w_pred + w.w_args)
         assert not table.diagonal().any()
         assert np.array_equal(table, table.T)
+        got = table[index[:, None], index].tolist()
+        assert got == [[step_distance(a[p], b[p], w) for b in padded] for a in padded]
 
     n = len(solutions)
     everything = slice(0, n)
     full = np.empty((n, n))
     distance._kernel(columns, everything, everything, full)
+    assert full.tolist() == [[sequence_distance(a, b, w) for b in sequences] for a in sequences]
     start = data.draw(st.integers(0, n - 1))
     blk = slice(start, data.draw(st.integers(start + 1, n)))
     rows = np.empty((blk.stop - blk.start, n))

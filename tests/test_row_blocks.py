@@ -10,9 +10,13 @@ decoded dict per refactoring step or tree edge.
 import argparse
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +31,7 @@ from archspread.distance import (
     DistanceWeights,
     distance_matrix,
     joint_squares,
+    sequence_distance,
     step_distance,
     within_set_eccentricities,
 )
@@ -221,6 +226,33 @@ def test_parse_holds_no_decoded_dict_per_step(synth_2000):
     assert peak <= 1.25 * len(text)
 
 
+def test_first_parse_in_a_fresh_process_peaks_below_the_text_size(synth_2000):
+    # README's figure: the tracemalloc peak of the first parse_bundle in a
+    # fresh process, the only parse a command makes, over the length of the
+    # JSON text. It reads 0.75 on this bundle, and 0.650 and 0.720 on the
+    # seed-3 many_sets_indicators and paper_compare bundles; a second parse
+    # in the same process reads less (0.556 and 0.607 there), as the first
+    # one also loads what parsing loads. A dict per step peaks at ~3.5.
+    code = (
+        "import sys, tracemalloc\n"
+        "from archspread.io import parse_bundle\n"
+        "text = open(sys.argv[1], encoding='utf-8').read()\n"
+        "tracemalloc.start()\n"
+        "parse_bundle(text)\n"
+        "print(tracemalloc.get_traced_memory()[1] / len(text))\n"
+    )
+    src = str(Path(distance.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(synth_2000)],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert float(out.stdout) <= 0.9
+
+
 def test_parse_holds_no_decoded_dict_per_tree_edge():
     tree = generate_tree(7, 11, 2, 6, 9)
     rng = random.Random(7)
@@ -299,6 +331,40 @@ def test_within_set_sweep_holds_one_row_block_buffer_for_all_sets(synth_2000):
     # all. A buffer per set, the first still held while the second was made,
     # peaked at ~7.85.
     assert peak <= 7.35 * _ROW_BLOCK * 1000 * 8
+
+
+def distinct_step_sets(k, n=20, length=4):
+    """``k`` sets of ``n`` solutions in which every step has its own name and argument."""
+    return [
+        make_set(
+            label=f"s{s}",
+            solutions=tuple(
+                make_solution(
+                    f"s{s}_{i}",
+                    (float(i),),
+                    tuple(make_step(f"n{s}_{i}_{p}", (f"a{s}_{i}_{p}",)) for p in range(length)),
+                )
+                for i in range(n)
+            ),
+        )
+        for s in range(k)
+    ]
+
+
+def test_within_set_tables_grow_with_a_group_of_sets_not_all_sets():
+    # 50 sets x 20 solutions x 4 positions, no step shared: tables over the
+    # steps of all sets held 4 x 1 000² entries, a 55.6 MiB peak. Tables
+    # over a group of sets at a time (about two blocks of rows), and one
+    # argument DP per position table, since 4 000² pairs of argument lists
+    # pass the 50 x 20² distances, peak at ~1.7 MiB.
+    sets = distinct_step_sets(50)
+    within_set_eccentricities(distinct_step_sets(2), W)  # load
+    eccentricities, peak = extra_peak(lambda: within_set_eccentricities(sets, W))
+    assert peak <= 8 * 2**20
+    for k in (0, 37):
+        sequences = [sol.sequence for sol in sets[k].solutions]
+        want = [max(sequence_distance(a, b, W) for b in sequences) for a in sequences]
+        assert eccentricities[k].tolist() == want
 
 
 def test_mds_and_compare_fill_each_block_of_the_joint_matrix_once(
