@@ -6,7 +6,8 @@ weighted by ``w_args``. Sequences of different lengths are tail-padded with a
 padding step (``None``) that is at distance 1 from every real step.
 
 Matrices are computed by a per-position kernel: every distinct step gets an
-integer id (padding is 0) and each solution becomes a row of ids. Each
+integer id (padding is 0) and each solution becomes a row of ids; the
+numbering holds about one flat array of ids beside that array. Each
 position has a small table of step distances over the steps that occur there,
 and the matrix is the position-by-position sum of gathers from those tables,
 so memory grows with the sum of their squared sizes, not with the square of
@@ -16,7 +17,9 @@ one group of consecutive sets at a time for the within-set eccentricities,
 so ``indicators`` holds tables over one group's steps, not all sets'. The
 argument similarities come from one table over the call's distinct argument
 tuples while it holds no more entries than the distances the caller fills,
-and from each position's own DP above that. The tables apply the same
+and from each position's own DP above that. The argument DP runs once per
+row arity and length band, so its cost follows the token products of the
+pairs it fills, not the square of the arities. The tables apply the same
 floating-point operations as ``step_distance`` and the sum runs in position
 order from 0.0, so every entry equals ``sequence_distance`` of its pair
 exactly. The tables compare only step names and argument tokens for
@@ -191,8 +194,10 @@ def _step_ids(
     list has id ``i + 1``. Equal steps get the same id.
 
     Occurrences are told apart by object identity first, which hashes an
-    int; only each distinct step object is hashed as a step, once. The
-    ids then fill the array, row by row, in one assignment.
+    int; only each distinct step object is hashed as a step, once. Each
+    occurrence's id is then gathered in place, over its first occurrence's
+    index, and the ids fill the array, row by row, in one assignment. Beside
+    ``ids`` the numbering holds about one flat array of them.
     """
     sequences = [sol.sequence for sol in solutions]
     steps = list(chain.from_iterable(sequences))
@@ -203,21 +208,34 @@ def _step_ids(
     )
     firsts = list(first.values())
     step_id: dict[TransformationStep, int] = {}
-    code = np.zeros(len(steps), dtype=np.intp)
-    code[firsts] = [step_id.setdefault(steps[k], len(step_id) + 1) for k in firsts]
+    numbers = [step_id.setdefault(steps[k], len(step_id) + 1) for k in firsts]
+    # Each flat array goes before the next one is made.
+    del first, steps
+    code = np.zeros(len(occurrence), dtype=np.intp)
+    code[firsts] = numbers
+    del firsts, numbers
+    code.take(occurrence, out=occurrence, mode="clip")  # "raise" would buffer the output
+    del code
     lengths = np.fromiter(map(len, sequences), dtype=np.intp, count=len(sequences))
     ids = np.zeros((len(sequences), lengths.max(initial=0)), dtype=np.intp)
-    ids[np.arange(ids.shape[1]) < lengths[:, None]] = code[occurrence]
+    # The filled cells, a position at a time: a broadcast comparison buffers 2 x 8 192 ints.
+    filled = np.empty(ids.shape[::-1], dtype=bool)
+    for p, cells in enumerate(filled):
+        np.greater(lengths, p, out=cells)
+    ids[filled.T] = occurrence
     return ids, list(step_id)
 
 
-def _levenshtein_block(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _levenshtein_block(a: np.ndarray, b: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """Levenshtein distance of each row of ``a`` to each row of ``b``, by one batched DP.
 
-    ``a`` is ``(r, la)`` and ``b`` is ``(c, lb)``. The DP runs row by row on
-    ``lb + 1`` planes of ``r x c`` pairs. Plane ``j`` holds ``D[i, j] - i - j``:
-    it keeps 0 in column 0, and the insertions of a row are a running minimum
-    over the planes, taken by doubling in ``log2(lb + 1)`` steps.
+    ``a`` is ``(r, la)`` and ``b`` is ``(c, lb)``. Row ``k`` of ``b`` is read
+    at its own length ``lengths[k] <= lb``, in ascending order: ``D[i, j]``
+    depends on the first ``j`` tokens of a row only, so the tokens past it
+    are never read. The DP runs row by row on ``lb + 1`` planes of ``r x c``
+    pairs. Plane ``j`` holds ``D[i, j] - i - j``: it keeps 0 in column 0,
+    and the insertions of a row are a running minimum over the planes, taken
+    by doubling in ``log2(lb + 1)`` steps.
     """
     d = np.zeros((b.shape[1] + 1, len(a), len(b)), dtype=np.intp)
     rows, columns = a.T[:, None, :, None], b.T[:, None, :]
@@ -229,32 +247,58 @@ def _levenshtein_block(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         np.minimum(d[1:], cost, out=d[1:])
         for shift in shifts:  # then insertions; overlapping views read the planes before the step
             np.minimum(d[shift:], d[:-shift], out=d[shift:])
-    return d[-1] + (a.shape[1] + b.shape[1])
+    last = d[-1] if lengths[0] == b.shape[1] else d[lengths, :, np.arange(len(b))].T
+    return last + (lengths + a.shape[1])
 
 
 def _simargs_table(args: Sequence[tuple[int, ...]]) -> np.ndarray:
-    """``_simargs`` of every two of ``args``, one batched DP per two arities.
+    """``_simargs`` of every two of ``args``, one batched DP per row arity and length band.
 
-    The tuples of each arity ``la`` are an index set into ``args``. Each
-    block of ``_ROW_BLOCK`` of them meets all tuples of each arity ``lb >= la``
-    in one ``_levenshtein_block``, written straight to its rows and columns,
-    so a pair costs ``la * lb`` steps, as in ``_levenshtein``. Levenshtein
-    distance is symmetric, so the other half is mirrored, and a tuple alone
-    in its arity is at distance 0 from itself. Each distance is divided by
-    the longer length, as ``_simargs`` does.
+    The tuples are taken in order of length. Band ``k`` holds the tuples
+    whose length has ``k`` bits (``2**(k - 1)`` to ``2**k - 1`` tokens), its
+    tokens padded to its longest. Each block of ``_ROW_BLOCK`` tuples of
+    arity ``la`` meets, in one ``_levenshtein_block`` per band, the band's
+    tuples at least as long, each read at its own length, and the result is
+    written straight to its rows and columns. A pair of ``la`` and
+    ``lb >= la`` tokens then fills fewer than ``2 * la * lb`` cells, so the
+    DP work follows the token products of the pairs, as in ``_levenshtein``,
+    and there is one DP per arity and band, not one per two arities.
+    Levenshtein distance is symmetric, so the other half is mirrored, and a
+    tuple alone in its arity is at distance 0 from itself. Each distance is
+    divided by the longer length, as ``_simargs`` does.
     """
     lengths = np.fromiter(map(len, args), dtype=np.intp, count=len(args))
-    classes = []  # (its indices into args, its tuples), by arity
-    for la in np.flatnonzero(np.bincount(lengths)):
-        rows = np.flatnonzero(lengths == la)
-        tuples = np.array([args[k] for k in rows], dtype=np.int64)
-        classes.append((rows, tuples.reshape(len(rows), la)))
+    order = np.argsort(lengths)  # any order within an arity: rows and columns keep their index
+    ordered = lengths[order]
+    arities = np.flatnonzero(np.bincount(lengths)).tolist()
+    # Where each arity, then each band, starts in length order.
+    starts = [*np.searchsorted(ordered, arities).tolist(), len(args)]
+    top = arities[-1] if arities else 0
+    edges = np.searchsorted(ordered, [(1 << k) >> 1 for k in range(top.bit_length() + 2)]).tolist()
+    bands = {  # each band's tokens, in length order, padded to its longest tuple
+        k: np.zeros((high - low, ordered[high - 1]), dtype=np.int64)
+        for k, (low, high) in enumerate(zip(edges, edges[1:]))
+        if low < high
+    }
+    for x, la in enumerate(arities):
+        k = la.bit_length()
+        tuples = np.array([args[i] for i in order[starts[x] : starts[x + 1]].tolist()], np.int64)
+        band = bands[k][starts[x] - edges[k] : starts[x + 1] - edges[k]]
+        band[:, :la] = tuples.reshape(len(tuples), la)
     lev = np.zeros((len(args), len(args)), dtype=np.intp)
-    for x, (rows, a) in enumerate(classes):
-        # A tuple alone in its arity is at distance 0 from itself, as lev holds.
-        for cols, b in classes[x + (len(a) == 1) :]:
+    for x, la in enumerate(arities):
+        own = la.bit_length()
+        a = bands[own][starts[x] - edges[own] : starts[x + 1] - edges[own], :la]
+        rows = order[starts[x] : starts[x + 1]]
+        for k, b in bands.items():
+            low, high = max(edges[k], starts[x]), edges[k + 1]
+            # None at least as long below la's band; in it, a tuple alone in
+            # its arity and last in the band is at distance 0 from itself.
+            if high - low <= (k == own):
+                continue
+            b, cols = b[low - edges[k] :], order[low:high]
             for blk in _row_blocks(len(a)):
-                lev[rows[blk, None], cols] = _levenshtein_block(a[blk], b)
+                lev[rows[blk, None], cols] = _levenshtein_block(a[blk], b, ordered[low:high])
     lev = np.maximum(lev, lev.T)
     longer = np.maximum(lengths[:, None], lengths[None, :])
     return np.divide(lev, longer, out=np.zeros(lev.shape), where=longer > 0)
@@ -298,16 +342,23 @@ class _StepCodes:
     def _meeting_pairs(self, ids: np.ndarray) -> np.ndarray:
         """The argument table over every pair of tuples that meets at some position of ``ids``.
 
+        The tuples at each position are marked through one array of the
+        cells' argument ids, shifted in place by their position's offset.
         Position by position, a DP runs over the tuples there that meet one
         not yet met, so no position runs more DP than its own table would.
         Pairs that never meet stay NaN; no position table reads them.
         """
         base = len(self.tuples) + 1  # argument ids shifted by one: padding is 0
-        offsets = np.arange(ids.shape[1]) * base
+        offsets = range(0, ids.shape[1] * base, base)
+        # Each cell's slot in seen, a column at a time: a broadcast add buffers 8 192 ints.
+        marks = self.args.take(ids)
+        for p, offset in enumerate(offsets):
+            marks[:, p] += offset + 1
         # Not np.unique: it imports numpy.ma. (base - 1)² <= pairs <= n² for
         # the n rows of ids, so this holds about as many bools as ids ints.
         seen = np.zeros(ids.shape[1] * base, dtype=bool)
-        seen[self.args[ids] + (offsets + 1)] = True
+        seen[marks] = True
+        del marks
         present = np.flatnonzero(seen)
         starts = np.searchsorted(present, offsets).tolist() + [len(present)]
         present %= base
@@ -390,11 +441,11 @@ def padded_length(solution_set: SolutionSet) -> int:
     return max((len(sol.sequence) for sol in solution_set.solutions), default=0)
 
 
-def _set_spans(sets: Sequence[SolutionSet]) -> Iterator[tuple[slice, int]]:
-    """Each set's rows among all sets' solutions in order, and its ``l_pad``."""
+def _set_spans(sets: Sequence[SolutionSet]) -> Iterator[slice]:
+    """Each set's rows among all sets' solutions in order."""
     start = 0
     for s in sets:
-        yield slice(start, start + len(s)), padded_length(s)
+        yield slice(start, start + len(s))
         start += len(s)
 
 
@@ -428,16 +479,18 @@ def within_set_eccentricities(sets: Sequence[SolutionSet], w: DistanceWeights) -
     """Each set's eccentricities: every solution's largest distance within its set.
 
     They are the row maxima of ``distance_matrix`` of the set, taken block by
-    block, so no set's n x n matrix is built. Steps are numbered once. The
-    position tables cover one group of consecutive sets at a time, about two
-    blocks of rows, so they grow with the group's steps, not all sets'; a
-    group's tables go before the next group's are built. The argument table
-    is shared by all groups while it holds no more entries than the sum of
-    the sets' n². Every block of every set is filled into a view of one
+    block, so no set's n x n matrix is built. Steps are numbered once, and
+    each set's ``l_pad`` is read from its rows of step ids. The position
+    tables cover one group of consecutive sets at a time, about two blocks
+    of rows, so they grow with the group's steps, not all sets'; a group's
+    tables go before the next group's are built. The argument table is
+    shared by all groups while it holds no more entries than the sum of the
+    sets' n². Every block of every set is filled into a view of one
     buffer, sized for the largest set.
     """
     ids, steps = _step_ids(sol for s in sets for sol in s.solutions)
-    spans = list(_set_spans(sets))
+    # Padding is a zero suffix, so a set's l_pad counts the columns it fills.
+    spans = [(rows, int(np.count_nonzero(ids[rows].any(axis=0)))) for rows in _set_spans(sets)]
     codes = _StepCodes(ids, steps, w, sum((rows.stop - rows.start) ** 2 for rows, _ in spans))
     widest = max((rows.stop - rows.start for rows, _ in spans), default=0)
     buffer = np.empty((min(widest, _ROW_BLOCK), widest))
@@ -483,7 +536,7 @@ def joint_squares(
     firsts = np.fromiter(map({}.setdefault, map(bytes, ids), count()), np.intp, len(ids))
     distinct, index = np.unique(firsts, return_inverse=True)
     ids = ids[distinct]
-    own = [index[rows] for rows, _ in _set_spans(sets)]
+    own = [index[rows] for rows in _set_spans(sets)]
     columns = _column_tables(ids, steps, w)
     m = len(ids)
     squares = np.empty((m, m))

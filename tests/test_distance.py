@@ -365,6 +365,43 @@ def test_simargs_table_matches_simargs_across_row_blocks():
             assert entry == distance._simargs(a, b)
 
 
+# Tuples of up to 40 tokens lie in bands 0 to 6 (0, 1, 2-3, ..., 32-63
+# tokens), so a tuple's row block meets columns of its own band read at
+# lengths up to twice its own, and columns of every band above it.
+band_tuples = st.integers(0, 40).flatmap(
+    lambda n: st.lists(st.integers(0, 2), min_size=n, max_size=n).map(tuple)
+)
+
+
+@settings(deadline=None)
+@given(st.lists(band_tuples, min_size=1, max_size=8))
+def test_simargs_table_matches_simargs_across_band_edges(args):
+    table = distance._simargs_table(args)
+    assert table.tolist() == [[distance._simargs(a, b) for b in args] for a in args]
+
+
+def test_argument_dp_of_a_hundred_arities_finishes_in_time():
+    # One position holds argument lists of 1 to 100 tokens, one of each
+    # arity. A DP for every two arities ran 5 050 of them, cubic in the
+    # arities (3.0-4.7 s); one per arity and length band runs ~600 (~0.2 s).
+    # The lists are prefixes of one list, so two are |a - b| edits apart.
+    tokens = [f"t{k * k % 4}" for k in range(100)]
+    arities = range(1, 101)
+    solutions = [make_solution(f"s{a}", steps=(make_step("op", tokens[:a]),)) for a in arities]
+    ids, steps = distance._step_ids(solutions)
+    distance._column_tables(ids[:2], steps, W)  # load whatever the first call loads
+    start = time.perf_counter()
+    ((index, table),) = distance._column_tables(ids, steps, W)
+    assert time.perf_counter() - start < 1.0
+    assert index.tolist() == list(range(100))
+    want = [[W.w_args * (abs(a - b) / max(a, b)) for b in arities] for a in arities]
+    assert table.tolist() == want
+    # That is w_args * _simargs: checked directly on the arities at band edges.
+    for a in (1, 2, 3, 4, 7, 8, 31, 32, 63, 64, 100):
+        simargs = [distance._simargs(tokens[:a], tokens[:b]) for b in arities]
+        assert want[a - 1] == [W.w_args * x for x in simargs]
+
+
 def test_distance_bound_covers_every_accepted_weight_pair():
     # These weights sum to 1 + 9.8e-13, which DistanceWeights accepts; over
     # 3 000 positions that all differ, the distance passes 3 000 + 1e-9.
